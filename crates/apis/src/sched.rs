@@ -27,9 +27,10 @@
 //! Pure steps (non-barriers) are cached in a bounded LRU keyed by an
 //! FNV-1a fingerprint of `(api, params, seed, graph-fingerprint, input
 //! fingerprint[, database fingerprint for similarity APIs])`. The graph
-//! fingerprint hashes the binary encoding of the session graph and is
-//! recomputed only after a mutation barrier; steps whose inputs cannot be
-//! fingerprinted are executed uncached. Only `Ok` results are stored.
+//! fingerprint is [`Graph::fingerprint`]: O(1), maintained by the graph's
+//! mutation methods, and slot-exact, so two graphs share memo entries
+//! exactly when their slots (and so their node ids) agree. Only `Ok`
+//! results are stored.
 //!
 //! ## Coalescing
 //!
@@ -53,7 +54,7 @@ use crate::executor::KernelState;
 use crate::supervisor::{self, FailurePolicy, FaultPlan, StepFailure, SupervisorConfig};
 use crate::value::Value;
 use chatgraph_graph::kernels::{ChunkStrategy, KernelPolicy, DEFAULT_KERNEL_CHUNK};
-use chatgraph_graph::{binary, Graph};
+use chatgraph_graph::Graph;
 use chatgraph_support::cancel::CancelToken;
 use chatgraph_support::hash::Fnv64;
 use chatgraph_support::lru::Lru;
@@ -422,8 +423,9 @@ pub struct CommitAck {
 /// unlogged state; the in-memory mutation itself stands (the session layer
 /// installs the graph even on chain failure).
 pub trait CommitSink: Send + Sync + std::fmt::Debug {
-    /// Durably records `graph` as the next epoch.
-    fn commit(&self, graph: &Graph) -> Result<CommitAck, String>;
+    /// Durably records `graph` as the next epoch. The sink may keep the
+    /// `Arc` (the durable store does, as its next delta base).
+    fn commit(&self, graph: &Arc<Graph>) -> Result<CommitAck, String>;
 }
 
 /// Executes plans with a fixed worker count and a step-memo cache.
@@ -602,10 +604,6 @@ impl Scheduler {
             .with_strategy(ChunkStrategy::DegreeWeighted)
             .with_scratch(ctx.kernels.policy.scratch.clone());
         let mut prev = Value::Unit;
-        // The graph fingerprint is stable between mutation barriers; cache
-        // it per epoch. `None` = not yet computed for the current graph.
-        let mut graph_fp: Option<Option<u64>> = None;
-        let mut db_fp: Option<Option<u64>> = None;
         for segment in plan.segments() {
             match segment {
                 Segment::Barrier(i) => {
@@ -719,23 +717,15 @@ impl Scheduler {
                             return Err(failure.into_chain_error(i));
                         }
                     }
-                    if pstep.mutates_graph {
-                        graph_fp = None;
-                    }
                     drain_kernel_events(ctx, monitor);
                 }
                 Segment::Parallel(chains) => {
-                    let gfp = *graph_fp.get_or_insert_with(|| graph_fingerprint(&ctx.graph));
                     let needs_db = chains.iter().flatten().any(|&j| {
                         registry
                             .descriptor(&chain.steps[j].api)
                             .is_some_and(|d| d.category == ApiCategory::Similarity)
                     });
-                    let dfp = if needs_db {
-                        *db_fp.get_or_insert_with(|| database_fingerprint(&ctx.database))
-                    } else {
-                        None
-                    };
+                    let dfp = needs_db.then(|| database_fingerprint(&ctx.database));
                     let seg = SegmentRun {
                         scheduler: self,
                         registry,
@@ -744,7 +734,7 @@ impl Scheduler {
                         snapshot: Arc::clone(&ctx.graph),
                         database: Arc::clone(&ctx.database),
                         seed: ctx.seed,
-                        graph_fp: gfp,
+                        graph_fp: ctx.graph.fingerprint(),
                         db_fp: dfp,
                         kernels: ctx.kernels.clone(),
                     };
@@ -839,7 +829,8 @@ struct SegmentRun<'a> {
     snapshot: Arc<Graph>,
     database: Arc<Vec<Graph>>,
     seed: u64,
-    graph_fp: Option<u64>,
+    graph_fp: u64,
+    /// Set when the segment holds a similarity step.
     db_fp: Option<u64>,
     kernels: KernelState,
 }
@@ -1151,11 +1142,9 @@ impl SegmentRun<'_> {
         self.registry.call(&call.api, &mut local, input.clone(), call)
     }
 
-    /// The memo key for one call, or `None` when any component cannot be
-    /// fingerprinted (then the step simply runs uncached).
+    /// The memo key for one call, or `None` for a similarity step whose
+    /// segment has no database fingerprint (then it simply runs uncached).
     fn memo_key(&self, call: &ApiCall, input: &Value) -> Option<u64> {
-        let gfp = self.graph_fp?;
-        let ifp = value_fingerprint(input)?;
         let mut h = Fnv64::new();
         h.write_str(&call.api);
         for (k, v) in &call.params {
@@ -1163,8 +1152,8 @@ impl SegmentRun<'_> {
             h.write_str(v);
         }
         h.write_u64(self.seed);
-        h.write_u64(gfp);
-        h.write_u64(ifp);
+        h.write_u64(self.graph_fp);
+        h.write_u64(value_fingerprint(input));
         if self
             .registry
             .descriptor(&call.api)
@@ -1259,27 +1248,23 @@ impl SegmentRun<'_> {
     }
 }
 
-/// FNV-1a fingerprint of a graph via its binary encoding. `None` when the
-/// graph fails to encode (oversized attributes etc.) — memoization is then
-/// skipped rather than risking a wrong key.
-pub fn graph_fingerprint(g: &Graph) -> Option<u64> {
-    binary::to_bytes(g)
-        .ok()
-        .map(|bytes| chatgraph_support::hash::fnv1a64(&bytes))
+/// The memo key's graph component: [`Graph::fingerprint`], O(1).
+pub fn graph_fingerprint(g: &Graph) -> u64 {
+    g.fingerprint()
 }
 
-fn database_fingerprint(db: &[Graph]) -> Option<u64> {
+fn database_fingerprint(db: &[Graph]) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(db.len() as u64);
     for g in db {
-        h.write_u64(graph_fingerprint(g)?);
+        h.write_u64(g.fingerprint());
     }
-    Some(h.finish())
+    h.finish()
 }
 
 /// FNV-1a fingerprint of a value. Hand-rolled rather than JSON-based so
 /// float payloads hash via `to_bits` (NaN-safe, no formatting wobble).
-pub fn value_fingerprint(v: &Value) -> Option<u64> {
+pub fn value_fingerprint(v: &Value) -> u64 {
     let mut h = Fnv64::new();
     match v {
         Value::Unit => h.write_str("unit"),
@@ -1336,10 +1321,10 @@ pub fn value_fingerprint(v: &Value) -> Option<u64> {
         }
         Value::Graph(g) => {
             h.write_str("graph");
-            h.write_u64(graph_fingerprint(g)?);
+            h.write_u64(g.fingerprint());
         }
     }
-    Some(h.finish())
+    h.finish()
 }
 
 #[cfg(test)]
@@ -1428,6 +1413,29 @@ mod tests {
             .count();
         assert_eq!(hits, 2);
         assert_eq!(ctx2.findings, ctx.findings);
+    }
+
+    /// A tombstoned graph and its `compact()` hold the same live content
+    /// under different node ids, so they must not share memo entries: a
+    /// hit would hand one graph's ids to the other.
+    #[test]
+    fn memo_keeps_a_tombstoned_graph_and_its_compaction_apart() {
+        let reg = registry::standard();
+        let chain = ApiChain::from_names(["find_influencers"]);
+        let mut g = social_network(&SocialParams::default(), 3);
+        g.remove_node(chatgraph_graph::NodeId(0)).unwrap();
+        let (compacted, _) = g.compact();
+        let run = |sched: &Scheduler, g: &Graph| {
+            let mut ctx = ExecContext::new(g.clone());
+            sched
+                .execute(&reg, &chain, &mut ctx, &mut crate::monitor::SilentMonitor)
+                .unwrap()
+        };
+        let sched = Scheduler::new(1);
+        let tombstoned = run(&sched, &g);
+        let served = run(&sched, &compacted);
+        assert_eq!(served, run(&Scheduler::new(1), &compacted));
+        assert_ne!(served, tombstoned, "the ids differ, so the answers must");
     }
 
     #[test]

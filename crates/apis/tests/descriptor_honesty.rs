@@ -109,7 +109,6 @@ fn handlers_honour_their_mutation_flag() {
         };
 
         let before = graph_fingerprint(&ctx.graph);
-        assert!(before.is_some(), "{name}: seeded graph must fingerprint");
         let result = reg.call(&name, &mut ctx, input, &call);
         let after = graph_fingerprint(&ctx.graph);
 

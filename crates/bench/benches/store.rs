@@ -11,6 +11,7 @@ use chatgraph_graph::Graph;
 use chatgraph_store::{CrashMode, CrashPoint, GraphStore};
 use chatgraph_support::json::Json;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Commits per append-throughput run.
@@ -24,12 +25,15 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("chatgraph-store-bench-{tag}-{}.cgdb", std::process::id()))
 }
 
-fn seed_graph() -> Graph {
-    social_network(&SocialParams::default(), 11)
+fn seed_graph() -> Arc<Graph> {
+    Arc::new(social_network(&SocialParams::default(), 11))
 }
 
-/// One synthetic mutation per commit: a fresh node wired to an existing one.
-fn mutate(g: &mut Graph, round: usize) {
+/// One synthetic mutation per commit: a fresh node wired to an existing
+/// one, applied copy-on-write as a session's mutation barrier does (the
+/// store holds the committed `Arc`, so this copies the graph).
+fn mutate(g: &mut Arc<Graph>, round: usize) {
+    let g = Arc::make_mut(g);
     let first = g.node_ids().next();
     let v = g.add_node(format!("n{round}"));
     if let Some(u) = first {

@@ -15,9 +15,9 @@
 //!   parameters, seed, graph content and inputs; a hit from another
 //!   tenant's identical sub-chain is indistinguishable from one's own;
 //! * the **CSR cache** — one [`CsrCache`] of immutable graph snapshots,
-//!   keyed by `Arc` pointer identity. Graph replacement and mutation both
-//!   allocate a fresh `Arc` and evict the dead epoch
-//!   ([`ChatSession::graph_epoch`]), so a stale snapshot can never be
+//!   keyed by `Arc` pointer identity (exact, because each entry pins its
+//!   graph). Graph replacement and mutation both install a fresh `Arc` and
+//!   evict the replaced graph's snapshot, so a stale snapshot can never be
 //!   served.
 //!
 //! ## Fairness and the pool

@@ -20,16 +20,18 @@
 //! hundreds of cheap per-tenant sessions over it. Each session owns only
 //! its mutable state: scheduler (with memo), graph, database, transcript.
 //!
-//! ## Graph epochs
+//! ## Graph versions
 //!
-//! The session graph lives behind a copy-on-write `Arc<Graph>` and carries
-//! a monotonically increasing *mutation epoch*
-//! ([`ChatSession::graph_epoch`]). Replacing the graph (a new upload in
-//! [`ChatSession::send`] or [`ChatSession::set_graph`]) and mutating it (an
-//! edit chain in [`ChatSession::run_chain`]) both advance the epoch,
-//! allocate a fresh `Arc`, and evict the dead epoch's snapshot from the
-//! CSR cache — mandatory once the cache is shared across sessions, where
-//! an unevicted entry would pin another tenant's memory.
+//! The session graph lives behind a copy-on-write `Arc<Graph>`. Which
+//! version it is, is answered by the graph itself:
+//! [`Graph::fingerprint`] for content-keyed caches (the step memo) and the
+//! `Arc` pointer for caches that pin their graph (CSR snapshots, statistics
+//! catalogs). Replacing the graph (a new upload in [`ChatSession::send`] or
+//! [`ChatSession::set_graph`]) and mutating it (an edit chain in
+//! [`ChatSession::run_chain`]) both install a fresh `Arc` and evict the
+//! replaced graph's snapshot from the CSR cache — mandatory once the cache
+//! is shared across sessions, where an unevicted entry would pin another
+//! tenant's memory.
 
 use crate::config::ChatGraphConfig;
 use crate::dataset::{generate_corpus, CorpusParams};
@@ -82,7 +84,7 @@ impl std::error::Error for SessionError {}
 struct StoreSink(Arc<GraphStore>);
 
 impl CommitSink for StoreSink {
-    fn commit(&self, graph: &Graph) -> Result<CommitAck, String> {
+    fn commit(&self, graph: &Arc<Graph>) -> Result<CommitAck, String> {
         self.0
             .commit(graph)
             .map(|r| CommitAck { epoch: r.epoch, records: r.records, bytes: r.bytes })
@@ -222,14 +224,12 @@ pub struct ChatSession {
     /// default; [`ChatSession::use_shared_csr`] swaps in a server-global
     /// one.
     csr_cache: Arc<CsrCache>,
-    /// Statistics catalogs per mutation epoch, shared with executions so
+    /// Statistics catalogs per graph version, shared with executions so
     /// the planner's cost model prices steps from a cached O(n + m) pass.
     catalog_cache: Arc<CatalogCache>,
     /// The graph uploaded most recently (the session graph), shared
     /// copy-on-write with executions and caches.
     graph: Option<Arc<Graph>>,
-    /// Mutation epoch of the session graph; see the module docs.
-    graph_epoch: u64,
     /// The molecule database for similarity search, shared with executions
     /// without copying.
     pub database: Arc<Vec<Graph>>,
@@ -283,7 +283,7 @@ impl ChatSession {
             .ok_or_else(|| SessionError::Store("store holds no saved model".to_owned()))?;
         let core = SessionCore::from_saved_model(config, &model)?;
         let mut session = ChatSession::from_core(core);
-        session.install_graph(Arc::new(store.graph()));
+        session.install_graph(store.graph());
         session.pending_recovery = Some(report);
         session.attach_store(Arc::new(store));
         Ok((session, report))
@@ -300,7 +300,6 @@ impl ChatSession {
             csr_cache: Arc::new(CsrCache::default()),
             catalog_cache: Arc::new(CatalogCache::default()),
             graph: None,
-            graph_epoch: 0,
             database: Arc::new(Vec::new()),
             transcript: Vec::new(),
             store: None,
@@ -348,15 +347,8 @@ impl ChatSession {
         self.graph.as_ref()
     }
 
-    /// The session graph's mutation epoch: advanced on every replacement
-    /// (upload) and every mutating chain. Cache consumers keying state on
-    /// the graph must observe a new epoch as a new graph.
-    pub fn graph_epoch(&self) -> u64 {
-        self.graph_epoch
-    }
-
-    /// Replaces the session graph, advancing the mutation epoch and
-    /// evicting the replaced epoch's CSR snapshot. With a store attached
+    /// Replaces the session graph, evicting the replaced graph's CSR
+    /// snapshot. With a store attached
     /// the upload is durably committed as its own epoch (best-effort: a
     /// commit failure marks the store dead and surfaces as
     /// [`ChainError::CommitFailed`] on the next mutating chain).
@@ -373,14 +365,12 @@ impl ChatSession {
     /// graph. Once attached, every mutation barrier is WAL-committed before
     /// its effects are published.
     pub fn open_store(&mut self, path: impl AsRef<Path>) -> Result<StoreOpened, SessionError> {
-        let init = match &self.graph {
-            Some(g) => (**g).clone(),
-            None => Graph::undirected(),
-        };
+        let empty = Graph::undirected();
+        let init = self.graph.as_deref().unwrap_or(&empty);
         let (store, opened) =
-            GraphStore::open_or_create(path, &init).map_err(|e| SessionError::Store(e.to_string()))?;
+            GraphStore::open_or_create(path, init).map_err(|e| SessionError::Store(e.to_string()))?;
         if let StoreOpened::Recovered(report) = opened {
-            self.install_graph(Arc::new(store.graph()));
+            self.install_graph(store.graph());
             self.pending_recovery = Some(report);
         }
         self.attach_store(Arc::new(store));
@@ -436,23 +426,21 @@ impl ChatSession {
     }
 
     /// Removes and returns the session graph (cloning only if it is still
-    /// shared elsewhere), advancing the mutation epoch.
+    /// shared elsewhere).
     pub fn take_graph(&mut self) -> Option<Graph> {
         let old = self.graph.take()?;
-        self.graph_epoch += 1;
         self.csr_cache.invalidate(&old);
         Some(Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// Installs `graph` as the current epoch: bumps the epoch counter and
-    /// evicts the dead epoch's snapshot from the (possibly shared) CSR
-    /// cache. Always a fresh `Arc`, so pointer-keyed caches can never serve
-    /// kernels off the replaced graph.
+    /// Installs `graph` as the session graph, evicting the replaced
+    /// graph's snapshot from the (possibly shared) CSR cache. Callers pass
+    /// a fresh `Arc`, so pointer-keyed caches can never serve kernels off
+    /// the replaced graph.
     fn install_graph(&mut self, graph: Arc<Graph>) {
         if let Some(old) = self.graph.take() {
             self.csr_cache.invalidate(&old);
         }
-        self.graph_epoch += 1;
         self.graph = Some(graph);
     }
 
@@ -471,8 +459,8 @@ impl ChatSession {
     /// Routes this session's CSR snapshots through a shared
     /// (server-global) cache. Entries are keyed by `Arc` pointer identity,
     /// and every replacement/mutation allocates a fresh `Arc` and evicts
-    /// the dead epoch, so tenants cannot observe each other's snapshots as
-    /// their own.
+    /// the replaced graph's entry, so tenants cannot observe each other's
+    /// snapshots as their own.
     pub fn use_shared_csr(&mut self, cache: Arc<CsrCache>) {
         self.csr_cache = cache;
     }
@@ -537,9 +525,9 @@ impl ChatSession {
     pub fn send(&mut self, prompt: Prompt) -> ChatResponse {
         self.transcript.push(Turn::User(prompt.text.clone()));
         if let Some(g) = prompt.graph {
-            // A new upload is a new mutation epoch: fresh `Arc`, bumped
-            // counter, dead snapshot evicted — pointer-keyed caches must
-            // not keep serving the replaced graph.
+            // A new upload is a new graph: fresh `Arc`, dead snapshot
+            // evicted — pointer-keyed caches must not keep serving the
+            // replaced graph.
             self.set_graph(g);
         }
         let graph_type = self
@@ -629,7 +617,7 @@ impl ChatSession {
             .execute(&self.core.registry, chain, &mut ctx, monitor);
         // Persist mutations (scenario 3 cleans the session graph in place),
         // even when the chain failed part-way: completed edits happened.
-        // Copy-on-write means a mutated graph is a new `Arc` — a new epoch.
+        // Copy-on-write means a mutated graph is a new `Arc`.
         let after = Arc::clone(&ctx.graph);
         drop(ctx);
         if Arc::ptr_eq(&before, &after) {
@@ -823,21 +811,23 @@ mod tests {
     }
 
     #[test]
-    fn graph_replacement_advances_epoch() {
+    fn graph_replacement_installs_a_fresh_arc() {
         with_session(|s| {
-            let e0 = s.graph_epoch();
             s.send(Prompt::with_graph(
                 "how big is G?",
                 social_network(&SocialParams::default(), 3),
             ));
-            let e1 = s.graph_epoch();
-            assert!(e1 > e0, "upload must advance the epoch");
-            // Re-uploading (even an identical graph) is a replacement too.
+            let first = Arc::clone(s.graph_arc().unwrap());
+            // Re-uploading (even an identical graph) is a replacement too:
+            // a new `Arc` for the pointer-keyed caches, while the content
+            // fingerprint the memo keys on stays the same.
             s.send(Prompt::with_graph(
                 "how big is G?",
                 social_network(&SocialParams::default(), 3),
             ));
-            assert!(s.graph_epoch() > e1, "re-upload must advance the epoch");
+            let second = s.graph_arc().unwrap();
+            assert!(!Arc::ptr_eq(&first, second), "re-upload must install a fresh Arc");
+            assert_eq!(first.fingerprint(), second.fingerprint());
         });
     }
 

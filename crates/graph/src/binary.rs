@@ -1,42 +1,20 @@
-//! Compact binary graph serialisation.
+//! Byte-level primitives shared by the slot-exact codec in [`crate::delta`].
 //!
-//! JSON round-trips are lossless but verbose; the similarity-search database
-//! (hundreds of molecules) and cleaned-graph exports benefit from a compact
-//! format. The encoding is a simple length-prefixed layout over plain byte
-//! vectors:
+//! Everything is little-endian and length-prefixed:
 //!
 //! ```text
-//! magic "CGRB" | version u8 | directed u8 | name | n_nodes u32 | nodes… |
-//! n_edges u32 | edges… | crc32 u32
-//! node  := label | n_attrs u16 | (key, value)…
-//! edge  := src u32 | dst u32 | label | n_attrs u16 | (key, value)…
-//! value := tag u8 (0 bool, 1 int, 2 float, 3 text) | payload
 //! string := len u32 | utf8 bytes
+//! attrs  := n_attrs u16 | (key string, value)…
+//! value  := tag u8 (0 bool, 1 int, 2 float, 3 text) | payload
 //! ```
 //!
-//! Only live elements are written; ids are re-densified on decode (the
-//! encoding of a tombstoned graph equals the encoding of its
-//! [`Graph::compact`]).
-//!
-//! Version 2 appends a trailing CRC-32 over everything before it, verified
-//! *before* any structural parsing: a bit-flipped or truncated payload is
-//! rejected outright instead of mis-parsing into a plausible-looking graph.
-//! Section counts are additionally validated against the bytes actually
-//! remaining, so a corrupt count can never drive an over-allocation.
+//! Readers are bounds-checked: a count is validated against the bytes
+//! actually remaining before anything is sized by it, so corrupt input
+//! yields a [`BinaryError`], never a panic or an over-allocation.
 
 use crate::attr::{AttrValue, Attrs};
-use crate::graph::{Direction, Graph, GraphError, NodeId};
-use chatgraph_support::hash::crc32;
 use std::fmt;
 
-const MAGIC: &[u8; 4] = b"CGRB";
-const VERSION: u8 = 2;
-
-/// Smallest possible encoded node: empty label (4) + attr count (2).
-const MIN_NODE_BYTES: usize = 6;
-/// Smallest possible encoded edge: src (4) + dst (4) + empty label (4) +
-/// attr count (2).
-const MIN_EDGE_BYTES: usize = 14;
 /// Smallest possible encoded attribute: empty key (4) + tag (1) + bool (1).
 const MIN_ATTR_BYTES: usize = 6;
 
@@ -49,23 +27,20 @@ pub enum BinaryError {
     Truncated,
     /// A string was not valid UTF-8.
     BadUtf8,
-    /// An attribute value had an unknown tag.
+    /// A value or op had an unknown tag.
     BadTag(u8),
     /// An edge referenced an out-of-range node.
     BadEdge,
-    /// The trailing CRC-32 did not match the payload (corruption).
-    BadChecksum,
 }
 
 impl fmt::Display for BinaryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BinaryError::BadHeader => write!(f, "missing CGRB header or wrong version"),
+            BinaryError::BadHeader => write!(f, "missing header or wrong version"),
             BinaryError::Truncated => write!(f, "buffer truncated"),
             BinaryError::BadUtf8 => write!(f, "invalid utf-8 string"),
-            BinaryError::BadTag(t) => write!(f, "unknown attribute tag {t}"),
+            BinaryError::BadTag(t) => write!(f, "unknown tag {t}"),
             BinaryError::BadEdge => write!(f, "edge references unknown node"),
-            BinaryError::BadChecksum => write!(f, "payload checksum mismatch"),
         }
     }
 }
@@ -100,38 +75,6 @@ pub(crate) fn put_attrs(buf: &mut Vec<u8>, attrs: &Attrs) {
             }
         }
     }
-}
-
-/// Serialises a graph to the compact binary format.
-pub fn to_bytes(g: &Graph) -> Result<Vec<u8>, GraphError> {
-    let mut buf = Vec::with_capacity(64 + 32 * g.node_count() + 24 * g.edge_count());
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION);
-    buf.push(g.is_directed() as u8);
-    put_string(&mut buf, g.name());
-    // Dense re-numbering of live nodes.
-    let ids: Vec<NodeId> = g.node_ids().collect();
-    let mut dense = vec![u32::MAX; g.node_bound()];
-    for (i, &v) in ids.iter().enumerate() {
-        dense[v.index()] = i as u32;
-    }
-    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-    for &v in &ids {
-        put_string(&mut buf, g.node_label(v)?);
-        put_attrs(&mut buf, g.node_attrs(v)?);
-    }
-    let edges: Vec<_> = g.edge_ids().collect();
-    buf.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-    for e in edges {
-        let (s, d) = g.edge_endpoints(e)?;
-        buf.extend_from_slice(&dense[s.index()].to_le_bytes());
-        buf.extend_from_slice(&dense[d.index()].to_le_bytes());
-        put_string(&mut buf, g.edge_label(e)?);
-        put_attrs(&mut buf, g.edge_attrs(e)?);
-    }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    Ok(buf)
 }
 
 /// Splits `n` bytes off the front of the cursor, or reports truncation.
@@ -203,184 +146,51 @@ pub(crate) fn get_attrs(buf: &mut &[u8]) -> Result<Attrs, BinaryError> {
     Ok(attrs)
 }
 
-/// Deserialises a graph from the compact binary format.
-///
-/// The trailing CRC-32 is verified before any structural parsing, so a
-/// corrupted payload fails with [`BinaryError::BadChecksum`] instead of
-/// mis-parsing; section counts are then still validated against the bytes
-/// remaining, so even a checksummed-but-hostile buffer cannot drive an
-/// over-allocation.
-pub fn from_bytes(data: &[u8]) -> Result<Graph, BinaryError> {
-    let mut buf = data;
-    let header = take(&mut buf, 6).map_err(|_| BinaryError::BadHeader)?;
-    if &header[..4] != MAGIC || header[4] != VERSION {
-        return Err(BinaryError::BadHeader);
-    }
-    // Split off and verify the trailing checksum before parsing anything.
-    if buf.len() < 4 {
-        return Err(BinaryError::Truncated);
-    }
-    let (body, tail) = buf.split_at(buf.len() - 4);
-    let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-    if crc32(&data[..data.len() - 4]) != stored {
-        return Err(BinaryError::BadChecksum);
-    }
-    let mut buf = body;
-    let directed = header[5] != 0;
-    let mut g = Graph::new(if directed {
-        Direction::Directed
-    } else {
-        Direction::Undirected
-    });
-    g.set_name(get_string(&mut buf)?);
-    let n_nodes = get_u32_le(&mut buf)? as usize;
-    if n_nodes > buf.len() / MIN_NODE_BYTES {
-        return Err(BinaryError::Truncated);
-    }
-    let mut ids = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        let label = get_string(&mut buf)?;
-        let attrs = get_attrs(&mut buf)?;
-        ids.push(g.add_node_with_attrs(label, attrs));
-    }
-    let n_edges = get_u32_le(&mut buf)? as usize;
-    if n_edges > buf.len() / MIN_EDGE_BYTES {
-        return Err(BinaryError::Truncated);
-    }
-    for _ in 0..n_edges {
-        let s = get_u32_le(&mut buf)? as usize;
-        let d = get_u32_le(&mut buf)? as usize;
-        let label = get_string(&mut buf)?;
-        let attrs = get_attrs(&mut buf)?;
-        let (&sid, &did) = (
-            ids.get(s).ok_or(BinaryError::BadEdge)?,
-            ids.get(d).ok_or(BinaryError::BadEdge)?,
-        );
-        g.add_edge_with_attrs(sid, did, label, attrs)
-            .map_err(|_| BinaryError::BadEdge)?;
-    }
-    Ok(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::attrs;
-    use crate::generators::{knowledge_graph, molecule, KgParams, MoleculeParams};
-    use crate::io;
 
     #[test]
-    fn roundtrip_preserves_everything() {
-        let mut g = molecule(&MoleculeParams::default(), 3);
-        let v = g.node_ids().next().unwrap();
-        g.node_attrs_mut(v).unwrap().extend(attrs([
+    fn attrs_roundtrip_every_value_type() {
+        let original = attrs([
             ("flag", AttrValue::Bool(true)),
             ("charge", AttrValue::Int(-1)),
             ("mass", AttrValue::Float(12.011)),
             ("note", "aromatic".into()),
-        ]));
-        let bytes = to_bytes(&g).unwrap();
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        assert_eq!(back.name(), g.name());
-        assert_eq!(back.label_histogram(), g.label_histogram());
-        assert_eq!(back.node_attrs(v).unwrap(), g.node_attrs(v).unwrap());
-    }
-
-    #[test]
-    fn directed_graphs_keep_orientation() {
-        let g = knowledge_graph(&KgParams { persons: 5, ..KgParams::default() }, 2);
-        let back = from_bytes(&to_bytes(&g).unwrap()).unwrap();
-        assert!(back.is_directed());
-        assert_eq!(back.edge_count(), g.edge_count());
-    }
-
-    #[test]
-    fn tombstoned_graph_encodes_as_its_compaction() {
-        let mut g = molecule(&MoleculeParams::default(), 4);
-        let victim = g.node_ids().nth(3).unwrap();
-        g.remove_node(victim).unwrap();
-        let direct = to_bytes(&g).unwrap();
-        let (compacted, _) = g.compact();
-        assert_eq!(direct, to_bytes(&compacted).unwrap());
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json() {
-        let g = molecule(&MoleculeParams::default(), 5);
-        let bin = to_bytes(&g).unwrap();
-        let json = io::to_json(&g);
-        assert!(
-            bin.len() * 2 < json.len(),
-            "binary {} vs json {}",
-            bin.len(),
-            json.len()
-        );
-    }
-
-    #[test]
-    fn corrupt_inputs_are_rejected_not_panicking() {
-        assert_eq!(from_bytes(b""), Err(BinaryError::BadHeader));
-        assert_eq!(from_bytes(b"XXXX\x02\x00"), Err(BinaryError::BadHeader));
-        let good = to_bytes(&molecule(&MoleculeParams::default(), 1)).unwrap();
-        // Truncate at every prefix length: must error, never panic.
-        for cut in 0..good.len() {
-            assert!(from_bytes(&good[..cut]).is_err(), "accepted truncation at {cut}");
-        }
-        // Flip the version byte.
-        let mut bad = good.to_vec();
-        bad[4] = 99;
-        assert_eq!(from_bytes(&bad), Err(BinaryError::BadHeader));
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_rejected() {
-        let good = to_bytes(&molecule(&MoleculeParams::default(), 2)).unwrap();
-        // Any single-bit flip past the header must fail the checksum (or
-        // the header check, for the first six bytes) — a flipped label
-        // byte must not decode into a silently different graph.
-        for byte in 0..good.len() {
-            for bit in 0..8 {
-                let mut bad = good.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    from_bytes(&bad).is_err(),
-                    "accepted bit flip at {byte}:{bit}"
-                );
-            }
+        ]);
+        let mut buf = Vec::new();
+        put_attrs(&mut buf, &original);
+        let mut cursor = buf.as_slice();
+        assert_eq!(get_attrs(&mut cursor).unwrap(), original);
+        assert!(cursor.is_empty());
+        // Every strict prefix is rejected, never mis-parsed or panicking.
+        for cut in 0..buf.len() {
+            assert!(get_attrs(&mut &buf[..cut]).is_err(), "accepted truncation at {cut}");
         }
     }
 
     #[test]
     fn oversized_counts_cannot_over_allocate() {
-        // A node count of u32::MAX in a tiny buffer must be rejected by the
-        // remaining-bytes bound (after re-stamping a valid checksum so the
-        // count check itself is what fires), not attempted as an allocation.
-        let mut bad = to_bytes(&Graph::undirected()).unwrap();
-        bad.truncate(bad.len() - 4);
-        let name_end = 6 + 4 + 1; // header + name len + "G"
-        bad[name_end..name_end + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crc = chatgraph_support::hash::crc32(&bad);
-        bad.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(from_bytes(&bad), Err(BinaryError::Truncated));
+        // An attribute count far beyond the remaining bytes is refused by
+        // the bound check before anything is allocated.
+        let buf = u16::MAX.to_le_bytes();
+        assert_eq!(get_attrs(&mut &buf[..]), Err(BinaryError::Truncated));
+        let mut s = Vec::new();
+        s.extend_from_slice(&u32::MAX.to_le_bytes());
+        s.extend_from_slice(b"abc");
+        assert_eq!(get_string(&mut s.as_slice()), Err(BinaryError::Truncated));
     }
 
     #[test]
-    fn version_one_payloads_are_rejected() {
-        // v1 had no checksum; accepting it would reopen the silent
-        // mis-parse hole. The format is internal (no persisted v1 data).
-        let mut old = to_bytes(&Graph::undirected()).unwrap();
-        old.truncate(old.len() - 4);
-        old[4] = 1;
-        assert_eq!(from_bytes(&old), Err(BinaryError::BadHeader));
-    }
-
-    #[test]
-    fn empty_graph_roundtrips() {
-        let g = Graph::undirected();
-        let back = from_bytes(&to_bytes(&g).unwrap()).unwrap();
-        assert_eq!(back.node_count(), 0);
-        assert_eq!(back.edge_count(), 0);
+    fn bad_utf8_and_tags_are_rejected() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(&[0xC3, 0x28]);
+        assert_eq!(get_string(&mut buf.as_slice()), Err(BinaryError::BadUtf8));
+        let mut buf = 1u16.to_le_bytes().to_vec();
+        put_string(&mut buf, "k");
+        buf.extend_from_slice(&[9, 0]);
+        assert_eq!(get_attrs(&mut buf.as_slice()), Err(BinaryError::BadTag(9)));
     }
 }

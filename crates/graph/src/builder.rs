@@ -68,9 +68,7 @@ impl GraphBuilder {
                 // Builder nodes are never removed, so neither lookup can
                 // fail; degrade silently rather than panic in a builder.
                 let _ = self.graph.set_node_label(id, label);
-                if let Ok(slot) = self.graph.node_attrs_mut(id) {
-                    *slot = attrs;
-                }
+                let _ = self.graph.set_node_attrs(id, attrs);
             }
             None => {
                 let id = self.graph.add_node_with_attrs(label, attrs);

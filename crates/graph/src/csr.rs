@@ -41,7 +41,7 @@
 //! retains each entry's `Arc<Graph>`, so the pre-edit graph is still
 //! readable), and only then pays for a full rebuild.
 
-use crate::graph::{EdgeId, Graph, NodeId, StructEdit};
+use crate::graph::{EdgeId, Graph, NodeId, Touched};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -345,11 +345,11 @@ impl CsrGraph {
     ///
     /// Returns `None` — meaning "do a full rebuild instead" — when the edit
     /// cannot be expressed as a row splice or is not worth one:
-    /// * directedness differs, or `new` shrank a slot bound (unrelated
-    ///   graphs);
-    /// * a node was removed or a slot resurrected (the dense remap would
-    ///   shift every row's targets);
-    /// * a surviving edge changed endpoints (id reuse — not a delta);
+    /// * `new` is not a journaled descendant of `old` (directedness
+    ///   differs, a slot bound shrank, unrelated graphs, or more edits
+    ///   than the journal retains);
+    /// * a node was removed (the dense remap would shift every row's
+    ///   targets);
     /// * the touched row set exceeds `n/8`, or the consolidated patch would
     ///   exceed half the base slab (delta no longer cheaper than rebuild).
     ///
@@ -357,13 +357,13 @@ impl CsrGraph {
     /// cache satisfies this by construction since it retains each entry's
     /// `Arc<Graph>`.
     ///
-    /// The touched-row set normally comes straight from the graphs' edit
-    /// journals in O(edits): when `old`'s journal tip is found in `new`'s
-    /// journal, the entries after it are — provably, since journal stamps
-    /// are globally unique and cloning preserves the journal — exactly the
-    /// structural edits separating the two graphs. Only when lineage cannot
-    /// be established that way (deserialised graphs, edits beyond the
-    /// journal window) does it fall back to diffing the slot tables.
+    /// The touched-row set comes straight from the graphs' edit journals in
+    /// O(edits): when `old`'s journal tip is found in `new`'s journal, the
+    /// entries after it are — provably, since journal stamps are globally
+    /// unique and cloning preserves the journal — every slot that differs
+    /// between the two graphs. When lineage cannot be established that way
+    /// (unrelated or deserialised graphs, edits beyond the journal window)
+    /// there is no delta.
     pub fn build_delta(old: &Graph, base: &CsrGraph, new: &Graph) -> Option<CsrGraph> {
         if old.is_directed() != new.is_directed()
             || new.node_bound() < old.node_bound()
@@ -372,106 +372,47 @@ impl CsrGraph {
         {
             return None;
         }
-        if let Some(edits) = new.journal().edits_since(old.journal().tip()) {
-            return Self::journal_delta(base, new, &edits);
-        }
-        Self::scan_delta(old, base, new)
-    }
-
-    /// Delta via the edit journal: walks the edits separating `base`'s
-    /// graph from `new`, accumulating touched rows, without ever scanning
-    /// the untouched structure.
-    fn journal_delta(base: &CsrGraph, new: &Graph, edits: &[StructEdit]) -> Option<CsrGraph> {
+        let touched = new.journal().touched_since(old.journal().tip())?;
+        // Appended node slots extend the dense remap in slot order; every
+        // one of them is journaled, so this walk is O(edits).
         let mut node_of = base.node_of.clone();
         let mut dense_of = base.dense_of.clone();
-        let mut touched: Vec<u32> = Vec::new();
-        for &edit in edits {
-            match edit {
-                StructEdit::AddNode(v) => {
-                    // Node ids are append-only, so each journaled add lands
-                    // exactly at the then-current bound.
-                    if v.index() != dense_of.len() {
-                        return None;
-                    }
-                    dense_of.push(node_of.len() as u32);
-                    touched.push(node_of.len() as u32);
-                    node_of.push(v);
-                }
-                // A removal shifts the dense remap of every later node.
-                StructEdit::RemoveNode => return None,
-                StructEdit::AddEdge(s, d) | StructEdit::RemoveEdge(s, d) => {
-                    let (ds, dd) = (dense_of[s.index()], dense_of[d.index()]);
-                    if ds == NO_DENSE || dd == NO_DENSE {
-                        return None;
-                    }
-                    touched.push(ds);
-                    touched.push(dd);
-                }
-            }
-        }
-        if dense_of.len() != new.node_bound() {
-            return None;
-        }
-        Self::splice_delta(base, new, node_of, dense_of, touched)
-    }
-
-    /// Delta by diffing the slot tables of `old` and `new` directly — the
-    /// O(n + m) fallback for graphs whose journals cannot prove lineage.
-    fn scan_delta(old: &Graph, base: &CsrGraph, new: &Graph) -> Option<CsrGraph> {
-        // Node liveness over the common slot prefix must be unchanged: a
-        // removal shifts the dense remap of every later node, a
-        // resurrection breaks the id-monotonicity invariant. Appended live
-        // slots extend the remap in slot order.
-        let mut node_of = base.node_of.clone();
-        let mut dense_of = base.dense_of.clone();
-        for i in 0..old.node_bound() {
-            if old.contains_node(NodeId(i as u32)) != new.contains_node(NodeId(i as u32)) {
-                return None;
-            }
-        }
-        dense_of.resize(new.node_bound(), NO_DENSE);
-        let mut touched: Vec<u32> = Vec::new();
+        let mut rows: Vec<u32> = Vec::new();
         for i in old.node_bound()..new.node_bound() {
-            if new.contains_node(NodeId(i as u32)) {
-                dense_of[i] = node_of.len() as u32;
-                touched.push(node_of.len() as u32);
-                node_of.push(NodeId(i as u32));
+            let v = NodeId(i as u32);
+            if new.contains_node(v) {
+                dense_of.push(node_of.len() as u32);
+                rows.push(node_of.len() as u32);
+                node_of.push(v);
+            } else {
+                dense_of.push(NO_DENSE);
             }
         }
-
-        // Edge liveness diff: removed/added edges touch their endpoint
-        // rows. Surviving edges must keep their endpoints (labels and
-        // attributes don't reach the CSR).
-        let mut touch_endpoints = |src: NodeId, dst: NodeId, dense_of: &[u32]| {
-            touched.push(dense_of[src.index()]);
-            touched.push(dense_of[dst.index()]);
-        };
-        for i in 0..old.edge_bound() {
-            let e = EdgeId(i as u32);
-            match (old.contains_edge(e), new.contains_edge(e)) {
-                (true, true) => {
-                    let was = old.edge_endpoints(e).ok()?;
-                    let is = new.edge_endpoints(e).ok()?;
-                    if was != is {
+        for t in touched {
+            match t {
+                // A removal shifts the dense remap of every later node.
+                // Label and attribute edits don't reach the CSR.
+                Touched::Node(v) => {
+                    if old.contains_node(v) && !new.contains_node(v) {
                         return None;
                     }
                 }
-                (true, false) => {
-                    let (s, d) = old.edge_endpoints(e).ok()?;
-                    touch_endpoints(s, d, &dense_of);
+                // An edge whose liveness changed touches its endpoint rows
+                // (endpoints never change, so the new slot names them).
+                Touched::Edge(e) => {
+                    if old.contains_edge(e) != new.contains_edge(e) {
+                        let slot = &new.edge_slots()[e.index()];
+                        let (ds, dd) = (dense_of[slot.src.index()], dense_of[slot.dst.index()]);
+                        if ds == NO_DENSE || dd == NO_DENSE {
+                            return None;
+                        }
+                        rows.push(ds);
+                        rows.push(dd);
+                    }
                 }
-                (false, true) => return None,
-                (false, false) => {}
             }
         }
-        for i in old.edge_bound()..new.edge_bound() {
-            let e = EdgeId(i as u32);
-            if new.contains_edge(e) {
-                let (s, d) = new.edge_endpoints(e).ok()?;
-                touch_endpoints(s, d, &dense_of);
-            }
-        }
-        Self::splice_delta(base, new, node_of, dense_of, touched)
+        Self::splice_delta(base, new, node_of, dense_of, rows)
     }
 
     /// Common delta tail: given the new dense remap and the touched-row

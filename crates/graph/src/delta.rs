@@ -1,25 +1,23 @@
 //! Slot-exact graph images and deltas — the durable store's payload codec.
 //!
-//! [`crate::binary`] re-densifies ids on encode, which is right for the
-//! molecule database but wrong for durability: chain results hold stable
-//! node/edge ids, so a recovered graph must reproduce the *slot layout* —
-//! tombstones included — or replayed chains drift. This module provides:
+//! Chain results hold stable node/edge ids, so a recovered graph must
+//! reproduce the *slot layout* — tombstones included — or replayed chains
+//! drift. This module provides:
 //!
 //! * [`image_to_bytes`] / [`image_from_bytes`] — a lossless snapshot of a
 //!   graph's slot arrays (direction, name, every node/edge slot ever
 //!   allocated with its `removed` flag). `image_from_bytes(image_to_bytes(g))
 //!   == g`, adjacency and all.
-//! * [`GraphDelta`] — the ordered op list transforming one graph into a
-//!   descendant, computed by a full elementwise slot comparison
-//!   ([`GraphDelta::diff`]) and applied at the slot level
-//!   ([`GraphDelta::apply`]), bypassing the mutation API's duplicate/
-//!   liveness checks (a replayed history may transiently violate them).
+//! * [`GraphDelta`] — slot upserts transforming one graph into a
+//!   descendant. [`GraphDelta::since`] reads them off the descendant's edit
+//!   journal in O(edits): one put per touched slot, carrying the slot's
+//!   current content. [`GraphDelta::apply`] writes them at the slot level,
+//!   bypassing the mutation API's duplicate/liveness checks.
 //!
-//! The diff declines (returns `None`) when `after` is not a slot-level
-//! descendant of `before` — bounds shrank, a tombstone resurrected, or an
-//! edge's endpoints changed — which cannot happen under incremental
-//! mutation (ids are never reused) but can when a caller swaps in an
-//! unrelated or compacted graph. Callers fall back to a full image.
+//! `since` declines (returns `None`) when the journal cannot prove that
+//! `after` descends from `before` — an unrelated or compacted graph, a
+//! decoded one, or more edits than the journal retains. Callers fall back
+//! to a full image.
 //!
 //! ```text
 //! image := "CGSI" | version u8 | directed u8 | name |
@@ -27,14 +25,16 @@
 //! node_slot := removed u8 | label | attrs
 //! edge_slot := removed u8 | src u32 | dst u32 | label | attrs
 //! delta := n_ops u32 | op…
-//! op    := tag u8 | body            (tags in the order of `GraphOp`)
+//! op    := 0 | id u32 | node_slot      (put node)
+//!        | 1 | id u32 | edge_slot      (put edge)
+//!        | 2 | name                    (rename)
 //! ```
 
 use crate::attr::Attrs;
 use crate::binary::{
     get_attrs, get_string, get_u32_le, get_u8, put_attrs, put_string, take, BinaryError,
 };
-use crate::graph::{Direction, EdgeId, Graph, NodeId};
+use crate::graph::{Direction, EdgeSlot, Graph, NodeId, NodeSlot, Touched};
 
 const IMAGE_MAGIC: &[u8; 4] = b"CGSI";
 const IMAGE_VERSION: u8 = 1;
@@ -43,31 +43,17 @@ const IMAGE_VERSION: u8 = 1;
 const MIN_NODE_SLOT_BYTES: usize = 7;
 /// Smallest encoded edge slot: removed (1) + src/dst (8) + label (4) + attrs (2).
 const MIN_EDGE_SLOT_BYTES: usize = 15;
-/// Smallest encoded op: tag (1) + a u32 id (4).
+/// Smallest encoded op: tag (1) + an empty name (4).
 const MIN_OP_BYTES: usize = 5;
 
-/// One slot-level mutation. Ids are implicit for the `Add*` ops (slots only
-/// ever append), explicit for edits of existing slots.
+/// One slot-level write. A put overwrites slot `id`, or appends it when
+/// `id` equals the current slot bound (slots only ever append).
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphOp {
-    /// Append a node slot (id = current node bound). `removed` is the
-    /// slot's *final* state, so a node added and removed within one commit
-    /// window still claims its id.
-    AddNode { label: String, attrs: Attrs, removed: bool },
-    /// Append an edge slot (id = current edge bound).
-    AddEdge { src: u32, dst: u32, label: String, attrs: Attrs, removed: bool },
-    /// Tombstone an existing node slot.
-    TombstoneNode { id: u32 },
-    /// Tombstone an existing edge slot.
-    TombstoneEdge { id: u32 },
-    /// Replace a node slot's label.
-    NodeLabel { id: u32, label: String },
-    /// Replace a node slot's attributes wholesale.
-    NodeAttrs { id: u32, attrs: Attrs },
-    /// Replace an edge slot's label.
-    EdgeLabel { id: u32, label: String },
-    /// Replace an edge slot's attributes wholesale.
-    EdgeAttrs { id: u32, attrs: Attrs },
+    /// Write node slot `id` whole.
+    PutNode { id: u32, label: String, attrs: Attrs, removed: bool },
+    /// Write edge slot `id` whole.
+    PutEdge { id: u32, src: u32, dst: u32, label: String, attrs: Attrs, removed: bool },
     /// Rename the graph.
     Rename { name: String },
 }
@@ -81,9 +67,9 @@ pub struct GraphDelta {
 /// Why a delta could not be applied to a base graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
-    /// An op referenced a slot the base graph does not have.
+    /// A put named a slot past the end of the slot array.
     BadSlot(u32),
-    /// An appended edge referenced an out-of-range node slot.
+    /// A put edge referenced an out-of-range node slot.
     BadEndpoint(u32),
 }
 
@@ -98,12 +84,17 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-impl GraphDelta {
-    /// The ops, in application order.
-    pub fn ops(&self) -> &[GraphOp] {
-        &self.ops
+/// Overwrites slot `id`, or appends it when `id` is the bound.
+fn put<T>(slots: &mut Vec<T>, id: u32, slot: T) -> Result<(), DeltaError> {
+    match (id as usize).cmp(&slots.len()) {
+        std::cmp::Ordering::Less => slots[id as usize] = slot,
+        std::cmp::Ordering::Equal => slots.push(slot),
+        std::cmp::Ordering::Greater => return Err(DeltaError::BadSlot(id)),
     }
+    Ok(())
+}
 
+impl GraphDelta {
     /// Number of ops.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -114,73 +105,47 @@ impl GraphDelta {
         self.ops.is_empty()
     }
 
-    /// Computes the op list turning `before` into `after` by elementwise
-    /// slot comparison, or `None` when `after` is not a slot-level
-    /// descendant (direction changed, bounds shrank, a tombstone came back
-    /// to life, or an edge's endpoints moved) — the caller then persists a
-    /// full image instead.
-    pub fn diff(before: &Graph, after: &Graph) -> Option<GraphDelta> {
-        if before.direction() != after.direction() {
-            return None;
+    /// The delta turning `before` into `after`, read off `after`'s edit
+    /// journal in O(edits): a rename when the names differ, then one put
+    /// per slot touched since `before`'s journal tip, nodes before edges,
+    /// each in ascending id order so appends land at the bound. `None`
+    /// when the journal cannot prove `after` descends from `before`; the
+    /// caller then persists a full image instead.
+    pub fn since(before: &Graph, after: &Graph) -> Option<GraphDelta> {
+        let touched = after.journal().touched_since(before.journal().tip())?;
+        let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+        for t in touched {
+            match t {
+                Touched::Node(v) => nodes.push(v.0),
+                Touched::Edge(e) => edges.push(e.0),
+            }
         }
-        let (bn, an) = (before.node_slots(), after.node_slots());
-        let (be, ae) = (before.edge_slots(), after.edge_slots());
-        if an.len() < bn.len() || ae.len() < be.len() {
-            return None;
+        for ids in [&mut nodes, &mut edges] {
+            ids.sort_unstable();
+            ids.dedup();
         }
-        let mut ops = Vec::new();
+        let mut ops = Vec::with_capacity(1 + nodes.len() + edges.len());
         if before.name() != after.name() {
             ops.push(GraphOp::Rename { name: after.name().to_owned() });
         }
-        // Surviving node slots: label/attr edits and tombstonings.
-        for (i, (b, a)) in bn.iter().zip(an).enumerate() {
-            if b.removed && !a.removed {
-                return None; // ids are never reused; this is no descendant
-            }
-            if !b.removed {
-                if b.label != a.label {
-                    ops.push(GraphOp::NodeLabel { id: i as u32, label: a.label.clone() });
-                }
-                if b.attrs != a.attrs {
-                    ops.push(GraphOp::NodeAttrs { id: i as u32, attrs: a.attrs.clone() });
-                }
-            }
-            if !b.removed && a.removed {
-                ops.push(GraphOp::TombstoneNode { id: i as u32 });
-            }
-        }
-        // Surviving edge slots.
-        for (i, (b, a)) in be.iter().zip(ae).enumerate() {
-            if (b.removed && !a.removed) || b.src != a.src || b.dst != a.dst {
-                return None;
-            }
-            if !b.removed {
-                if b.label != a.label {
-                    ops.push(GraphOp::EdgeLabel { id: i as u32, label: a.label.clone() });
-                }
-                if b.attrs != a.attrs {
-                    ops.push(GraphOp::EdgeAttrs { id: i as u32, attrs: a.attrs.clone() });
-                }
-            }
-            if !b.removed && a.removed {
-                ops.push(GraphOp::TombstoneEdge { id: i as u32 });
-            }
-        }
-        // Appended slots, with their final removed state.
-        for a in &an[bn.len()..] {
-            ops.push(GraphOp::AddNode {
-                label: a.label.clone(),
-                attrs: a.attrs.clone(),
-                removed: a.removed,
+        for id in nodes {
+            let n = &after.node_slots()[id as usize];
+            ops.push(GraphOp::PutNode {
+                id,
+                label: n.label.clone(),
+                attrs: n.attrs.clone(),
+                removed: n.removed,
             });
         }
-        for a in &ae[be.len()..] {
-            ops.push(GraphOp::AddEdge {
-                src: a.src.0,
-                dst: a.dst.0,
-                label: a.label.clone(),
-                attrs: a.attrs.clone(),
-                removed: a.removed,
+        for id in edges {
+            let e = &after.edge_slots()[id as usize];
+            ops.push(GraphOp::PutEdge {
+                id,
+                src: e.src.0,
+                dst: e.dst.0,
+                label: e.label.clone(),
+                attrs: e.attrs.clone(),
+                removed: e.removed,
             });
         }
         Some(GraphDelta { ops })
@@ -188,64 +153,33 @@ impl GraphDelta {
 
     /// Applies the delta to `base`, returning the descendant graph.
     ///
-    /// Works at the slot level (no duplicate-edge or liveness checks — a
-    /// replayed history may transiently violate them) and rebuilds
-    /// adjacency canonically, so `diff(b, a).apply(b) == a` exactly.
+    /// Works at the slot level (no duplicate-edge or liveness checks) and
+    /// rebuilds adjacency canonically, so `since(b, a).apply(b) == a`
+    /// exactly, fingerprint included.
     pub fn apply(&self, base: &Graph) -> Result<Graph, DeltaError> {
         let mut name = base.name().to_owned();
         let mut nodes = base.node_slots().to_vec();
         let mut edges = base.edge_slots().to_vec();
         for op in &self.ops {
             match op {
-                GraphOp::AddNode { label, attrs, removed } => {
-                    nodes.push(crate::graph::NodeSlot {
-                        label: label.clone(),
-                        attrs: attrs.clone(),
-                        removed: *removed,
-                    });
+                GraphOp::PutNode { id, label, attrs, removed } => {
+                    let slot = NodeSlot { label: label.clone(), attrs: attrs.clone(), removed: *removed };
+                    put(&mut nodes, *id, slot)?;
                 }
-                GraphOp::AddEdge { src, dst, label, attrs, removed } => {
-                    if *src as usize >= nodes.len() {
-                        return Err(DeltaError::BadEndpoint(*src));
+                GraphOp::PutEdge { id, src, dst, label, attrs, removed } => {
+                    for end in [*src, *dst] {
+                        if end as usize >= nodes.len() {
+                            return Err(DeltaError::BadEndpoint(end));
+                        }
                     }
-                    if *dst as usize >= nodes.len() {
-                        return Err(DeltaError::BadEndpoint(*dst));
-                    }
-                    edges.push(crate::graph::EdgeSlot {
+                    let slot = EdgeSlot {
                         src: NodeId(*src),
                         dst: NodeId(*dst),
                         label: label.clone(),
                         attrs: attrs.clone(),
                         removed: *removed,
-                    });
-                }
-                GraphOp::TombstoneNode { id } => {
-                    let slot = nodes
-                        .get_mut(*id as usize)
-                        .ok_or(DeltaError::BadSlot(*id))?;
-                    slot.removed = true;
-                }
-                GraphOp::TombstoneEdge { id } => {
-                    let slot = edges
-                        .get_mut(*id as usize)
-                        .ok_or(DeltaError::BadSlot(*id))?;
-                    slot.removed = true;
-                }
-                GraphOp::NodeLabel { id, label } => {
-                    nodes.get_mut(*id as usize).ok_or(DeltaError::BadSlot(*id))?.label =
-                        label.clone();
-                }
-                GraphOp::NodeAttrs { id, attrs } => {
-                    nodes.get_mut(*id as usize).ok_or(DeltaError::BadSlot(*id))?.attrs =
-                        attrs.clone();
-                }
-                GraphOp::EdgeLabel { id, label } => {
-                    edges.get_mut(*id as usize).ok_or(DeltaError::BadSlot(*id))?.label =
-                        label.clone();
-                }
-                GraphOp::EdgeAttrs { id, attrs } => {
-                    edges.get_mut(*id as usize).ok_or(DeltaError::BadSlot(*id))?.attrs =
-                        attrs.clone();
+                    };
+                    put(&mut edges, *id, slot)?;
                 }
                 GraphOp::Rename { name: n } => name = n.clone(),
             }
@@ -260,50 +194,24 @@ impl GraphDelta {
         buf.extend_from_slice(&(self.ops.len() as u32).to_le_bytes());
         for op in &self.ops {
             match op {
-                GraphOp::AddNode { label, attrs, removed } => {
+                GraphOp::PutNode { id, label, attrs, removed } => {
                     buf.push(0);
+                    buf.extend_from_slice(&id.to_le_bytes());
                     buf.push(*removed as u8);
                     put_string(&mut buf, label);
                     put_attrs(&mut buf, attrs);
                 }
-                GraphOp::AddEdge { src, dst, label, attrs, removed } => {
+                GraphOp::PutEdge { id, src, dst, label, attrs, removed } => {
                     buf.push(1);
+                    buf.extend_from_slice(&id.to_le_bytes());
                     buf.push(*removed as u8);
                     buf.extend_from_slice(&src.to_le_bytes());
                     buf.extend_from_slice(&dst.to_le_bytes());
                     put_string(&mut buf, label);
                     put_attrs(&mut buf, attrs);
                 }
-                GraphOp::TombstoneNode { id } => {
-                    buf.push(2);
-                    buf.extend_from_slice(&id.to_le_bytes());
-                }
-                GraphOp::TombstoneEdge { id } => {
-                    buf.push(3);
-                    buf.extend_from_slice(&id.to_le_bytes());
-                }
-                GraphOp::NodeLabel { id, label } => {
-                    buf.push(4);
-                    buf.extend_from_slice(&id.to_le_bytes());
-                    put_string(&mut buf, label);
-                }
-                GraphOp::NodeAttrs { id, attrs } => {
-                    buf.push(5);
-                    buf.extend_from_slice(&id.to_le_bytes());
-                    put_attrs(&mut buf, attrs);
-                }
-                GraphOp::EdgeLabel { id, label } => {
-                    buf.push(6);
-                    buf.extend_from_slice(&id.to_le_bytes());
-                    put_string(&mut buf, label);
-                }
-                GraphOp::EdgeAttrs { id, attrs } => {
-                    buf.push(7);
-                    buf.extend_from_slice(&id.to_le_bytes());
-                    put_attrs(&mut buf, attrs);
-                }
                 GraphOp::Rename { name } => {
-                    buf.push(8);
+                    buf.push(2);
                     put_string(&mut buf, name);
                 }
             }
@@ -321,43 +229,21 @@ impl GraphDelta {
         let mut ops = Vec::with_capacity(n_ops);
         for _ in 0..n_ops {
             let op = match get_u8(&mut buf)? {
-                0 => {
-                    let removed = get_u8(&mut buf)? != 0;
-                    GraphOp::AddNode {
-                        label: get_string(&mut buf)?,
-                        attrs: get_attrs(&mut buf)?,
-                        removed,
-                    }
-                }
-                1 => {
-                    let removed = get_u8(&mut buf)? != 0;
-                    GraphOp::AddEdge {
-                        src: get_u32_le(&mut buf)?,
-                        dst: get_u32_le(&mut buf)?,
-                        label: get_string(&mut buf)?,
-                        attrs: get_attrs(&mut buf)?,
-                        removed,
-                    }
-                }
-                2 => GraphOp::TombstoneNode { id: get_u32_le(&mut buf)? },
-                3 => GraphOp::TombstoneEdge { id: get_u32_le(&mut buf)? },
-                4 => GraphOp::NodeLabel {
+                0 => GraphOp::PutNode {
                     id: get_u32_le(&mut buf)?,
+                    removed: get_u8(&mut buf)? != 0,
                     label: get_string(&mut buf)?,
-                },
-                5 => GraphOp::NodeAttrs {
-                    id: get_u32_le(&mut buf)?,
                     attrs: get_attrs(&mut buf)?,
                 },
-                6 => GraphOp::EdgeLabel {
+                1 => GraphOp::PutEdge {
                     id: get_u32_le(&mut buf)?,
+                    removed: get_u8(&mut buf)? != 0,
+                    src: get_u32_le(&mut buf)?,
+                    dst: get_u32_le(&mut buf)?,
                     label: get_string(&mut buf)?,
-                },
-                7 => GraphOp::EdgeAttrs {
-                    id: get_u32_le(&mut buf)?,
                     attrs: get_attrs(&mut buf)?,
                 },
-                8 => GraphOp::Rename { name: get_string(&mut buf)? },
+                2 => GraphOp::Rename { name: get_string(&mut buf)? },
                 other => return Err(BinaryError::BadTag(other)),
             };
             ops.push(op);
@@ -412,7 +298,7 @@ pub fn image_from_bytes(data: &[u8]) -> Result<Graph, BinaryError> {
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let removed = get_u8(&mut buf)? != 0;
-        nodes.push(crate::graph::NodeSlot {
+        nodes.push(NodeSlot {
             label: get_string(&mut buf)?,
             attrs: get_attrs(&mut buf)?,
             removed,
@@ -430,7 +316,7 @@ pub fn image_from_bytes(data: &[u8]) -> Result<Graph, BinaryError> {
         if src as usize >= nodes.len() || dst as usize >= nodes.len() {
             return Err(BinaryError::BadEdge);
         }
-        edges.push(crate::graph::EdgeSlot {
+        edges.push(EdgeSlot {
             src: NodeId(src),
             dst: NodeId(dst),
             label: get_string(&mut buf)?,
@@ -439,12 +325,6 @@ pub fn image_from_bytes(data: &[u8]) -> Result<Graph, BinaryError> {
         });
     }
     Ok(Graph::from_slots(direction, name, nodes, edges))
-}
-
-/// The edge id a delta-appended edge would get — exposed so store tests can
-/// build expectations without poking at slot internals.
-pub fn next_edge_id(g: &Graph) -> EdgeId {
-    EdgeId(g.edge_bound() as u32)
 }
 
 #[cfg(test)]
@@ -482,43 +362,63 @@ mod tests {
     }
 
     #[test]
-    fn diff_apply_reproduces_the_descendant_exactly() {
+    fn since_apply_reproduces_the_descendant_exactly() {
         for seed in 0..4u64 {
             let before = social_network(&SocialParams::default(), seed);
             let mut after = before.clone();
             mutate(&mut after);
-            let delta = GraphDelta::diff(&before, &after).expect("descendant");
+            let delta = GraphDelta::since(&before, &after).expect("descendant");
             assert!(!delta.is_empty());
             let replayed = delta.apply(&before).unwrap();
             assert_eq!(replayed, after, "seed {seed}");
+            assert_eq!(replayed.fingerprint(), after.fingerprint(), "seed {seed}");
         }
     }
 
     #[test]
-    fn diff_apply_handles_directed_graphs() {
+    fn since_apply_handles_directed_graphs() {
         let before = knowledge_graph(&KgParams::default(), 3);
         let mut after = before.clone();
         let ids: Vec<_> = after.node_ids().collect();
         let e = after.add_edge(ids[0], ids[3], "linked").unwrap();
         after.remove_edge(e).unwrap();
         after.remove_node(ids[1]).unwrap();
-        let delta = GraphDelta::diff(&before, &after).unwrap();
+        let delta = GraphDelta::since(&before, &after).unwrap();
         assert_eq!(delta.apply(&before).unwrap(), after);
     }
 
     #[test]
-    fn diff_declines_non_descendants() {
+    fn since_puts_only_the_touched_slots() {
+        let before = social_network(&SocialParams::default(), 6);
+        let mut after = before.clone();
+        let v = after.node_ids().nth(4).unwrap();
+        after.set_node_label(v, "A").unwrap();
+        after.set_node_label(v, "B").unwrap();
+        let delta = GraphDelta::since(&before, &after).unwrap();
+        assert_eq!(delta.len(), 1, "one slot touched twice is one put");
+    }
+
+    #[test]
+    fn since_declines_unproven_lineage() {
         let g = social_network(&SocialParams::default(), 9);
         let mut shrunk = g.clone();
         let victim = shrunk.node_ids().next().unwrap();
         shrunk.remove_node(victim).unwrap();
         let (compacted, _) = shrunk.compact();
-        // Compaction shrinks the slot arrays: not a descendant.
-        assert!(GraphDelta::diff(&g, &compacted).is_none());
-        // A resurrected tombstone is not a descendant either.
-        assert!(GraphDelta::diff(&shrunk, &g).is_none());
-        // Direction mismatch.
-        assert!(GraphDelta::diff(&g, &Graph::directed()).is_none());
+        // A compaction is a new graph with no shared history.
+        assert!(GraphDelta::since(&g, &compacted).is_none());
+        // An ancestor does not descend from its descendant.
+        assert!(GraphDelta::since(&shrunk, &g).is_none());
+        // A decoded copy has no proven lineage either.
+        let decoded = image_from_bytes(&image_to_bytes(&g)).unwrap();
+        assert!(GraphDelta::since(&g, &decoded).is_none());
+        // Nor does a descendant more edits away than the journal retains.
+        let mut far = g.clone();
+        let v = far.node_ids().next().unwrap();
+        for i in 0..=crate::graph::JOURNAL_CAP {
+            far.set_node_attr(v, "i", i as i64).unwrap();
+        }
+        assert!(GraphDelta::since(&g, &far).is_none());
     }
 
     #[test]
@@ -527,7 +427,7 @@ mod tests {
         let mut after = before.clone();
         mutate(&mut after);
         after.set_name("renamed-graph");
-        let delta = GraphDelta::diff(&before, &after).unwrap();
+        let delta = GraphDelta::since(&before, &after).unwrap();
         let decoded = GraphDelta::from_bytes(&delta.to_bytes()).unwrap();
         assert_eq!(decoded, delta);
         assert_eq!(decoded.apply(&before).unwrap(), after);
@@ -540,15 +440,21 @@ mod tests {
         for cut in 0..image.len() {
             assert!(image_from_bytes(&image[..cut]).is_err(), "cut {cut}");
         }
-        let mut delta_bytes = GraphDelta::diff(&g, &g).unwrap().to_bytes();
-        delta_bytes[0] = 0xFF; // absurd op count vs remaining bytes
-        assert!(GraphDelta::from_bytes(&delta_bytes).is_err());
+        let mut after = g.clone();
+        mutate(&mut after);
+        let delta_bytes = GraphDelta::since(&g, &after).unwrap().to_bytes();
+        for cut in 0..delta_bytes.len() {
+            assert!(GraphDelta::from_bytes(&delta_bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let mut absurd = delta_bytes;
+        absurd[..4].copy_from_slice(&u32::MAX.to_le_bytes()); // op count vs remaining bytes
+        assert!(GraphDelta::from_bytes(&absurd).is_err());
     }
 
     #[test]
-    fn empty_diff_for_identical_graphs() {
+    fn empty_delta_for_an_unchanged_graph() {
         let g = social_network(&SocialParams::default(), 4);
-        let delta = GraphDelta::diff(&g, &g).unwrap();
+        let delta = GraphDelta::since(&g, &g.clone()).unwrap();
         assert!(delta.is_empty());
         assert_eq!(delta.apply(&g).unwrap(), g);
     }
@@ -557,11 +463,17 @@ mod tests {
     fn bad_slot_references_error_on_apply() {
         let g = Graph::undirected();
         let delta = GraphDelta {
-            ops: vec![GraphOp::TombstoneNode { id: 7 }],
+            ops: vec![GraphOp::PutNode {
+                id: 7,
+                label: "x".into(),
+                attrs: Attrs::new(),
+                removed: false,
+            }],
         };
         assert_eq!(delta.apply(&g).unwrap_err(), DeltaError::BadSlot(7));
         let delta = GraphDelta {
-            ops: vec![GraphOp::AddEdge {
+            ops: vec![GraphOp::PutEdge {
+                id: 0,
                 src: 0,
                 dst: 9,
                 label: "x".into(),

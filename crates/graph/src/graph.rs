@@ -13,8 +13,14 @@
 //! * **Parallel edges and self-loops are rejected** — none of the paper's
 //!   graph families need them, and forbidding them keeps edit-distance costs
 //!   well-defined.
+//! * **One version identity, one change log.** Every change to a slot goes
+//!   through the mutation methods, which keep [`Graph::fingerprint`] (an
+//!   O(1) content hash) and the edit journal (which slots changed since an
+//!   ancestor) in step. Caches key on the first; delta CSR snapshots and
+//!   the durable store's WAL deltas read the second.
 
 use crate::attr::{AttrValue, Attrs};
+use chatgraph_support::hash::Fnv64;
 use std::fmt;
 
 /// Index of a node in a [`Graph`]. Stable across removals of other elements.
@@ -88,11 +94,11 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Capacity of the structural-edit journal. Past this many retained edits
-/// the oldest are dropped; delta snapshots against ancestors older than the
-/// window fall back to the scan diff (and typically a full rebuild), which
-/// is the right call anyway — that many edits touch too many rows to splice.
-const JOURNAL_CAP: usize = 4096;
+/// Capacity of the edit journal. Past this many retained edits the oldest
+/// are dropped; consumers asking for the edits since an ancestor older than
+/// the window get `None` and fall back to a full rebuild or snapshot, which
+/// is the right call anyway — that many edits touch too many slots to splice.
+pub(crate) const JOURNAL_CAP: usize = 4096;
 
 /// Process-global stamp source for journal entries. Stamps only need to be
 /// unique, not ordered or dense: ancestry is decided by *finding* a stamp
@@ -104,37 +110,30 @@ fn fresh_stamp() -> u64 {
     EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-/// One structural mutation, as the CSR delta-splicer needs to see it:
-/// which rows it touches. Label and attribute edits are not structural —
-/// the CSR carries neither.
+/// The slot one mutation touched. Every mutation method records one entry
+/// per slot it changes — appends, tombstones, label and attribute edits
+/// alike — so the entries since an ancestor name every slot that can
+/// differ between the two graphs. Renames are not journaled: the name is
+/// compared directly.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum StructEdit {
-    /// A node slot was appended (ids are never reused, so the id always
-    /// equals the pre-edit node bound).
-    AddNode(NodeId),
-    /// A node was tombstoned — an edit the delta path declines, because the
-    /// dense remap of every later node shifts (which node doesn't matter).
-    RemoveNode,
-    /// An edge was added between the two endpoints.
-    AddEdge(NodeId, NodeId),
-    /// An edge between the two endpoints was tombstoned.
-    RemoveEdge(NodeId, NodeId),
+pub(crate) enum Touched {
+    Node(NodeId),
+    Edge(EdgeId),
 }
 
-/// A capped log of recent structural edits, stamped with process-globally
-/// unique ids. Cloning a graph clones its journal, so a derived graph's
-/// journal contains its ancestor's tip stamp — finding that stamp proves
-/// ancestry (stamps are never reissued) and the entries after it are
-/// exactly the edits separating the two graphs. This is what lets
-/// [`crate::csr::CsrGraph::build_delta`] compute the touched-row set in
-/// O(edits) instead of re-scanning every node and edge slot.
+/// A capped log of recent slot edits, stamped with process-globally unique
+/// ids. Cloning a graph clones its journal, so a derived graph's journal
+/// contains its ancestor's tip stamp — finding that stamp proves ancestry
+/// (stamps are never reissued) and the entries after it are exactly the
+/// slots separating the two graphs. The CSR delta-splicer and the store's
+/// WAL deltas both read it, in O(edits) instead of O(slots).
 #[derive(Debug, Clone)]
 pub(crate) struct Journal {
-    /// Stamp of the last structural mutation (or of creation /
-    /// deserialisation — fresh graphs get a unique tip so two unrelated
-    /// graphs can never look like ancestors).
+    /// Stamp of the last mutation (or of creation / deserialisation — fresh
+    /// graphs get a unique tip so two unrelated graphs can never look like
+    /// ancestors).
     tip: u64,
-    edits: std::collections::VecDeque<(u64, StructEdit)>,
+    edits: std::collections::VecDeque<(u64, Touched)>,
 }
 
 impl Journal {
@@ -142,29 +141,61 @@ impl Journal {
         Journal { tip: fresh_stamp(), edits: std::collections::VecDeque::new() }
     }
 
-    fn record(&mut self, edit: StructEdit) {
+    fn record(&mut self, touched: Touched) {
         let stamp = fresh_stamp();
         self.tip = stamp;
-        self.edits.push_back((stamp, edit));
+        self.edits.push_back((stamp, touched));
         if self.edits.len() > JOURNAL_CAP {
             self.edits.pop_front();
         }
     }
 
-    /// The stamp identifying this graph's current structural state.
+    /// The stamp identifying this graph's current state.
     pub(crate) fn tip(&self) -> u64 {
         self.tip
     }
 
-    /// The edits separating the state stamped `ancestor_tip` from this
-    /// state, oldest first — or `None` when `ancestor_tip` is not in the
+    /// The slots touched since the state stamped `ancestor_tip`, oldest
+    /// first (with repeats) — or `None` when `ancestor_tip` is not in the
     /// retained window (not an ancestor, or too many edits ago).
-    pub(crate) fn edits_since(&self, ancestor_tip: u64) -> Option<Vec<StructEdit>> {
+    pub(crate) fn touched_since(&self, ancestor_tip: u64) -> Option<Vec<Touched>> {
         if ancestor_tip == self.tip {
             return Some(Vec::new());
         }
         let pos = self.edits.iter().position(|&(s, _)| s == ancestor_tip)?;
-        Some(self.edits.iter().skip(pos + 1).map(|&(_, e)| e).collect())
+        Some(self.edits.iter().skip(pos + 1).map(|&(_, t)| t).collect())
+    }
+}
+
+/// Final avalanche (MurmurHash3's `fmix64`), so per-slot hashes that are
+/// summed cannot cancel structurally.
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+fn hash_attrs(h: &mut Fnv64, attrs: &Attrs) {
+    h.write_u64(attrs.len() as u64);
+    for (k, v) in attrs {
+        h.write_str(k);
+        match v {
+            AttrValue::Bool(b) => h.write(&[0, *b as u8]),
+            AttrValue::Int(i) => {
+                h.write(&[1]);
+                h.write_u64(*i as u64);
+            }
+            AttrValue::Float(x) => {
+                h.write(&[2]);
+                h.write_u64(x.to_bits());
+            }
+            AttrValue::Text(t) => {
+                h.write(&[3]);
+                h.write_str(t);
+            }
+        }
     }
 }
 
@@ -182,6 +213,39 @@ pub(crate) struct EdgeSlot {
     pub(crate) label: String,
     pub(crate) attrs: Attrs,
     pub(crate) removed: bool,
+}
+
+impl NodeSlot {
+    /// This slot's share of the content hash: every field plus its index.
+    fn hash(&self, index: usize) -> u64 {
+        let mut h = Fnv64::new();
+        h.write(&[b'n', self.removed as u8]);
+        h.write_u64(index as u64);
+        h.write_str(&self.label);
+        hash_attrs(&mut h, &self.attrs);
+        fmix64(h.finish())
+    }
+}
+
+impl EdgeSlot {
+    /// This slot's share of the content hash: every field plus its index.
+    fn hash(&self, index: usize) -> u64 {
+        let mut h = Fnv64::new();
+        h.write(&[b'e', self.removed as u8]);
+        h.write_u64(index as u64);
+        h.write_u64(u64::from(self.src.0) << 32 | u64::from(self.dst.0));
+        h.write_str(&self.label);
+        hash_attrs(&mut h, &self.attrs);
+        fmix64(h.finish())
+    }
+}
+
+/// Wrapping sum of every slot's hash: the order-free part of
+/// [`Graph::fingerprint`], computed from scratch.
+fn slot_sum(nodes: &[NodeSlot], edges: &[EdgeSlot]) -> u64 {
+    let n = nodes.iter().enumerate().map(|(i, s)| s.hash(i));
+    let e = edges.iter().enumerate().map(|(i, s)| s.hash(i));
+    n.chain(e).fold(0, u64::wrapping_add)
 }
 
 /// A labelled, attributed property graph.
@@ -212,13 +276,17 @@ pub struct Graph {
     in_adj: Vec<Vec<(NodeId, EdgeId)>>,
     live_nodes: usize,
     live_edges: usize,
-    /// Recent structural edits (excluded from equality and serialisation —
-    /// a cache acceleration, not graph content).
+    /// Wrapping sum of the per-slot hashes, maintained by every mutation
+    /// (see [`Graph::fingerprint`]).
+    slot_sum: u64,
+    /// Recent slot edits (excluded from equality and serialisation —
+    /// lineage metadata, not graph content).
     journal: Journal,
 }
 
 /// Equality is over graph *content*; the journal is lineage metadata and
-/// two equal graphs may well have disjoint histories.
+/// two equal graphs may well have disjoint histories. (`slot_sum` is a
+/// function of the slots, so it needs no comparison.)
 impl PartialEq for Graph {
     fn eq(&self, other: &Graph) -> bool {
         self.direction == other.direction
@@ -237,10 +305,10 @@ chatgraph_support::impl_json_newtype!(EdgeId);
 chatgraph_support::impl_json_enum_unit!(Direction { Directed, Undirected });
 chatgraph_support::impl_json_struct!(NodeSlot { label, attrs, removed });
 chatgraph_support::impl_json_struct!(EdgeSlot { src, dst, label, attrs, removed });
-// Hand-written (rather than `impl_json_struct!`) so the journal stays off
-// the wire: the format is unchanged from before the journal existed, and a
-// decoded graph starts with a fresh journal — its first delta snapshot
-// falls back to the scan diff, exactly like any graph of unknown lineage.
+// Hand-written (rather than `impl_json_struct!`) so the journal and the
+// slot hash stay off the wire: the format is unchanged from before either
+// existed. A decoded graph recomputes its slot hash and starts a fresh
+// journal, so it has no proven lineage, like any graph of unknown origin.
 impl chatgraph_support::json::ToJson for Graph {
     fn to_json(&self) -> chatgraph_support::json::Json {
         use chatgraph_support::json::Json;
@@ -268,15 +336,18 @@ impl chatgraph_support::json::FromJson for Graph {
         let field = |name: &str| {
             v.get(name).ok_or_else(|| JsonError::missing_field("Graph", name))
         };
+        let nodes: Vec<NodeSlot> = FromJson::from_json(field("nodes")?)?;
+        let edges: Vec<EdgeSlot> = FromJson::from_json(field("edges")?)?;
         Ok(Graph {
             direction: FromJson::from_json(field("direction")?)?,
             name: FromJson::from_json(field("name")?)?,
-            nodes: FromJson::from_json(field("nodes")?)?,
-            edges: FromJson::from_json(field("edges")?)?,
             out_adj: FromJson::from_json(field("out_adj")?)?,
             in_adj: FromJson::from_json(field("in_adj")?)?,
             live_nodes: FromJson::from_json(field("live_nodes")?)?,
             live_edges: FromJson::from_json(field("live_edges")?)?,
+            slot_sum: slot_sum(&nodes, &edges),
+            nodes,
+            edges,
             journal: Journal::fresh(),
         })
     }
@@ -294,11 +365,32 @@ impl Graph {
             in_adj: Vec::new(),
             live_nodes: 0,
             live_edges: 0,
+            slot_sum: 0,
             journal: Journal::fresh(),
         }
     }
 
-    /// The structural-edit journal (for the CSR delta-splicer).
+    /// The graph's version identity: a 64-bit hash of its content — name,
+    /// direction, slot bounds and every node/edge slot (index, tombstone
+    /// flag, label, attributes, endpoints).
+    ///
+    /// O(1): the slot part is a wrapping sum of per-slot hashes that every
+    /// mutation method updates in place, so reading it never walks the
+    /// graph. Deterministic across processes, and equal for equal slot
+    /// content whatever the history — two graphs with equal fingerprints
+    /// are `==` up to hash collisions. Slot-exact: a tombstoned graph and
+    /// its [`Graph::compact`] differ, because their node ids differ.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(self.slot_sum);
+        h.write_str(&self.name);
+        h.write(&[self.is_directed() as u8]);
+        h.write_u64(self.nodes.len() as u64);
+        h.write_u64(self.edges.len() as u64);
+        fmix64(h.finish())
+    }
+
+    /// The slot-edit journal (for the CSR delta-splicer and WAL deltas).
     pub(crate) fn journal(&self) -> &Journal {
         &self.journal
     }
@@ -351,6 +443,7 @@ impl Graph {
         Graph {
             direction,
             name,
+            slot_sum: slot_sum(&nodes, &edges),
             nodes,
             edges,
             out_adj,
@@ -432,16 +525,37 @@ impl Graph {
     /// Adds a node with the given label and attributes.
     pub fn add_node_with_attrs(&mut self, label: impl Into<String>, attrs: Attrs) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeSlot {
+        let slot = NodeSlot {
             label: label.into(),
             attrs,
             removed: false,
-        });
+        };
+        self.slot_sum = self.slot_sum.wrapping_add(slot.hash(id.index()));
+        self.nodes.push(slot);
         self.out_adj.push(Vec::new());
         self.in_adj.push(Vec::new());
         self.live_nodes += 1;
-        self.journal.record(StructEdit::AddNode(id));
+        self.journal.record(Touched::Node(id));
         id
+    }
+
+    /// Edits a node slot in place, keeping the slot hash and the journal
+    /// in step. Every change to an existing node slot goes through here.
+    fn edit_node(&mut self, id: NodeId, edit: impl FnOnce(&mut NodeSlot)) {
+        let i = id.index();
+        let old = self.nodes[i].hash(i);
+        edit(&mut self.nodes[i]);
+        self.slot_sum = self.slot_sum.wrapping_sub(old).wrapping_add(self.nodes[i].hash(i));
+        self.journal.record(Touched::Node(id));
+    }
+
+    /// Edits an edge slot in place; the edge counterpart of `edit_node`.
+    fn edit_edge(&mut self, id: EdgeId, edit: impl FnOnce(&mut EdgeSlot)) {
+        let i = id.index();
+        let old = self.edges[i].hash(i);
+        edit(&mut self.edges[i]);
+        self.slot_sum = self.slot_sum.wrapping_sub(old).wrapping_add(self.edges[i].hash(i));
+        self.journal.record(Touched::Edge(id));
     }
 
     /// True if `id` refers to a live node.
@@ -495,13 +609,15 @@ impl Graph {
             return Err(GraphError::DuplicateEdge(src, dst));
         }
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(EdgeSlot {
+        let slot = EdgeSlot {
             src,
             dst,
             label: label.into(),
             attrs,
             removed: false,
-        });
+        };
+        self.slot_sum = self.slot_sum.wrapping_add(slot.hash(id.index()));
+        self.edges.push(slot);
         self.out_adj[src.index()].push((dst, id));
         if self.is_directed() {
             self.in_adj[dst.index()].push((src, id));
@@ -509,7 +625,7 @@ impl Graph {
             self.out_adj[dst.index()].push((src, id));
         }
         self.live_edges += 1;
-        self.journal.record(StructEdit::AddEdge(src, dst));
+        self.journal.record(Touched::Edge(id));
         Ok(id)
     }
 
@@ -532,11 +648,8 @@ impl Graph {
         if !self.contains_edge(id) {
             return Err(GraphError::EdgeNotFound(id));
         }
-        let (src, dst) = {
-            let e = &mut self.edges[id.index()];
-            e.removed = true;
-            (e.src, e.dst)
-        };
+        self.edit_edge(id, |e| e.removed = true);
+        let EdgeSlot { src, dst, .. } = self.edges[id.index()];
         self.out_adj[src.index()].retain(|&(_, e)| e != id);
         if self.is_directed() {
             self.in_adj[dst.index()].retain(|&(_, e)| e != id);
@@ -544,7 +657,6 @@ impl Graph {
             self.out_adj[dst.index()].retain(|&(_, e)| e != id);
         }
         self.live_edges -= 1;
-        self.journal.record(StructEdit::RemoveEdge(src, dst));
         Ok(())
     }
 
@@ -562,9 +674,8 @@ impl Graph {
                 self.remove_edge(e)?;
             }
         }
-        self.nodes[id.index()].removed = true;
+        self.edit_node(id, |n| n.removed = true);
         self.live_nodes -= 1;
-        self.journal.record(StructEdit::RemoveNode);
         Ok(())
     }
 
@@ -581,7 +692,8 @@ impl Graph {
         label: impl Into<String>,
     ) -> Result<(), GraphError> {
         self.check_node(id)?;
-        self.nodes[id.index()].label = label.into();
+        let label = label.into();
+        self.edit_node(id, |n| n.label = label);
         Ok(())
     }
 
@@ -591,20 +703,25 @@ impl Graph {
         Ok(&self.nodes[id.index()].attrs)
     }
 
-    /// Mutable attributes of a live node.
-    pub fn node_attrs_mut(&mut self, id: NodeId) -> Result<&mut Attrs, GraphError> {
+    /// Replaces all attributes of a live node.
+    pub fn set_node_attrs(&mut self, id: NodeId, attrs: Attrs) -> Result<(), GraphError> {
         self.check_node(id)?;
-        Ok(&mut self.nodes[id.index()].attrs)
+        self.edit_node(id, |n| n.attrs = attrs);
+        Ok(())
     }
 
-    /// Convenience: sets one node attribute.
+    /// Sets one node attribute.
     pub fn set_node_attr(
         &mut self,
         id: NodeId,
         key: impl Into<String>,
         value: impl Into<AttrValue>,
     ) -> Result<(), GraphError> {
-        self.node_attrs_mut(id)?.insert(key.into(), value.into());
+        self.check_node(id)?;
+        let (key, value) = (key.into(), value.into());
+        self.edit_node(id, |n| {
+            n.attrs.insert(key, value);
+        });
         Ok(())
     }
 
@@ -625,7 +742,8 @@ impl Graph {
         if !self.contains_edge(id) {
             return Err(GraphError::EdgeNotFound(id));
         }
-        self.edges[id.index()].label = label.into();
+        let label = label.into();
+        self.edit_edge(id, |e| e.label = label);
         Ok(())
     }
 
@@ -637,12 +755,21 @@ impl Graph {
         Ok(&self.edges[id.index()].attrs)
     }
 
-    /// Mutable attributes of a live edge.
-    pub fn edge_attrs_mut(&mut self, id: EdgeId) -> Result<&mut Attrs, GraphError> {
+    /// Sets one edge attribute.
+    pub fn set_edge_attr(
+        &mut self,
+        id: EdgeId,
+        key: impl Into<String>,
+        value: impl Into<AttrValue>,
+    ) -> Result<(), GraphError> {
         if !self.contains_edge(id) {
             return Err(GraphError::EdgeNotFound(id));
         }
-        Ok(&mut self.edges[id.index()].attrs)
+        let (key, value) = (key.into(), value.into());
+        self.edit_edge(id, |e| {
+            e.attrs.insert(key, value);
+        });
+        Ok(())
     }
 
     /// The `(src, dst)` endpoints of a live edge.
@@ -878,9 +1005,7 @@ mod tests {
         g.set_node_attr(a, "age", 30i64).unwrap();
         assert_eq!(g.node_attrs(a).unwrap()["age"].as_int(), Some(30));
         let e = g.edge_ids().next().unwrap();
-        g.edge_attrs_mut(e)
-            .unwrap()
-            .insert("w".into(), AttrValue::Float(0.5));
+        g.set_edge_attr(e, "w", AttrValue::Float(0.5)).unwrap();
         assert_eq!(g.edge_attrs(e).unwrap()["w"].as_float(), Some(0.5));
     }
 

@@ -10,8 +10,11 @@
 //!   stable node/edge ids and tombstone-based removal, so graph-edit APIs can
 //!   mutate a graph without invalidating ids held by an executing API chain.
 //! * [`builder::GraphBuilder`] — fluent construction.
-//! * [`io`] — plain-text edge-list and JSON (de)serialisation; [`binary`] —
-//!   a compact length-prefixed binary format for graph databases.
+//! * [`io`] — plain-text edge-list and JSON (de)serialisation; [`delta`] —
+//!   the slot-exact image and delta codec of the durable store.
+//! * [`Graph::fingerprint`] — the graph's O(1) version identity, and an
+//!   internal edit journal from which delta CSR snapshots and WAL deltas
+//!   are derived in O(edits).
 //! * [`generators`] — seeded generators for the graph families the paper's
 //!   demo scenarios use: Erdős–Rényi / Barabási–Albert synthetic graphs,
 //!   planted-partition *social networks*, valence-constrained *molecules*, and
@@ -41,6 +44,8 @@ pub mod graph;
 pub mod io;
 pub mod kernels;
 pub mod stats;
+#[cfg(test)]
+mod version_tests;
 
 pub use attr::{AttrValue, Attrs};
 pub use builder::GraphBuilder;

@@ -1,12 +1,8 @@
 //! Byte-level (de)serialisation for WAL record bodies.
 //!
-//! Everything on disk is little-endian and length-prefixed; strings are
-//! UTF-8 with a `u32` byte length. The reader is bounds-checked end to end:
-//! corrupt input yields [`CodecError`], never a panic or an over-allocation
-//! (counts are validated against the bytes actually remaining before any
-//! `Vec` is sized).
-
-use chatgraph_graph::stats::StatsCatalog;
+//! Everything on disk is little-endian. The reader is bounds-checked end
+//! to end: corrupt input yields [`CodecError`], never a panic. (Graph
+//! payloads carry their own bounds-checked codec, `chatgraph_graph::delta`.)
 
 /// Why a record body failed to decode. The recovery scanner treats any
 /// decode failure as the start of the torn/corrupt tail.
@@ -16,8 +12,6 @@ pub enum CodecError {
     Truncated,
     /// A string field was not valid UTF-8.
     BadUtf8,
-    /// A count field exceeds what the remaining bytes could possibly hold.
-    BadCount,
     /// An unknown enum tag.
     BadTag(u8),
 }
@@ -27,7 +21,6 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "record body is truncated"),
             CodecError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
-            CodecError::BadCount => write!(f, "count field exceeds remaining bytes"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
         }
     }
@@ -72,110 +65,16 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
     /// A little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
-
-    /// A length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(CodecError::BadCount);
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| CodecError::BadUtf8)
-    }
-
-    /// Validates a declared element count against the remaining bytes:
-    /// `count` elements of at least `min_bytes` each must fit.
-    pub fn check_count(&self, count: u32, min_bytes: usize) -> Result<usize, CodecError> {
-        let count = count as usize;
-        if count > self.remaining() / min_bytes.max(1) {
-            return Err(CodecError::BadCount);
-        }
-        Ok(count)
-    }
-}
-
-/// Appends a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Serialises a statistics catalog (the per-label histograms and degree
-/// moments the planner's cost model reads on reopen).
-pub fn put_stats(out: &mut Vec<u8>, s: &StatsCatalog) {
-    put_u64(out, s.nodes as u64);
-    put_u64(out, s.edges as u64);
-    out.push(u8::from(s.directed));
-    put_u32(out, s.node_labels.len() as u32);
-    for (label, count) in &s.node_labels {
-        put_string(out, label);
-        put_u64(out, *count as u64);
-    }
-    put_u32(out, s.edge_labels.len() as u32);
-    for (label, count) in &s.edge_labels {
-        put_string(out, label);
-        put_u64(out, *count as u64);
-    }
-    put_u64(out, s.degree_sum);
-    put_u64(out, s.degree_sum_sq);
-    put_u64(out, s.max_degree as u64);
-}
-
-// A labelled histogram entry is at least a 4-byte string prefix plus an
-// 8-byte count.
-const MIN_LABEL_ENTRY_BYTES: usize = 12;
-
-/// Decodes a statistics catalog written by [`put_stats`].
-pub fn get_stats(r: &mut Reader<'_>) -> Result<StatsCatalog, CodecError> {
-    let nodes = r.u64()? as usize;
-    let edges = r.u64()? as usize;
-    let directed = r.u8()? != 0;
-    let declared = r.u32()?;
-    let n = r.check_count(declared, MIN_LABEL_ENTRY_BYTES)?;
-    let mut node_labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let label = r.string()?;
-        let count = r.u64()? as usize;
-        node_labels.push((label, count));
-    }
-    let declared = r.u32()?;
-    let n = r.check_count(declared, MIN_LABEL_ENTRY_BYTES)?;
-    let mut edge_labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let label = r.string()?;
-        let count = r.u64()? as usize;
-        edge_labels.push((label, count));
-    }
-    Ok(StatsCatalog {
-        nodes,
-        edges,
-        directed,
-        node_labels,
-        edge_labels,
-        degree_sum: r.u64()?,
-        degree_sum_sq: r.u64()?,
-        max_degree: r.u64()? as usize,
-    })
 }
 
 #[cfg(test)]
@@ -185,14 +84,10 @@ mod tests {
     #[test]
     fn primitives_roundtrip() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 7);
-        put_string(&mut buf, "héllo");
         buf.push(42);
         let mut r = Reader::new(&buf);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 7);
-        assert_eq!(r.string().unwrap(), "héllo");
         assert_eq!(r.u8().unwrap(), 42);
         assert!(r.done());
     }
@@ -200,66 +95,9 @@ mod tests {
     #[test]
     fn truncated_reads_error_cleanly() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, 7);
-        let mut r = Reader::new(&buf[..2]);
-        assert_eq!(r.u32(), Err(CodecError::Truncated));
-    }
-
-    #[test]
-    fn oversized_string_length_is_rejected() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, u32::MAX);
-        buf.extend_from_slice(b"hi");
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.string(), Err(CodecError::BadCount));
-    }
-
-    #[test]
-    fn invalid_utf8_is_rejected() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 2);
-        buf.extend_from_slice(&[0xFF, 0xFE]);
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.string(), Err(CodecError::BadUtf8));
-    }
-
-    #[test]
-    fn stats_roundtrip() {
-        let stats = StatsCatalog {
-            nodes: 10,
-            edges: 14,
-            directed: true,
-            node_labels: vec![("C".into(), 6), ("O".into(), 4)],
-            edge_labels: vec![("bond".into(), 14)],
-            degree_sum: 28,
-            degree_sum_sq: 120,
-            max_degree: 4,
-        };
-        let mut buf = Vec::new();
-        put_stats(&mut buf, &stats);
-        let mut r = Reader::new(&buf);
-        assert_eq!(get_stats(&mut r).unwrap(), stats);
-        assert!(r.done());
-    }
-
-    #[test]
-    fn stats_oversized_count_cannot_over_allocate() {
-        let stats = StatsCatalog {
-            nodes: 1,
-            edges: 0,
-            directed: false,
-            node_labels: vec![("x".into(), 1)],
-            edge_labels: vec![],
-            degree_sum: 0,
-            degree_sum_sq: 0,
-            max_degree: 0,
-        };
-        let mut buf = Vec::new();
-        put_stats(&mut buf, &stats);
-        // Stamp an absurd node-label count (offset 17: nodes u64 + edges
-        // u64 + directed u8).
-        buf[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = Reader::new(&buf);
-        assert_eq!(get_stats(&mut r), Err(CodecError::BadCount));
+        put_u64(&mut buf, 7);
+        let mut r = Reader::new(&buf[..5]);
+        assert_eq!(r.u64(), Err(CodecError::Truncated));
+        assert_eq!(r.take(6), Err(CodecError::Truncated));
     }
 }

@@ -6,14 +6,13 @@
 //! crash-injection suite in `tests/recovery_properties.rs`:
 //!
 //! > After a crash at **any** byte offset — torn write or flipped bit —
-//! > reopening the store recovers a graph fingerprint-identical to some
+//! > reopening the store recovers a graph identical to the one at some
 //! > prefix of the committed mutation barriers, and every barrier the
 //! > store acknowledged before the crash is in that prefix.
 //!
 //! Modules, bottom-up:
 //!
 //! * [`codec`] — bounds-checked little-endian (de)serialisation.
-//! * [`catalog`] — persistent label/type/property-key id catalogs.
 //! * [`record`] — the WAL record grammar and `len | crc | payload` framing.
 //! * [`crash`] — deterministic crash injection ([`crash::CrashPoint`]).
 //! * [`store`] — [`GraphStore`]: create/open/commit/checkpoint/recover.
@@ -22,7 +21,6 @@
 //! session integration (the scheduler's commit sink, config, serving) lives
 //! above it in `chatgraph-core`.
 
-pub mod catalog;
 pub mod codec;
 pub mod crash;
 pub mod record;
@@ -33,9 +31,7 @@ pub use store::{
     CheckpointReport, CommitReceipt, GraphStore, RecoveryReport, StoreOpened, PAGE_SIZE,
 };
 
-use chatgraph_graph::delta::image_to_bytes;
 use chatgraph_graph::Graph;
-use chatgraph_support::hash::fnv1a64;
 
 /// What went wrong in a store operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,10 +66,10 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// The store's graph fingerprint: FNV-1a 64 over the slot-exact image
-/// bytes. Slot-exact (rather than the densifying `binary::to_bytes`) so
-/// that a recovered graph reproduces chain results bit-identically — chain
-/// findings hold stable node/edge ids.
+/// The store's graph fingerprint — the one the `Commit` seal records:
+/// [`Graph::fingerprint`], O(1) and slot-exact, so that a recovered graph
+/// reproduces chain results bit-identically (chain findings hold stable
+/// node/edge ids).
 pub fn graph_fp(g: &Graph) -> u64 {
-    fnv1a64(&image_to_bytes(g))
+    g.fingerprint()
 }

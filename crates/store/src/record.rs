@@ -4,25 +4,22 @@
 //! the payload byte length and `crc` is CRC-32 (IEEE) over the payload.
 //! The payload opens with a one-byte tag:
 //!
-//! | tag | record     | body                                        |
-//! |-----|------------|---------------------------------------------|
-//! | 1   | `Snapshot` | slot-exact graph image (`graph::delta`)     |
-//! | 2   | `Delta`    | slot-level [`GraphDelta`] op list           |
-//! | 3   | `Commit`   | `epoch: u64, graph_fp: u64`                 |
-//! | 4   | `Catalog`  | newly interned strings ([`CatalogDelta`])   |
-//! | 5   | `Stats`    | the epoch's [`StatsCatalog`]                |
-//! | 6   | `Model`    | finetuned-model JSON (UTF-8)                |
-//! | 7   | `Pad`      | zeros, aligning the append cursor to a page |
+//! | tag | record     | body                                          |
+//! |-----|------------|-----------------------------------------------|
+//! | 1   | `Snapshot` | slot-exact graph image (`graph::delta`)       |
+//! | 2   | `Delta`    | slot upserts (`graph::delta::GraphDelta`)     |
+//! | 3   | `Commit`   | `epoch: u64, graph_fp: u64`                   |
+//! | 4   | `Model`    | finetuned-model JSON (UTF-8)                  |
+//! | 5   | `Pad`      | zeros, aligning the append cursor to a page   |
 //!
-//! `Snapshot`/`Delta`/`Catalog`/`Stats` records are *staged*: they take
-//! effect only when sealed by the following `Commit`, whose `graph_fp` must
-//! match the fingerprint of the staged graph. `Model` and `Pad` are
+//! `Snapshot`/`Delta` records are *staged*: they take effect only when
+//! sealed by the following `Commit`, whose `graph_fp` must equal the
+//! [`Graph::fingerprint`](chatgraph_graph::Graph::fingerprint) of the
+//! staged graph, recomputed from its replayed slots. `Model` and `Pad` are
 //! standalone-durable, and only legal at a group boundary — a scanner that
 //! sees one while records are staged treats the file as corrupt from there.
 
-use crate::catalog::CatalogDelta;
 use crate::codec::{put_u64, CodecError, Reader};
-use chatgraph_graph::stats::StatsCatalog;
 use chatgraph_support::hash::crc32;
 
 /// Framing overhead per record: the `len` and `crc` words.
@@ -34,10 +31,8 @@ pub const MAX_PAYLOAD: u32 = 1 << 30;
 const TAG_SNAPSHOT: u8 = 1;
 const TAG_DELTA: u8 = 2;
 const TAG_COMMIT: u8 = 3;
-const TAG_CATALOG: u8 = 4;
-const TAG_STATS: u8 = 5;
-const TAG_MODEL: u8 = 6;
-const TAG_PAD: u8 = 7;
+const TAG_MODEL: u8 = 4;
+const TAG_PAD: u8 = 5;
 
 /// One decoded WAL record.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,18 +51,8 @@ pub enum WalRecord {
     Commit {
         /// The store epoch this commit produces.
         epoch: u64,
-        /// FNV-1a 64 fingerprint of the committed graph's image bytes.
+        /// The committed graph's `Graph::fingerprint`.
         graph_fp: u64,
-    },
-    /// Newly interned catalog strings (staged).
-    Catalog {
-        /// The appended entries.
-        delta: CatalogDelta,
-    },
-    /// The committed epoch's statistics (staged).
-    Stats {
-        /// The statistics catalog.
-        stats: StatsCatalog,
     },
     /// The finetuned model (standalone-durable).
     Model {
@@ -99,14 +84,6 @@ impl WalRecord {
                 put_u64(&mut payload, *epoch);
                 put_u64(&mut payload, *graph_fp);
             }
-            WalRecord::Catalog { delta } => {
-                payload.push(TAG_CATALOG);
-                payload.extend_from_slice(&delta.to_bytes());
-            }
-            WalRecord::Stats { stats } => {
-                payload.push(TAG_STATS);
-                crate::codec::put_stats(&mut payload, stats);
-            }
             WalRecord::Model { json } => {
                 payload.push(TAG_MODEL);
                 payload.extend_from_slice(json.as_bytes());
@@ -130,8 +107,6 @@ impl WalRecord {
             TAG_SNAPSHOT => WalRecord::Snapshot { image: r.take(r.remaining())?.to_vec() },
             TAG_DELTA => WalRecord::Delta { ops: r.take(r.remaining())?.to_vec() },
             TAG_COMMIT => WalRecord::Commit { epoch: r.u64()?, graph_fp: r.u64()? },
-            TAG_CATALOG => WalRecord::Catalog { delta: CatalogDelta::decode(&mut r)? },
-            TAG_STATS => WalRecord::Stats { stats: crate::codec::get_stats(&mut r)? },
             TAG_MODEL => {
                 let bytes = r.take(r.remaining())?;
                 let json =
@@ -210,13 +185,6 @@ mod tests {
             WalRecord::Snapshot { image: vec![1, 2, 3, 4] },
             WalRecord::Delta { ops: vec![9, 9] },
             WalRecord::Commit { epoch: 7, graph_fp: 0xDEAD_BEEF },
-            WalRecord::Catalog {
-                delta: CatalogDelta {
-                    node_labels: vec!["C".into()],
-                    edge_labels: vec![],
-                    prop_keys: vec!["w".into()],
-                },
-            },
             WalRecord::Model { json: "{\"weights\":[]}".into() },
             WalRecord::Pad { zeros: 17 },
         ]

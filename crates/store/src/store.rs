@@ -9,28 +9,33 @@
 //!   checkpoint) and never updated in place.
 //! * **pages 1…** — the append-only WAL (see [`crate::record`] for the
 //!   record grammar). A fresh file opens with a *base group* — `Snapshot`,
-//!   `Catalog`, `Stats`, `Commit`, optionally `Model` — padded to a page
-//!   boundary, so live appends always start page-aligned.
+//!   `Commit`, optionally `Model` — padded to a page boundary, so live
+//!   appends always start page-aligned.
 //!
 //! ## Commit protocol
 //!
-//! [`GraphStore::commit`] stages the epoch's records (`Delta` against the
-//! last committed graph, or a `Snapshot` when the mutation is not
-//! delta-expressible, plus any new `Catalog` entries and the epoch's
-//! `Stats`) and seals them with a `Commit { epoch, graph_fp }` record, all
-//! in **one** buffered write followed by one `fsync`. State in memory is
-//! updated only after the fsync returns: a crash at any byte of the append
-//! leaves the previous epoch durable and intact.
+//! [`GraphStore::commit`] writes the epoch's graph record and seals it with
+//! a `Commit { epoch, graph_fp }` record, in **one** buffered write
+//! followed by one `fsync`. The graph record is a `Delta` of slot upserts
+//! read off the new graph's edit journal since the committed graph's tip
+//! (O(edits), whatever the graph's size), or a `Snapshot` when the journal
+//! cannot prove lineage (an unrelated upload, or more edits than the
+//! journal retains). `graph_fp` is the O(1) [`Graph::fingerprint`]. The
+//! store keeps the committed `Arc<Graph>` itself as the next delta base.
+//! State in memory is updated only after the fsync returns: a crash at any
+//! byte of the append leaves the previous epoch durable and intact.
 //!
 //! ## Recovery
 //!
 //! [`GraphStore::open`] scans the WAL from the first page, replaying sealed
-//! groups in order. The scan stops at the first torn frame, failed CRC,
-//! undecodable payload, fingerprint mismatch or epoch regression; the file
-//! is truncated back to the last durable boundary (`tail_dropped` bytes
-//! removed). The recovered graph is therefore always *fingerprint-identical
-//! to some prefix of committed epochs* — the crash-injection property suite
-//! asserts this at every byte offset.
+//! groups in order. Each replayed graph recomputes its fingerprint from its
+//! slots, and must match the seal. The scan stops at the first torn frame,
+//! failed CRC, undecodable payload, fingerprint mismatch or epoch
+//! regression; the file is truncated back to the last durable boundary
+//! (`tail_dropped` bytes removed). The recovered graph is therefore always
+//! *identical to some prefix of committed epochs* — the crash-injection
+//! property suite asserts this at every byte offset. A file of another
+//! format version is refused as corrupt, untouched.
 //!
 //! ## Checkpoint
 //!
@@ -40,25 +45,25 @@
 //! crash during checkpoint abandons the temporary file ([`GraphStore::open`]
 //! removes stale ones) and loses nothing.
 
-use crate::catalog::{Catalog, CatalogDelta};
 use crate::crash::CrashPoint;
 use crate::record::{next_record, WalRecord};
-use crate::{graph_fp, StoreError};
+use crate::StoreError;
 use chatgraph_graph::delta::{image_from_bytes, image_to_bytes, GraphDelta};
-use chatgraph_graph::stats::StatsCatalog;
 use chatgraph_graph::Graph;
 use chatgraph_support::hash::crc32;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Pages are 4 KiB: the header fills page 0, the WAL starts at page 1, and
 /// create/checkpoint pad the base group so live appends begin page-aligned.
 pub const PAGE_SIZE: usize = 4096;
 
 const MAGIC: &[u8; 8] = b"CGSTORE1";
-const FORMAT_VERSION: u32 = 1;
+/// Version 2 seals commits with [`Graph::fingerprint`]; a file of any other
+/// version is refused, untouched.
+const FORMAT_VERSION: u32 = 2;
 // Header: magic[8] | version u32 | page_size u32 | wal_off u64 | crc u32.
 const HEADER_BYTES: usize = 28;
 
@@ -80,7 +85,7 @@ pub struct RecoveryReport {
 pub struct CommitReceipt {
     /// The epoch this commit produced.
     pub epoch: u64,
-    /// WAL records appended (delta/snapshot + catalog? + stats + commit).
+    /// WAL records appended (delta or snapshot, then commit).
     pub records: usize,
     /// Bytes appended.
     pub bytes: u64,
@@ -120,11 +125,9 @@ struct StoreInner {
     /// Durable append position (absolute file offset).
     end: u64,
     /// The last committed graph (the delta base for the next commit).
-    graph: Graph,
+    graph: Arc<Graph>,
     /// The last committed store epoch.
     epoch: u64,
-    catalog: Catalog,
-    stats: StatsCatalog,
     model: Option<String>,
     commits_since_checkpoint: u64,
     crash: Option<CrashPoint>,
@@ -158,12 +161,8 @@ impl GraphStore {
     /// and rename), seeding it with `graph` as epoch 1.
     pub fn create(path: impl AsRef<Path>, graph: &Graph) -> Result<GraphStore, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let mut catalog = Catalog::new();
-        let seed_delta = catalog.delta_for(graph);
-        catalog.apply(&seed_delta);
-        let stats = StatsCatalog::build(graph);
         let epoch = 1;
-        let bytes = base_file_bytes(graph, &catalog, &stats, None, epoch);
+        let bytes = base_file_bytes(graph, None, epoch);
         write_atomic(&path, &bytes)?;
         let file = open_rw(&path)?;
         Ok(GraphStore {
@@ -171,10 +170,8 @@ impl GraphStore {
                 file,
                 path,
                 end: bytes.len() as u64,
-                graph: graph.clone(),
+                graph: Arc::new(graph.clone()),
                 epoch,
-                catalog,
-                stats,
                 model: None,
                 commits_since_checkpoint: 0,
                 crash: None,
@@ -200,14 +197,10 @@ impl GraphStore {
         let mut durable_end = pos;
         let mut committed: Option<Graph> = None;
         let mut epoch = 0u64;
-        let mut catalog = Catalog::new();
-        let mut stats: Option<StatsCatalog> = None;
         let mut model: Option<String> = None;
         let mut commits_replayed = 0usize;
         let mut records_replayed = 0usize;
         let mut staged_graph: Option<Graph> = None;
-        let mut staged_catalog: Vec<CatalogDelta> = Vec::new();
-        let mut staged_stats: Option<StatsCatalog> = None;
         let mut staged_records = 0usize;
         loop {
             let framed = match next_record(&data, pos) {
@@ -232,35 +225,17 @@ impl GraphStore {
                     staged_graph = Some(g);
                     staged_records += 1;
                 }
-                WalRecord::Catalog { delta } => {
-                    staged_catalog.push(delta);
-                    staged_records += 1;
-                }
-                WalRecord::Stats { stats: s } => {
-                    staged_stats = Some(s);
-                    staged_records += 1;
-                }
                 WalRecord::Commit { epoch: e, graph_fp: fp } => {
-                    let g = match staged_graph.take() {
-                        Some(g) => g,
-                        None => match committed.clone() {
-                            Some(g) => g,
-                            None => break,
-                        },
-                    };
-                    // The fingerprint re-proves the replayed graph matches
-                    // what the writer committed; epochs must strictly grow.
-                    if fp != graph_fp(&g) || e <= epoch {
+                    // Every commit seals exactly one graph record.
+                    let Some(g) = staged_graph.take() else { break };
+                    // The fingerprint — recomputed from the replayed slots —
+                    // re-proves the graph matches what the writer committed;
+                    // epochs must strictly grow.
+                    if fp != g.fingerprint() || e <= epoch {
                         break;
                     }
                     committed = Some(g);
                     epoch = e;
-                    for d in staged_catalog.drain(..) {
-                        catalog.apply(&d);
-                    }
-                    if let Some(s) = staged_stats.take() {
-                        stats = Some(s);
-                    }
                     commits_replayed += 1;
                     records_replayed += staged_records + 1;
                     staged_records = 0;
@@ -288,7 +263,6 @@ impl GraphStore {
         let Some(graph) = committed else {
             return Err(StoreError::Corrupt("log contains no committed state".into()));
         };
-        let stats = stats.unwrap_or_else(|| StatsCatalog::build(&graph));
         let tail_dropped = (data.len() - durable_end) as u64;
         let file = open_rw(&path)?;
         if tail_dropped > 0 {
@@ -307,10 +281,8 @@ impl GraphStore {
                     file,
                     path,
                     end: durable_end as u64,
-                    graph,
+                    graph: Arc::new(graph),
                     epoch,
-                    catalog,
-                    stats,
                     model,
                     commits_since_checkpoint: 0,
                     crash: None,
@@ -336,46 +308,32 @@ impl GraphStore {
     }
 
     /// Durably commits `graph` as the next epoch: one buffered append of
-    /// the group's records (delta or snapshot, new catalog entries, the
-    /// epoch's statistics, and the sealing commit), one fsync. Returns only
-    /// after the bytes are on disk.
-    pub fn commit(&self, graph: &Graph) -> Result<CommitReceipt, StoreError> {
+    /// the graph record (a journal delta against the committed graph, or a
+    /// snapshot when lineage is unproven) and the sealing commit, one
+    /// fsync. Returns only after the bytes are on disk; then `graph` itself
+    /// (not a copy) becomes the committed graph.
+    pub fn commit(&self, graph: &Arc<Graph>) -> Result<CommitReceipt, StoreError> {
         let mut inner = self.guard();
         inner.ensure_live()?;
         let epoch = inner.epoch + 1;
-        let delta = GraphDelta::diff(&inner.graph, graph);
-        let used_delta = delta.is_some();
-        let cat_delta = inner.catalog.delta_for(graph);
-        let stats = StatsCatalog::build(graph);
-
+        let delta = GraphDelta::since(&inner.graph, graph);
         let mut buf = Vec::new();
-        let mut records = 0usize;
         match &delta {
             Some(d) => WalRecord::Delta { ops: d.to_bytes() }.encode(&mut buf),
             None => WalRecord::Snapshot { image: image_to_bytes(graph) }.encode(&mut buf),
         }
-        records += 1;
-        if !cat_delta.is_empty() {
-            WalRecord::Catalog { delta: cat_delta.clone() }.encode(&mut buf);
-            records += 1;
-        }
-        WalRecord::Stats { stats: stats.clone() }.encode(&mut buf);
-        records += 1;
-        WalRecord::Commit { epoch, graph_fp: graph_fp(graph) }.encode(&mut buf);
-        records += 1;
+        WalRecord::Commit { epoch, graph_fp: graph.fingerprint() }.encode(&mut buf);
 
         inner.append(&buf)?;
-        inner.graph = graph.clone();
+        inner.graph = Arc::clone(graph);
         inner.epoch = epoch;
-        inner.catalog.apply(&cat_delta);
-        inner.stats = stats;
         inner.commits_since_checkpoint += 1;
         Ok(CommitReceipt {
             epoch,
-            records,
+            records: 2,
             bytes: buf.len() as u64,
             wal_end: inner.end,
-            delta: used_delta,
+            delta: delta.is_some(),
         })
     }
 
@@ -395,13 +353,7 @@ impl GraphStore {
     pub fn checkpoint(&self) -> Result<CheckpointReport, StoreError> {
         let mut inner = self.guard();
         inner.ensure_live()?;
-        let bytes = base_file_bytes(
-            &inner.graph,
-            &inner.catalog,
-            &inner.stats,
-            inner.model.as_deref(),
-            inner.epoch,
-        );
+        let bytes = base_file_bytes(&inner.graph, inner.model.as_deref(), inner.epoch);
         let old_len = inner.end;
         if let Some(cp) = inner.crash {
             if cp.fires(0, bytes.len()) {
@@ -424,19 +376,8 @@ impl GraphStore {
     }
 
     /// The last committed graph.
-    pub fn graph(&self) -> Graph {
-        self.guard().graph.clone()
-    }
-
-    /// The last committed epoch's statistics catalog (what the planner's
-    /// cost model reads on reopen, without an O(n + m) rebuild).
-    pub fn stats(&self) -> StatsCatalog {
-        self.guard().stats.clone()
-    }
-
-    /// The persistent id catalogs.
-    pub fn catalog(&self) -> Catalog {
-        self.guard().catalog.clone()
+    pub fn graph(&self) -> Arc<Graph> {
+        Arc::clone(&self.guard().graph)
     }
 
     /// The saved model, if one was persisted.
@@ -535,28 +476,12 @@ impl StoreInner {
 }
 
 /// A complete fresh store file: header page, then the base group
-/// (`Snapshot`, `Catalog`, `Stats`, `Commit`, optional `Model`), padded to
-/// a page boundary.
-fn base_file_bytes(
-    graph: &Graph,
-    catalog: &Catalog,
-    stats: &StatsCatalog,
-    model: Option<&str>,
-    epoch: u64,
-) -> Vec<u8> {
+/// (`Snapshot`, `Commit`, optional `Model`), padded to a page boundary.
+fn base_file_bytes(graph: &Graph, model: Option<&str>, epoch: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 * PAGE_SIZE);
     out.extend_from_slice(&header_page());
     WalRecord::Snapshot { image: image_to_bytes(graph) }.encode(&mut out);
-    let full = CatalogDelta {
-        node_labels: catalog.node_labels.clone(),
-        edge_labels: catalog.edge_labels.clone(),
-        prop_keys: catalog.prop_keys.clone(),
-    };
-    if !full.is_empty() {
-        WalRecord::Catalog { delta: full }.encode(&mut out);
-    }
-    WalRecord::Stats { stats: stats.clone() }.encode(&mut out);
-    WalRecord::Commit { epoch, graph_fp: graph_fp(graph) }.encode(&mut out);
+    WalRecord::Commit { epoch, graph_fp: graph.fingerprint() }.encode(&mut out);
     if let Some(json) = model {
         WalRecord::Model { json: json.to_owned() }.encode(&mut out);
     }
@@ -650,7 +575,7 @@ mod tests {
     use super::*;
     use crate::crash::CrashMode;
     use chatgraph_graph::generators::{social_network, SocialParams};
-    use chatgraph_graph::GraphBuilder;
+    use chatgraph_graph::{GraphBuilder, NodeId};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store(tag: &str) -> PathBuf {
@@ -662,11 +587,13 @@ mod tests {
         ))
     }
 
-    fn sample() -> Graph {
-        social_network(&SocialParams::default(), 11)
+    fn sample() -> Arc<Graph> {
+        Arc::new(social_network(&SocialParams::default(), 11))
     }
 
-    fn mutate(g: &mut Graph, round: u32) {
+    /// Grows the graph copy-on-write, as a session's mutation barrier does.
+    fn mutate(g: &mut Arc<Graph>, round: u32) {
+        let g = Arc::make_mut(g);
         let v = g.add_node(format!("extra-{round}"));
         let first = g.node_ids().next();
         if let Some(u) = first {
@@ -682,7 +609,6 @@ mod tests {
         let g = sample();
         let store = GraphStore::create(&path, &g).unwrap();
         assert_eq!(store.epoch(), 1);
-        assert!(store.catalog().len() > 0);
         drop(store);
 
         let (store, report) = GraphStore::open(&path).unwrap();
@@ -690,7 +616,7 @@ mod tests {
         assert_eq!(report.commits_replayed, 1);
         assert_eq!(report.tail_dropped, 0);
         assert_eq!(store.graph(), g);
-        assert_eq!(store.stats(), StatsCatalog::build(&g));
+        assert_eq!(store.graph().fingerprint(), g.fingerprint());
         let _ = fs::remove_file(&path);
     }
 
@@ -704,8 +630,8 @@ mod tests {
             let receipt = store.commit(&g).unwrap();
             assert_eq!(receipt.epoch, (round + 2) as u64);
             assert!(receipt.delta, "small edits should go as deltas");
+            assert!(Arc::ptr_eq(&store.graph(), &g), "the store keeps the committed Arc");
         }
-        assert_eq!(store.wal_bytes() % 1, 0);
         drop(store);
 
         let (store, report) = GraphStore::open(&path).unwrap();
@@ -713,8 +639,60 @@ mod tests {
         assert_eq!(report.commits_replayed, 6);
         assert_eq!(report.tail_dropped, 0);
         assert_eq!(store.graph(), g);
-        assert_eq!(graph_fp(&store.graph()), graph_fp(&g));
+        assert_eq!(store.graph().fingerprint(), g.fingerprint());
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unproven_lineage_commits_as_snapshots() {
+        let path = temp_store("upload");
+        let g = sample();
+        let store = GraphStore::create(&path, &g).unwrap();
+        // A freshly built graph shares no journal with the committed one.
+        let upload = Arc::new(social_network(&SocialParams::default(), 12));
+        let receipt = store.commit(&upload).unwrap();
+        assert!(!receipt.delta, "unproven lineage must go as a snapshot");
+        // Its descendants are deltas again.
+        let mut next = Arc::clone(&upload);
+        mutate(&mut next, 0);
+        assert!(store.commit(&next).unwrap().delta);
+        // Until more edits separate them than the journal retains.
+        let v = next.node_ids().next().unwrap();
+        for i in 0..5000i64 {
+            Arc::make_mut(&mut next).set_node_attr(v, "i", i).unwrap();
+        }
+        assert!(!store.commit(&next).unwrap().delta, "past the journal window");
+        drop(store);
+        let (store, _) = GraphStore::open(&path).unwrap();
+        assert_eq!(store.graph(), next);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A one-relabel commit appends O(edits) bytes: the same small bound
+    /// holds at 10^3 and at 10^5 nodes.
+    #[test]
+    fn one_relabel_commit_bytes_do_not_grow_with_the_graph() {
+        const BOUND: u64 = 128;
+        for n in [1_000usize, 100_000] {
+            let path = temp_store("relabel");
+            let mut g = Graph::directed();
+            for i in 0..n {
+                let v = g.add_node("City");
+                if i > 0 {
+                    g.add_edge(NodeId(i as u32 - 1), v, "road").unwrap();
+                }
+            }
+            let mut g = Arc::new(g);
+            let store = GraphStore::create(&path, &g).unwrap();
+            Arc::make_mut(&mut g).set_node_label(NodeId(n as u32 / 2), "Town").unwrap();
+            let receipt = store.commit(&g).unwrap();
+            assert!(receipt.delta);
+            assert!(receipt.bytes < BOUND, "{n} nodes: {} bytes", receipt.bytes);
+            drop(store);
+            let (store, _) = GraphStore::open(&path).unwrap();
+            assert_eq!(store.graph(), g);
+            let _ = fs::remove_file(&path);
+        }
     }
 
     #[test]
@@ -753,7 +731,6 @@ mod tests {
         let (store, report) = GraphStore::open(&path).unwrap();
         assert_eq!(report.epoch, 21);
         assert_eq!(store.graph(), g);
-        assert_eq!(store.stats(), StatsCatalog::build(&g));
         let _ = fs::remove_file(&path);
     }
 
@@ -764,7 +741,7 @@ mod tests {
         let store = GraphStore::create(&path, &g).unwrap();
         mutate(&mut g, 0);
         let r1 = store.commit(&g).unwrap();
-        let committed = g.clone();
+        let committed = Arc::clone(&g);
         // Crash 10 bytes into the next append.
         store.arm_crash(CrashPoint::truncate(r1.wal_end + 10));
         mutate(&mut g, 1);
@@ -838,6 +815,29 @@ mod tests {
         // Too-short files too.
         fs::write(&path, b"CGSTORE1").unwrap();
         assert!(matches!(GraphStore::open(&path), Err(StoreError::Corrupt(_))));
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A version-1 file (whose seal meant something else) is refused as
+    /// corrupt and left exactly as it was — recovery truncates nothing.
+    #[test]
+    fn version_one_files_are_refused_untruncated() {
+        let path = temp_store("v1");
+        let mut g = sample();
+        let store = GraphStore::create(&path, &g).unwrap();
+        mutate(&mut g, 0);
+        store.commit(&g).unwrap();
+        drop(store);
+        let mut data = fs::read(&path).unwrap();
+        data[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&data[..HEADER_BYTES - 4]);
+        data[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &data).unwrap();
+        match GraphStore::open(&path) {
+            Err(StoreError::Corrupt(why)) => assert!(why.contains("version 1"), "{why}"),
+            other => panic!("a version-1 file must be refused, got {other:?}"),
+        }
+        assert_eq!(fs::read(&path).unwrap(), data, "a refused file is left untouched");
         let _ = fs::remove_file(&path);
     }
 

@@ -4,14 +4,17 @@
 //! mutation chains — truncations (torn writes) and single-bit flips
 //! (media corruption) — and asserts the recovery contract:
 //!
-//! 1. the recovered graph fingerprint is a member of the set of
-//!    fingerprints at committed epochs (never a half-applied step),
+//! 1. the recovered graph is one of the graphs at committed epochs (never a
+//!    half-applied step),
 //! 2. recovery lands on the *greatest* fully-durable commit at or before
 //!    the damage point,
 //! 3. `executed ≥ replayed`: recovery never replays more records or
 //!    commits than were written,
-//! 4. a store that survives a checkpoint replays to the same fingerprint
-//!    as the in-memory graph it mirrored.
+//! 4. a store that survives a checkpoint replays to the same graph as the
+//!    in-memory one it mirrored.
+//!
+//! Recovered graphs are compared in full (`==`, slots and adjacency), not
+//! only by fingerprint, so a fingerprint bug cannot mask a replay bug.
 
 use chatgraph_graph::{AttrValue, Graph, NodeId};
 use chatgraph_store::{
@@ -22,6 +25,7 @@ use chatgraph_support::rng::{RngExt, SeedableRng, StdRng};
 use chatgraph_support::{prop_assert, prop_assert_eq};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn temp_path(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -32,8 +36,10 @@ fn temp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// One seeded random mutation: grow, relabel, or annotate.
-fn random_mutation(g: &mut Graph, rng: &mut StdRng, round: usize) {
+/// One seeded random mutation: grow, relabel, or annotate — applied
+/// copy-on-write, as a session's mutation barrier does.
+fn random_mutation(g: &mut Arc<Graph>, rng: &mut StdRng, round: usize) {
+    let g = Arc::make_mut(g);
     let nodes: Vec<NodeId> = g.node_ids().collect();
     match rng.random_range(0u8..4) {
         0 => {
@@ -52,9 +58,7 @@ fn random_mutation(g: &mut Graph, rng: &mut StdRng, round: usize) {
         }
         _ if !nodes.is_empty() => {
             let v = nodes[rng.random_range(0..nodes.len())];
-            if let Ok(attrs) = g.node_attrs_mut(v) {
-                attrs.insert(format!("k{}", round % 3), AttrValue::Int(round as i64));
-            }
+            let _ = g.set_node_attr(v, format!("k{}", round % 3), AttrValue::Int(round as i64));
         }
         _ => {
             g.add_node(format!("n{round}"));
@@ -62,8 +66,8 @@ fn random_mutation(g: &mut Graph, rng: &mut StdRng, round: usize) {
     }
 }
 
-/// A committed-epoch marker: `(epoch, fingerprint, durable end offset)`.
-type EpochMark = (u64, u64, u64);
+/// A committed-epoch marker: `(epoch, graph, durable end offset)`.
+type EpochMark = (u64, Arc<Graph>, u64);
 
 /// Builds a store at `path` from a seeded mutation chain, returning the
 /// committed-epoch markers (including the base group as epoch 1) and the
@@ -76,15 +80,16 @@ fn build_wal(path: &PathBuf, seed: u64, commits: usize) -> (Vec<EpochMark>, usiz
         g.add_node(format!("seed{i}"));
     }
     let store = GraphStore::create(path, &g).expect("create");
-    // The base group (snapshot + catalog + stats + commit + pad) is at most
-    // five records; recovery must never replay more than were written.
-    let mut written = 5;
-    let mut marks = vec![(1u64, graph_fp(&g), store.file_bytes())];
+    let mut g = Arc::new(g);
+    // The base group (snapshot + commit + pad) is three records; recovery
+    // must never replay more than were written.
+    let mut written = 3;
+    let mut marks = vec![(1u64, Arc::clone(&g), store.file_bytes())];
     for round in 0..commits {
         random_mutation(&mut g, &mut rng, round);
         let r = store.commit(&g).expect("commit");
         written += r.records;
-        marks.push((r.epoch, graph_fp(&g), r.wal_end));
+        marks.push((r.epoch, Arc::clone(&g), r.wal_end));
     }
     (marks, written)
 }
@@ -133,8 +138,8 @@ fn truncation_at_every_byte_recovers_greatest_durable_commit() {
     marks[0].2 = base_commit_end(&image);
     // Offsets at which recovery truncates nothing: the commit boundaries,
     // plus the base pad's end (pad records are standalone-durable).
-    let durable: Vec<u64> = marks.iter().map(|&(_, _, end)| end).chain([page_end]).collect();
-    let fps: Vec<u64> = marks.iter().map(|&(_, fp, _)| fp).collect();
+    let durable: Vec<u64> = marks.iter().map(|(_, _, end)| *end).chain([page_end]).collect();
+    let fps: Vec<u64> = marks.iter().map(|(_, g, _)| graph_fp(g)).collect();
     for len in 0..=image.len() {
         let result = open_mangled("trunc", &image[..len]);
         match expected_at(&marks, len as u64) {
@@ -142,13 +147,15 @@ fn truncation_at_every_byte_recovers_greatest_durable_commit() {
                 result.is_err(),
                 "truncation to {len} bytes left no durable commit but open succeeded"
             ),
-            Some(&(epoch, fp, end)) => {
+            Some((epoch, graph, end)) => {
+                let (epoch, end) = (*epoch, *end);
                 let (store, report) = result
                     .unwrap_or_else(|e| panic!("open failed at truncation {len}: {e}"));
                 assert_eq!(report.epoch, epoch, "truncation to {len} bytes");
                 assert_eq!(store.epoch(), epoch, "truncation to {len} bytes");
+                assert_eq!(store.graph(), *graph, "truncation to {len} bytes recovered a wrong graph");
                 let got = graph_fp(&store.graph());
-                assert_eq!(got, fp, "truncation to {len} bytes recovered a wrong graph");
+                assert_eq!(got, graph_fp(graph), "truncation to {len} bytes: fingerprint");
                 assert!(fps.contains(&got), "fingerprint outside the committed set");
                 // `end` ignores standalone-durable pad bytes, so the
                 // dropped tail may be shorter than `len - end`.
@@ -176,7 +183,7 @@ fn bit_flip_at_every_wal_byte_recovers_a_committed_epoch() {
     let path = temp_path("flip-sweep");
     let (marks, written) = build_wal(&path, 0xB17F11B, 5);
     let image = std::fs::read(&path).expect("read image");
-    let fps: Vec<u64> = marks.iter().map(|&(_, fp, _)| fp).collect();
+    let fps: Vec<u64> = marks.iter().map(|(_, g, _)| graph_fp(g)).collect();
     let base_end = marks[0].2;
     for byte in PAGE_SIZE..image.len() {
         let mut mangled = image.clone();
@@ -197,10 +204,11 @@ fn bit_flip_at_every_wal_byte_recovers_a_committed_epoch() {
                 if byte as u64 >= base_end {
                     // Past the base group there is no padding: a flip in
                     // commit group k+1 recovers exactly epoch k.
-                    let &(epoch, fp, _) = expected_at(&marks, byte as u64)
+                    let (epoch, graph, _) = expected_at(&marks, byte as u64)
                         .expect("base group fits before byte");
-                    assert_eq!(report.epoch, epoch, "flip at byte {byte}");
-                    assert_eq!(got, fp, "flip at byte {byte}");
+                    assert_eq!(report.epoch, *epoch, "flip at byte {byte}");
+                    assert_eq!(got, graph_fp(graph), "flip at byte {byte}");
+                    assert_eq!(store.graph(), *graph, "flip at byte {byte}");
                 }
             }
         }
@@ -224,7 +232,8 @@ fn armed_crash_points_recover_to_previous_epoch() {
         |&(seed, commits, offset, mode)| {
             let path = temp_path("armed");
             let (marks, _) = build_wal(&path, seed, commits);
-            let &(last_epoch, last_fp, wal_end) = marks.last().expect("non-empty");
+            let (last_epoch, last_graph, wal_end) = marks.last().expect("non-empty");
+            let (last_epoch, wal_end) = (*last_epoch, *wal_end);
             let (store, opened) =
                 GraphStore::open_or_create(&path, &Graph::undirected())
                     .map_err(|e| format!("reopen: {e}"))?;
@@ -236,7 +245,7 @@ fn armed_crash_points_recover_to_previous_epoch() {
             };
             store.arm_crash(CrashPoint { at_byte: wal_end + offset, mode: crash_mode });
             let mut g = store.graph();
-            g.add_node("doomed");
+            Arc::make_mut(&mut g).add_node("doomed");
             let crash = store.commit(&g);
             prop_assert!(crash.is_err(), "armed commit must report the crash");
             prop_assert!(store.is_crashed());
@@ -244,11 +253,13 @@ fn armed_crash_points_recover_to_previous_epoch() {
             let (recovered, report) =
                 GraphStore::open(&path).map_err(|e| format!("recovery: {e}"))?;
             prop_assert_eq!(report.epoch, last_epoch);
-            prop_assert_eq!(graph_fp(&recovered.graph()), last_fp);
+            prop_assert_eq!(graph_fp(&recovered.graph()), graph_fp(last_graph));
+            prop_assert!(recovered.graph() == *last_graph, "recovered a different graph");
             // The store keeps working after recovery.
             let r = recovered.commit(&g).map_err(|e| format!("recommit: {e}"))?;
             prop_assert_eq!(r.epoch, last_epoch + 1);
             prop_assert_eq!(graph_fp(&recovered.graph()), graph_fp(&g));
+            prop_assert!(recovered.graph() == g, "recommitted a different graph");
             let _ = std::fs::remove_file(&path);
             Ok(())
         },
@@ -268,6 +279,7 @@ fn reopen_after_checkpoint_matches_in_memory_graph() {
             let mut g = Graph::undirected();
             g.add_node("origin");
             let store = GraphStore::create(&path, &g).map_err(|e| e.to_string())?;
+            let mut g = Arc::new(g);
             for round in 0..rounds {
                 random_mutation(&mut g, &mut rng, round);
                 store.commit(&g).map_err(|e| e.to_string())?;
@@ -281,12 +293,14 @@ fn reopen_after_checkpoint_matches_in_memory_graph() {
             prop_assert_eq!(report.epoch, epoch);
             prop_assert_eq!(report.tail_dropped, 0);
             prop_assert_eq!(graph_fp(&reopened.graph()), graph_fp(&g));
+            prop_assert!(reopened.graph() == g, "reopened a different graph");
             // Post-checkpoint stores keep committing and recovering.
             random_mutation(&mut g, &mut rng, rounds);
             reopened.commit(&g).map_err(|e| e.to_string())?;
             drop(reopened);
             let (again, _) = GraphStore::open(&path).map_err(|e| e.to_string())?;
             prop_assert_eq!(graph_fp(&again.graph()), graph_fp(&g));
+            prop_assert!(again.graph() == g, "reopened a different graph");
             let _ = std::fs::remove_file(&path);
             Ok(())
         },
