@@ -74,7 +74,7 @@ pub enum ParamKind {
     Text,
 }
 
-chatgraph_support::impl_json_enum_unit!(ParamKind { Int, Float, Text });
+chatgraph_support::impl_json_enum!(ParamKind { Int, Float, Text });
 
 /// Declared schema of one API parameter (name, kind, range, default).
 #[derive(Debug, Clone, PartialEq)]

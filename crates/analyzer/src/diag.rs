@@ -8,7 +8,6 @@
 //! and `CG2xx` for the concurrency lints; the full registry lives in
 //! [`code_info`]/[`CODES`].
 
-use chatgraph_support::json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// How bad a diagnostic is. Ordered: `Info < Warning < Error`.
@@ -22,7 +21,7 @@ pub enum Severity {
     Error,
 }
 
-chatgraph_support::impl_json_enum_unit!(Severity { Info, Warning, Error });
+chatgraph_support::impl_json_enum!(Severity { Info, Warning, Error });
 
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -67,57 +66,7 @@ impl fmt::Display for Span {
     }
 }
 
-impl ToJson for Span {
-    fn to_json(&self) -> Json {
-        // Externally tagged, like the workspace's other payload enums.
-        match self {
-            Span::None => Json::Str("None".to_owned()),
-            Span::Step { step, param } => Json::Object(vec![(
-                "Step".to_owned(),
-                Json::Object(vec![
-                    ("step".to_owned(), step.to_json()),
-                    ("param".to_owned(), param.to_json()),
-                ]),
-            )]),
-            Span::File { path, line } => Json::Object(vec![(
-                "File".to_owned(),
-                Json::Object(vec![
-                    ("path".to_owned(), path.to_json()),
-                    ("line".to_owned(), line.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for Span {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some("None") = v.as_str() {
-            return Ok(Span::None);
-        }
-        let fields = v.as_object().ok_or_else(|| JsonError::expected("Span", v))?;
-        let (tag, payload) = match fields {
-            [(tag, payload)] => (tag.as_str(), payload),
-            _ => return Err(JsonError::msg("Span must be a single-key tagged object")),
-        };
-        let get = |name: &str| {
-            payload
-                .get(name)
-                .ok_or_else(|| JsonError::missing_field("Span", name))
-        };
-        match tag {
-            "Step" => Ok(Span::Step {
-                step: FromJson::from_json(get("step")?)?,
-                param: FromJson::from_json(get("param")?)?,
-            }),
-            "File" => Ok(Span::File {
-                path: FromJson::from_json(get("path")?)?,
-                line: FromJson::from_json(get("line")?)?,
-            }),
-            other => Err(JsonError::msg(format!("unknown Span variant `{other}`"))),
-        }
-    }
-}
+chatgraph_support::impl_json_enum!(Span { None, Step { step, param }, File { path, line } });
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,5 +321,7 @@ mod tests {
             chatgraph_support::json::to_string(&d),
             r#"{"code":"CG001","severity":"Error","span":"None","message":"chain is empty","suggestion":null}"#
         );
+        let span = Span::Step { step: 2, param: Some("k".into()) };
+        assert_eq!(chatgraph_support::json::to_string(&span), r#"{"Step":{"step":2,"param":"k"}}"#);
     }
 }

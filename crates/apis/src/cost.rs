@@ -1,9 +1,12 @@
 //! The planner's statistics-driven cost model.
 //!
-//! [`CostModel`] turns a [`StatsCatalog`] — one O(n + m) pass of per-label
-//! counts and degree moments maintained per mutation epoch — into per-step
-//! work estimates, without ever touching the graph itself. The estimates
-//! drive two scheduling decisions in [`crate::plan::Plan::build_with_stats`]:
+//! [`CostModel`] turns three statistics the [`Graph`] keeps as O(1)
+//! counters — live node count, live edge count and `Σ total_degree²` — into
+//! per-step work estimates, without walking the graph. RGL-style
+//! graph-centric planning (PAPERS.md) chooses operators from statistics
+//! rather than live scans; these three are all the estimates read. The
+//! estimates drive two scheduling decisions in
+//! [`crate::plan::Plan::build_with_stats`]:
 //!
 //! * **ordering**: within a barrier-free segment, independent sub-chains are
 //!   dispatched most-expensive-first, so a long analysis never starts last
@@ -14,14 +17,15 @@
 //!
 //! Estimates are in abstract *work units* (≈ memory touches), not time:
 //! only their relative order and the parallelism threshold matter, and both
-//! are deterministic functions of the catalog, so plans stay reproducible.
+//! are deterministic functions of the graph's content, so plans stay
+//! reproducible.
 //!
 //! The model classifies APIs by name with a category fallback, so an API
 //! added to the registry without a cost entry degrades to a sane default
 //! instead of breaking planning.
 
 use crate::descriptor::{ApiCategory, ApiDescriptor};
-use chatgraph_graph::stats::StatsCatalog;
+use chatgraph_graph::Graph;
 
 /// Estimated work units below which a step's CSR kernels run sequentially:
 /// at ~1 work unit per memory touch, 2^20 touches finish in a few
@@ -35,7 +39,7 @@ pub const PAR_KERNEL_MIN_WORK: u64 = 1 << 20;
 /// friends run a fixed default iteration budget).
 const ITERATIVE_ROUNDS: u64 = 20;
 
-/// Per-step work estimation over one epoch's [`StatsCatalog`].
+/// Per-step work estimation over one graph version's statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     nodes: u64,
@@ -45,19 +49,13 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// A model over `catalog`'s epoch.
-    pub fn new(catalog: &StatsCatalog) -> CostModel {
+    /// A model over `g`'s current version, read from its O(1) counters.
+    pub fn new(g: &Graph) -> CostModel {
         CostModel {
-            nodes: catalog.nodes as u64,
-            edges: catalog.edges as u64,
-            degree_sum_sq: catalog.degree_sum_sq,
+            nodes: g.node_count() as u64,
+            edges: g.edge_count() as u64,
+            degree_sum_sq: g.degree_sum_sq(),
         }
-    }
-
-    /// A model for an empty graph (used when no catalog is available; every
-    /// estimate is the floor).
-    pub fn empty() -> CostModel {
-        CostModel { nodes: 0, edges: 0, degree_sum_sq: 0 }
     }
 
     /// One linear sweep over the graph.
@@ -100,7 +98,7 @@ impl CostModel {
         let est = named.unwrap_or(match desc.category {
             // Structure/social/molecule/knowledge analyses default to one
             // linear sweep; similarity rescans the database per entry, which
-            // the session catalog cannot see — assume a sizeable constant
+            // the graph's statistics cannot see — assume a sizeable constant
             // factor so it never looks free.
             ApiCategory::Similarity => linear.saturating_mul(64),
             ApiCategory::Report => 64,
@@ -123,8 +121,7 @@ mod tests {
     use chatgraph_graph::generators::{social_network, SocialParams};
 
     fn model(n: usize) -> CostModel {
-        let g = social_network(&SocialParams::sized(n), 5);
-        CostModel::new(&StatsCatalog::build(&g))
+        CostModel::new(&social_network(&SocialParams::sized(n), 5))
     }
 
     #[test]
@@ -154,7 +151,7 @@ mod tests {
     #[test]
     fn empty_model_estimates_are_floored() {
         let reg = registry::standard();
-        let m = CostModel::empty();
+        let m = CostModel::new(&Graph::undirected());
         for d in reg.descriptors() {
             assert!(m.estimate(d) >= 1, "{} estimated zero work", d.name);
             assert!(!m.par_kernel(d));

@@ -28,7 +28,7 @@ pub enum ApiCategory {
     Report,
 }
 
-chatgraph_support::impl_json_enum_unit!(ApiCategory {
+chatgraph_support::impl_json_enum!(ApiCategory {
     Structure,
     Social,
     Molecule,

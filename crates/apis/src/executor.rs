@@ -13,7 +13,6 @@ use crate::registry::ApiRegistry;
 use crate::value::{Value, ValueType};
 use chatgraph_graph::csr::{CsrBuild, CsrCache, CsrGraph};
 use chatgraph_graph::kernels::KernelPolicy;
-use chatgraph_graph::stats::{CatalogCache, StatsCatalog};
 use chatgraph_graph::Graph;
 use std::sync::{Arc, Mutex};
 
@@ -33,9 +32,6 @@ pub const MAX_FULL_FINDINGS: usize = 32;
 #[derive(Debug, Clone)]
 pub struct KernelState {
     cache: Arc<CsrCache>,
-    /// Statistics catalogs per mutation epoch, feeding the planner's cost
-    /// model (same `Arc`-identity epoch rule as the CSR cache).
-    catalogs: Arc<CatalogCache>,
     /// Worker/chunk policy handed to every kernel invocation.
     pub policy: KernelPolicy,
     timings: Arc<Mutex<Vec<(String, u64, usize)>>>,
@@ -57,24 +53,10 @@ impl KernelState {
     pub fn with_cache(cache: Arc<CsrCache>) -> Self {
         KernelState {
             cache,
-            catalogs: Arc::new(CatalogCache::default()),
             policy: KernelPolicy::sequential(),
             timings: Arc::new(Mutex::new(Vec::new())),
             builds: Arc::new(Mutex::new(Vec::new())),
         }
-    }
-
-    /// Replaces the statistics-catalog cache with a shared (possibly
-    /// cross-session) one — catalogs carry no tenant data, only counts.
-    pub fn with_catalogs(mut self, catalogs: Arc<CatalogCache>) -> Self {
-        self.catalogs = catalogs;
-        self
-    }
-
-    /// The statistics catalog for `g`'s mutation epoch, cached by `Arc`
-    /// identity like CSR snapshots. The scheduler prices plan steps with it.
-    pub fn catalog(&self, g: &Arc<Graph>) -> Arc<StatsCatalog> {
-        self.catalogs.get_or_build(g)
     }
 
     /// The CSR snapshot for `g`, cached per mutation epoch (`Arc` identity;

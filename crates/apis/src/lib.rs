@@ -28,8 +28,9 @@
 //!   of [`PlanStep`]s whose edges are real data dependencies (prev-output,
 //!   session graph, barriers).
 //! * [`cost`] — the statistics-driven cost model: per-step work estimates
-//!   from a per-epoch `StatsCatalog`, driving sub-chain dispatch order and
-//!   the sequential-vs-parallel kernel decision.
+//!   from the graph's O(1) node, edge and `Σ deg²` counters, driving
+//!   sub-chain dispatch order and the sequential-vs-parallel kernel
+//!   decision.
 //! * [`sched`] — the plan [`Scheduler`]: a scoped-thread worker pool over
 //!   `Arc` graph snapshots with a bounded step-memo cache, deterministic
 //!   w.r.t. the sequential executor.

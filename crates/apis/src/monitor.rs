@@ -8,7 +8,6 @@
 
 use crate::value::ValueType;
 use chatgraph_analyzer::diag::Diagnostics;
-use chatgraph_support::json::{FromJson, Json, JsonError, ToJson};
 
 /// One progress event during chain execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,277 +227,28 @@ impl ChainEvent {
 }
 
 
-impl ToJson for ChainEvent {
-    fn to_json(&self) -> Json {
-        // serde's externally tagged format: `{"Variant": {fields…}}`, with
-        // bare `"ChainFinished"` for the payload-less variant.
-        let field = |k: &str, v: Json| (k.to_owned(), v);
-        let tagged = |tag: &str, fields: Vec<(String, Json)>| {
-            Json::Object(vec![(tag.to_owned(), Json::Object(fields))])
-        };
-        match self {
-            ChainEvent::Diagnostics { diagnostics } => tagged(
-                "Diagnostics",
-                vec![field("diagnostics", diagnostics.to_json())],
-            ),
-            ChainEvent::ChainStarted { total } => {
-                tagged("ChainStarted", vec![field("total", total.to_json())])
-            }
-            ChainEvent::StepStarted { step, api } => tagged(
-                "StepStarted",
-                vec![field("step", step.to_json()), field("api", api.to_json())],
-            ),
-            ChainEvent::StepFinished { step, api, output, summary } => tagged(
-                "StepFinished",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("output", output.to_json()),
-                    field("summary", summary.to_json()),
-                ],
-            ),
-            ChainEvent::StepFailed { step, api, error } => tagged(
-                "StepFailed",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("error", error.to_json()),
-                ],
-            ),
-            ChainEvent::ConfirmationRequested { step, api } => tagged(
-                "ConfirmationRequested",
-                vec![field("step", step.to_json()), field("api", api.to_json())],
-            ),
-            ChainEvent::ChainFinished => Json::Str("ChainFinished".to_owned()),
-            ChainEvent::PlanBuilt { steps, deps, barriers, par_kernels, est_cost } => tagged(
-                "PlanBuilt",
-                vec![
-                    field("steps", steps.to_json()),
-                    field("deps", deps.to_json()),
-                    field("barriers", barriers.to_json()),
-                    field("par_kernels", par_kernels.to_json()),
-                    field("est_cost", est_cost.to_json()),
-                ],
-            ),
-            ChainEvent::StepTimed { step, api, micros, cached } => tagged(
-                "StepTimed",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("micros", micros.to_json()),
-                    field("cached", cached.to_json()),
-                ],
-            ),
-            ChainEvent::MemoLookup { step, api, hit } => tagged(
-                "MemoLookup",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("hit", hit.to_json()),
-                ],
-            ),
-            ChainEvent::StepCoalesced { step, api } => tagged(
-                "StepCoalesced",
-                vec![field("step", step.to_json()), field("api", api.to_json())],
-            ),
-            ChainEvent::CsrBuilt { nodes, edges, micros, delta } => tagged(
-                "CsrBuilt",
-                vec![
-                    field("nodes", nodes.to_json()),
-                    field("edges", edges.to_json()),
-                    field("micros", micros.to_json()),
-                    field("delta", delta.to_json()),
-                ],
-            ),
-            ChainEvent::KernelTimed { kernel, micros, workers } => tagged(
-                "KernelTimed",
-                vec![
-                    field("kernel", kernel.to_json()),
-                    field("micros", micros.to_json()),
-                    field("workers", workers.to_json()),
-                ],
-            ),
-            ChainEvent::StepRetried { step, api, attempt, backoff_ms, error } => tagged(
-                "StepRetried",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("attempt", attempt.to_json()),
-                    field("backoff_ms", backoff_ms.to_json()),
-                    field("error", error.to_json()),
-                ],
-            ),
-            ChainEvent::StepTimedOut { step, api, deadline_ms } => tagged(
-                "StepTimedOut",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("deadline_ms", deadline_ms.to_json()),
-                ],
-            ),
-            ChainEvent::StepPanicked { step, api, message } => tagged(
-                "StepPanicked",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("message", message.to_json()),
-                ],
-            ),
-            ChainEvent::DegradedResult { step, api, error } => tagged(
-                "DegradedResult",
-                vec![
-                    field("step", step.to_json()),
-                    field("api", api.to_json()),
-                    field("error", error.to_json()),
-                ],
-            ),
-            ChainEvent::WalAppended { step, epoch, records, bytes } => tagged(
-                "WalAppended",
-                vec![
-                    field("step", step.to_json()),
-                    field("epoch", epoch.to_json()),
-                    field("records", records.to_json()),
-                    field("bytes", bytes.to_json()),
-                ],
-            ),
-            ChainEvent::Checkpointed { epoch, bytes, reclaimed } => tagged(
-                "Checkpointed",
-                vec![
-                    field("epoch", epoch.to_json()),
-                    field("bytes", bytes.to_json()),
-                    field("reclaimed", reclaimed.to_json()),
-                ],
-            ),
-            ChainEvent::Recovered { epoch, records_replayed, tail_dropped } => tagged(
-                "Recovered",
-                vec![
-                    field("epoch", epoch.to_json()),
-                    field("records_replayed", records_replayed.to_json()),
-                    field("tail_dropped", tail_dropped.to_json()),
-                ],
-            ),
-        }
-    }
-}
-
-impl FromJson for ChainEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some("ChainFinished") = v.as_str() {
-            return Ok(ChainEvent::ChainFinished);
-        }
-        let fields = v
-            .as_object()
-            .ok_or_else(|| JsonError::expected("ChainEvent object", v))?;
-        let (tag, payload) = match fields {
-            [(tag, payload)] => (tag.as_str(), payload),
-            _ => return Err(JsonError::msg("ChainEvent must be a single-key tagged object")),
-        };
-        let get = |name: &str| {
-            payload
-                .get(name)
-                .ok_or_else(|| JsonError::missing_field("ChainEvent", name))
-        };
-        match tag {
-            "Diagnostics" => Ok(ChainEvent::Diagnostics {
-                diagnostics: FromJson::from_json(get("diagnostics")?)?,
-            }),
-            "ChainStarted" => Ok(ChainEvent::ChainStarted {
-                total: FromJson::from_json(get("total")?)?,
-            }),
-            "StepStarted" => Ok(ChainEvent::StepStarted {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-            }),
-            "StepFinished" => Ok(ChainEvent::StepFinished {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                output: FromJson::from_json(get("output")?)?,
-                summary: FromJson::from_json(get("summary")?)?,
-            }),
-            "StepFailed" => Ok(ChainEvent::StepFailed {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                error: FromJson::from_json(get("error")?)?,
-            }),
-            "ConfirmationRequested" => Ok(ChainEvent::ConfirmationRequested {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-            }),
-            "PlanBuilt" => Ok(ChainEvent::PlanBuilt {
-                steps: FromJson::from_json(get("steps")?)?,
-                deps: FromJson::from_json(get("deps")?)?,
-                barriers: FromJson::from_json(get("barriers")?)?,
-                par_kernels: FromJson::from_json(get("par_kernels")?)?,
-                est_cost: FromJson::from_json(get("est_cost")?)?,
-            }),
-            "StepTimed" => Ok(ChainEvent::StepTimed {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                micros: FromJson::from_json(get("micros")?)?,
-                cached: FromJson::from_json(get("cached")?)?,
-            }),
-            "MemoLookup" => Ok(ChainEvent::MemoLookup {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                hit: FromJson::from_json(get("hit")?)?,
-            }),
-            "StepCoalesced" => Ok(ChainEvent::StepCoalesced {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-            }),
-            "CsrBuilt" => Ok(ChainEvent::CsrBuilt {
-                nodes: FromJson::from_json(get("nodes")?)?,
-                edges: FromJson::from_json(get("edges")?)?,
-                micros: FromJson::from_json(get("micros")?)?,
-                delta: FromJson::from_json(get("delta")?)?,
-            }),
-            "KernelTimed" => Ok(ChainEvent::KernelTimed {
-                kernel: FromJson::from_json(get("kernel")?)?,
-                micros: FromJson::from_json(get("micros")?)?,
-                workers: FromJson::from_json(get("workers")?)?,
-            }),
-            "StepRetried" => Ok(ChainEvent::StepRetried {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                attempt: FromJson::from_json(get("attempt")?)?,
-                backoff_ms: FromJson::from_json(get("backoff_ms")?)?,
-                error: FromJson::from_json(get("error")?)?,
-            }),
-            "StepTimedOut" => Ok(ChainEvent::StepTimedOut {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                deadline_ms: FromJson::from_json(get("deadline_ms")?)?,
-            }),
-            "StepPanicked" => Ok(ChainEvent::StepPanicked {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                message: FromJson::from_json(get("message")?)?,
-            }),
-            "DegradedResult" => Ok(ChainEvent::DegradedResult {
-                step: FromJson::from_json(get("step")?)?,
-                api: FromJson::from_json(get("api")?)?,
-                error: FromJson::from_json(get("error")?)?,
-            }),
-            "WalAppended" => Ok(ChainEvent::WalAppended {
-                step: FromJson::from_json(get("step")?)?,
-                epoch: FromJson::from_json(get("epoch")?)?,
-                records: FromJson::from_json(get("records")?)?,
-                bytes: FromJson::from_json(get("bytes")?)?,
-            }),
-            "Checkpointed" => Ok(ChainEvent::Checkpointed {
-                epoch: FromJson::from_json(get("epoch")?)?,
-                bytes: FromJson::from_json(get("bytes")?)?,
-                reclaimed: FromJson::from_json(get("reclaimed")?)?,
-            }),
-            "Recovered" => Ok(ChainEvent::Recovered {
-                epoch: FromJson::from_json(get("epoch")?)?,
-                records_replayed: FromJson::from_json(get("records_replayed")?)?,
-                tail_dropped: FromJson::from_json(get("tail_dropped")?)?,
-            }),
-            other => Err(JsonError::msg(format!("unknown ChainEvent variant `{other}`"))),
-        }
-    }
-}
+chatgraph_support::impl_json_enum!(ChainEvent {
+    Diagnostics { diagnostics },
+    ChainStarted { total },
+    StepStarted { step, api },
+    StepFinished { step, api, output, summary },
+    StepFailed { step, api, error },
+    ConfirmationRequested { step, api },
+    ChainFinished,
+    PlanBuilt { steps, deps, barriers, par_kernels, est_cost },
+    StepTimed { step, api, micros, cached },
+    MemoLookup { step, api, hit },
+    StepCoalesced { step, api },
+    CsrBuilt { nodes, edges, micros, delta },
+    KernelTimed { kernel, micros, workers },
+    StepRetried { step, api, attempt, backoff_ms, error },
+    StepTimedOut { step, api, deadline_ms },
+    StepPanicked { step, api, message },
+    DegradedResult { step, api, error },
+    WalAppended { step, epoch, records, bytes },
+    Checkpointed { epoch, bytes, reclaimed },
+    Recovered { epoch, records_replayed, tail_dropped },
+});
 
 /// Receiver of chain-execution events and confirmation requests.
 pub trait Monitor {
@@ -652,6 +402,46 @@ mod tests {
         }
         assert!(ChainEvent::ChainFinished.is_core());
         assert!(ChainEvent::ChainStarted { total: 1 }.is_core());
+    }
+
+    /// Freezes the event wire format: externally tagged objects with fields
+    /// in declaration order, and a bare string for the unit variant.
+    #[test]
+    fn chain_event_json_wire_format_is_stable() {
+        use chatgraph_support::json::{from_str, to_string};
+        let golden = [
+            (ChainEvent::ChainFinished, r#""ChainFinished""#),
+            (
+                ChainEvent::StepTimed { step: 2, api: "node_count".into(), micros: 17, cached: true },
+                r#"{"StepTimed":{"step":2,"api":"node_count","micros":17,"cached":true}}"#,
+            ),
+            (
+                ChainEvent::StepFinished {
+                    step: 0,
+                    api: "triangle_count".into(),
+                    output: ValueType::Number,
+                    summary: "42".into(),
+                },
+                concat!(
+                    r#"{"StepFinished":{"step":0,"api":"triangle_count","#,
+                    r#""output":"Number","summary":"42"}}"#
+                ),
+            ),
+        ];
+        for (event, text) in golden {
+            assert_eq!(to_string(&event), text);
+            assert_eq!(from_str::<ChainEvent>(text).unwrap(), event);
+        }
+        for malformed in [
+            r#"{"ChainFinished":{}}"#,
+            r#""StepTimed""#,
+            r#"{"StepTimed":{"step":2}}"#,
+            r#"{"Unknown":{"step":2}}"#,
+            r#"{"ChainStarted":{"total":1},"ChainFinished":{}}"#,
+            "7",
+        ] {
+            assert!(from_str::<ChainEvent>(malformed).is_err(), "{malformed}");
+        }
     }
 
     #[test]

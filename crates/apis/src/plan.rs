@@ -29,7 +29,7 @@ use crate::cost::CostModel;
 use crate::descriptor::ApiCategory;
 use crate::registry::ApiRegistry;
 use crate::value::ValueType;
-use chatgraph_graph::stats::StatsCatalog;
+use chatgraph_graph::Graph;
 use chatgraph_support::json::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
 
@@ -142,20 +142,21 @@ impl Plan {
         Plan::build_with_stats(chain, registry, None)
     }
 
-    /// Lowers `chain` into a plan, pricing each step against `stats` when
-    /// given: `est_cost` carries the cost model's work estimate (the
-    /// scheduler dispatches a segment's sub-chains most-expensive-first) and
-    /// `par_kernel` records whether the step's estimated work clears
+    /// Lowers `chain` into a plan, pricing each step against `graph`'s
+    /// statistics when given (its O(1) node, edge and `Σ deg²` counters, see
+    /// [`CostModel`]): `est_cost` carries the cost model's work estimate
+    /// (the scheduler dispatches a segment's sub-chains most-expensive-first)
+    /// and `par_kernel` records whether the step's estimated work clears
     /// [`crate::cost::PAR_KERNEL_MIN_WORK`] — below it the step's CSR
     /// kernels run sequentially. The DAG itself (inputs, deps, barriers) is
     /// independent of statistics; only the two scheduling hints change.
     pub fn build_with_stats(
         chain: &ApiChain,
         registry: &ApiRegistry,
-        stats: Option<&StatsCatalog>,
+        graph: Option<&Graph>,
     ) -> Result<Plan, ChainError> {
         chain.validate(registry, true)?;
-        let model = stats.map(CostModel::new);
+        let model = graph.map(CostModel::new);
         let mut steps: Vec<PlanStep> = Vec::with_capacity(chain.len());
         let mut last_barrier: Option<usize> = None;
         let mut prev_out = ValueType::Unit;
@@ -375,6 +376,8 @@ mod tests {
     use super::*;
     use crate::chain::{ApiCall, ApiChain};
     use crate::registry;
+    use chatgraph_graph::generators::{social_network, SocialParams};
+    use chatgraph_graph::NodeId;
 
     #[test]
     fn independent_reads_have_no_mutual_deps() {
@@ -493,19 +496,10 @@ mod tests {
             assert_eq!(s.est_cost, 0, "no stats, no estimate");
             assert!(s.par_kernel, "no stats keeps kernels parallel");
         }
-        // A hand-written 10^5-node catalog: cheap steps drop to sequential
-        // kernels, the iterative kernel clears the parallelism bar.
-        let stats = StatsCatalog {
-            nodes: 100_000,
-            edges: 500_000,
-            directed: false,
-            node_labels: vec![("Person".into(), 100_000)],
-            edge_labels: vec![("friend".into(), 500_000)],
-            degree_sum: 1_000_000,
-            degree_sum_sq: 20_000_000,
-            max_degree: 500,
-        };
-        let priced = Plan::build_with_stats(&chain, &reg, Some(&stats)).unwrap();
+        // A 10^5-node graph: cheap steps drop to sequential kernels, the
+        // iterative kernel clears the parallelism bar.
+        let g = social_network(&SocialParams::sized(100_000), 7);
+        let priced = Plan::build_with_stats(&chain, &reg, Some(&g)).unwrap();
         assert!(priced.steps[0].est_cost > 0);
         assert!(!priced.steps[0].par_kernel, "one sweep stays sequential");
         assert!(priced.steps[1].par_kernel, "pagerank fans out at 10^5 nodes");
@@ -520,6 +514,59 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(strip(&bare), strip(&priced));
+    }
+
+    /// A 10^3- or 10^5-node social graph with tombstones: three nodes and
+    /// one further edge removed after generation.
+    fn pinned_graph(n: usize) -> Graph {
+        let mut g = social_network(&SocialParams::sized(n), 7);
+        for v in [3, 17, 101] {
+            g.remove_node(NodeId(v)).unwrap();
+        }
+        let e = g.edge_ids().nth(5).unwrap();
+        g.remove_edge(e).unwrap();
+        g
+    }
+
+    /// `(par_kernels, est_cost)` of two fixed chains on fixed graphs, pinned:
+    /// how the graph keeps its statistics must never move a plan.
+    #[test]
+    fn pinned_plans_price_identically() {
+        let reg = registry::standard();
+        let chains = [
+            ApiChain::from_names([
+                "top_pagerank",
+                "triangle_count",
+                "graph_diameter",
+                "generate_report",
+            ]),
+            ApiChain::from_names(["node_count", "detect_communities", "clustering_coefficient"]),
+        ];
+        let pinned = [
+            (1_000, [(1, 6_225_387), (0, 236_375)]),
+            (100_000, [(3, 59_982_843_860), (2, 23_442_268)]),
+        ];
+        for (n, expected) in pinned {
+            let g = std::sync::Arc::new(pinned_graph(n));
+            for (chain, want) in chains.iter().zip(expected) {
+                let plan = Plan::build_with_stats(chain, &reg, Some(g.as_ref())).unwrap();
+                assert_eq!((plan.par_kernel_count(), plan.total_cost()), want, "n = {n}");
+                if n > 1_000 {
+                    continue; // executing at 10^5 nodes is a bench's job
+                }
+                // The scheduler prices the plan it reports the same way.
+                let mut ctx = crate::ExecContext::new(std::sync::Arc::clone(&g));
+                let mut monitor = crate::CollectingMonitor::new();
+                crate::Scheduler::new(1).execute(&reg, chain, &mut ctx, &mut monitor).unwrap();
+                let reported = monitor.events.iter().find_map(|e| match e {
+                    crate::ChainEvent::PlanBuilt { par_kernels, est_cost, .. } => {
+                        Some((*par_kernels, *est_cost))
+                    }
+                    _ => None,
+                });
+                assert_eq!(reported, Some(want), "n = {n}");
+            }
+        }
     }
 
     #[test]

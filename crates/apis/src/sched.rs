@@ -570,12 +570,10 @@ impl Scheduler {
         if let Some(err) = diagnostics.first_error() {
             return Err(ChainError::AnalysisRejected(err.render()));
         }
-        // Price the plan against the current epoch's statistics catalog
-        // (one cached O(n + m) pass): per-step work estimates order
-        // sub-chain dispatch, and steps under the parallelism bar run their
-        // CSR kernels sequentially.
-        let catalog = ctx.kernels.catalog(&ctx.graph);
-        let plan = Plan::build_with_stats(chain, registry, Some(&catalog))?;
+        // Price the plan against the graph's O(1) statistics counters:
+        // per-step work estimates order sub-chain dispatch, and steps under
+        // the parallelism bar run their CSR kernels sequentially.
+        let plan = Plan::build_with_stats(chain, registry, Some(&ctx.graph))?;
         // Interference audit (CG016/CG017): independently re-prove that no
         // parallel segment hides a conflicting effect before running any of
         // it. Plans from `Plan::build` are clean by construction, so this

@@ -58,7 +58,7 @@ pub enum FailurePolicy {
     SkipDegraded,
 }
 
-chatgraph_support::impl_json_enum_unit!(FailurePolicy { Abort, SkipDegraded });
+chatgraph_support::impl_json_enum!(FailurePolicy { Abort, SkipDegraded });
 
 impl FailurePolicy {
     /// Parses the config/REPL spelling (`abort` / `skip_degraded`).

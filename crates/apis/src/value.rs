@@ -32,7 +32,7 @@ pub enum ValueType {
     Any,
 }
 
-chatgraph_support::impl_json_enum_unit!(ValueType {
+chatgraph_support::impl_json_enum!(ValueType {
     Graph,
     Number,
     Text,

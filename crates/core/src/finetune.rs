@@ -45,7 +45,7 @@ pub enum FinetuneMethod {
     TokenOverlap,
 }
 
-chatgraph_support::impl_json_enum_unit!(FinetuneMethod {
+chatgraph_support::impl_json_enum!(FinetuneMethod {
     Full,
     TeacherForcing,
     TokenOverlap,

@@ -25,8 +25,9 @@
 //! The session graph lives behind a copy-on-write `Arc<Graph>`. Which
 //! version it is, is answered by the graph itself:
 //! [`Graph::fingerprint`] for content-keyed caches (the step memo) and the
-//! `Arc` pointer for caches that pin their graph (CSR snapshots, statistics
-//! catalogs). Replacing the graph (a new upload in [`ChatSession::send`] or
+//! `Arc` pointer for the CSR snapshot cache, which pins its graph. The
+//! planner's statistics need no cache: they are O(1) counters on the graph.
+//! Replacing the graph (a new upload in [`ChatSession::send`] or
 //! [`ChatSession::set_graph`]) and mutating it (an edit chain in
 //! [`ChatSession::run_chain`]) both install a fresh `Arc` and evict the
 //! replaced graph's snapshot from the CSR cache — mandatory once the cache
@@ -46,7 +47,6 @@ use chatgraph_apis::{
     KernelState, Monitor, Scheduler, StepMemo, Value,
 };
 use chatgraph_graph::csr::CsrCache;
-use chatgraph_graph::stats::CatalogCache;
 use chatgraph_graph::Graph;
 use chatgraph_store::{GraphStore, RecoveryReport, StoreOpened};
 use std::path::Path;
@@ -224,9 +224,6 @@ pub struct ChatSession {
     /// default; [`ChatSession::use_shared_csr`] swaps in a server-global
     /// one.
     csr_cache: Arc<CsrCache>,
-    /// Statistics catalogs per graph version, shared with executions so
-    /// the planner's cost model prices steps from a cached O(n + m) pass.
-    catalog_cache: Arc<CatalogCache>,
     /// The graph uploaded most recently (the session graph), shared
     /// copy-on-write with executions and caches.
     graph: Option<Arc<Graph>>,
@@ -298,7 +295,6 @@ impl ChatSession {
             core,
             scheduler,
             csr_cache: Arc::new(CsrCache::default()),
-            catalog_cache: Arc::new(CatalogCache::default()),
             graph: None,
             database: Arc::new(Vec::new()),
             transcript: Vec::new(),
@@ -608,10 +604,7 @@ impl ChatSession {
         let mut ctx = ExecContext::new(Arc::clone(&before))
             .with_database(Arc::clone(&self.database))
             .with_seed(self.core.config.seed)
-            .with_kernels(
-                KernelState::with_cache(Arc::clone(&self.csr_cache))
-                    .with_catalogs(Arc::clone(&self.catalog_cache)),
-            );
+            .with_kernels(KernelState::with_cache(Arc::clone(&self.csr_cache)));
         let result = self
             .scheduler
             .execute(&self.core.registry, chain, &mut ctx, monitor);

@@ -18,7 +18,7 @@ pub enum Metric {
     Dot,
 }
 
-chatgraph_support::impl_json_enum_unit!(Metric { L2, Cosine, Dot });
+chatgraph_support::impl_json_enum!(Metric { L2, Cosine, Dot });
 
 impl Vector {
     /// A zero vector of dimension `dim`.

@@ -276,6 +276,9 @@ pub struct Graph {
     in_adj: Vec<Vec<(NodeId, EdgeId)>>,
     live_nodes: usize,
     live_edges: usize,
+    /// `Σ total_degree²` over all nodes, maintained by every edge insertion
+    /// and removal (see [`Graph::degree_sum_sq`]).
+    degree_sum_sq: u64,
     /// Wrapping sum of the per-slot hashes, maintained by every mutation
     /// (see [`Graph::fingerprint`]).
     slot_sum: u64,
@@ -285,8 +288,8 @@ pub struct Graph {
 }
 
 /// Equality is over graph *content*; the journal is lineage metadata and
-/// two equal graphs may well have disjoint histories. (`slot_sum` is a
-/// function of the slots, so it needs no comparison.)
+/// two equal graphs may well have disjoint histories. (`slot_sum` and
+/// `degree_sum_sq` are functions of the slots, so they need no comparison.)
 impl PartialEq for Graph {
     fn eq(&self, other: &Graph) -> bool {
         self.direction == other.direction
@@ -302,13 +305,16 @@ impl PartialEq for Graph {
 
 chatgraph_support::impl_json_newtype!(NodeId);
 chatgraph_support::impl_json_newtype!(EdgeId);
-chatgraph_support::impl_json_enum_unit!(Direction { Directed, Undirected });
+chatgraph_support::impl_json_enum!(Direction { Directed, Undirected });
 chatgraph_support::impl_json_struct!(NodeSlot { label, attrs, removed });
 chatgraph_support::impl_json_struct!(EdgeSlot { src, dst, label, attrs, removed });
 // Hand-written (rather than `impl_json_struct!`) so the journal and the
-// slot hash stay off the wire: the format is unchanged from before either
-// existed. A decoded graph recomputes its slot hash and starts a fresh
-// journal, so it has no proven lineage, like any graph of unknown origin.
+// counters stay off the wire: the format is unchanged from before either
+// existed. Decoding reads only the slots and rebuilds everything derived
+// from them (adjacency, live counts, counters) through `from_slots`, so a
+// document cannot make them disagree; the derived fields it carries are
+// ignored. A decoded graph starts a fresh journal, so it has no proven
+// lineage, like any graph of unknown origin.
 impl chatgraph_support::json::ToJson for Graph {
     fn to_json(&self) -> chatgraph_support::json::Json {
         use chatgraph_support::json::Json;
@@ -338,18 +344,21 @@ impl chatgraph_support::json::FromJson for Graph {
         };
         let nodes: Vec<NodeSlot> = FromJson::from_json(field("nodes")?)?;
         let edges: Vec<EdgeSlot> = FromJson::from_json(field("edges")?)?;
-        Ok(Graph {
-            direction: FromJson::from_json(field("direction")?)?,
-            name: FromJson::from_json(field("name")?)?,
-            out_adj: FromJson::from_json(field("out_adj")?)?,
-            in_adj: FromJson::from_json(field("in_adj")?)?,
-            live_nodes: FromJson::from_json(field("live_nodes")?)?,
-            live_edges: FromJson::from_json(field("live_edges")?)?,
-            slot_sum: slot_sum(&nodes, &edges),
+        let out_of_range = |v: NodeId| v.index() >= nodes.len();
+        if let Some(e) = edges.iter().find(|e| out_of_range(e.src) || out_of_range(e.dst)) {
+            return Err(JsonError::msg(format!(
+                "edge {}->{} names a node outside the {} node slots",
+                e.src.0,
+                e.dst.0,
+                nodes.len()
+            )));
+        }
+        Ok(Graph::from_slots(
+            FromJson::from_json(field("direction")?)?,
+            FromJson::from_json(field("name")?)?,
             nodes,
             edges,
-            journal: Journal::fresh(),
-        })
+        ))
     }
 }
 
@@ -365,6 +374,7 @@ impl Graph {
             in_adj: Vec::new(),
             live_nodes: 0,
             live_edges: 0,
+            degree_sum_sq: 0,
             slot_sum: 0,
             journal: Journal::fresh(),
         }
@@ -440,9 +450,15 @@ impl Graph {
             live_edges += 1;
         }
         let live_nodes = nodes.iter().filter(|n| !n.removed).count();
+        let degree_sum_sq = out_adj
+            .iter()
+            .zip(&in_adj)
+            .map(|(out, inc)| ((out.len() + inc.len()) as u64).pow(2))
+            .sum();
         Graph {
             direction,
             name,
+            degree_sum_sq,
             slot_sum: slot_sum(&nodes, &edges),
             nodes,
             edges,
@@ -496,6 +512,14 @@ impl Graph {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.live_edges
+    }
+
+    /// `Σ total_degree²` over the live nodes: the second degree moment the
+    /// planner's cost model prices pair-enumerating kernels with. O(1) — a
+    /// counter every edge insertion and removal updates in place.
+    #[inline]
+    pub fn degree_sum_sq(&self) -> u64 {
+        self.degree_sum_sq
     }
 
     /// Upper bound (exclusive) on node ids ever allocated, including removed
@@ -617,6 +641,8 @@ impl Graph {
             removed: false,
         };
         self.slot_sum = self.slot_sum.wrapping_add(slot.hash(id.index()));
+        // Each endpoint's total degree grows by one: (d + 1)² − d² = 2d + 1.
+        self.degree_sum_sq += 2 * (self.total_degree(src) + self.total_degree(dst)) as u64 + 2;
         self.edges.push(slot);
         self.out_adj[src.index()].push((dst, id));
         if self.is_directed() {
@@ -656,6 +682,8 @@ impl Graph {
         } else {
             self.out_adj[dst.index()].retain(|&(_, e)| e != id);
         }
+        // Each endpoint's total degree shrank by one to d: (d + 1)² − d² = 2d + 1.
+        self.degree_sum_sq -= 2 * (self.total_degree(src) + self.total_degree(dst)) as u64 + 2;
         self.live_edges -= 1;
         Ok(())
     }

@@ -243,6 +243,60 @@ mod tests {
         assert_eq!(from_json(expected).unwrap(), g);
     }
 
+    /// A document's adjacency lists and live counts are derived data: the
+    /// decoder rebuilds them from the slots instead of trusting them, and
+    /// refuses an edge whose endpoint names no node slot.
+    #[test]
+    fn json_decode_rebuilds_derived_fields_and_checks_endpoints() {
+        let slots = concat!(
+            r#"{"direction":"Undirected","name":"G","#,
+            r#""nodes":[{"label":"A","attrs":{},"removed":false},"#,
+            r#"{"label":"B","attrs":{},"removed":false}],"#,
+            r#""edges":[{"src":0,"dst":1,"label":"e","attrs":{},"removed":false}],"#,
+        );
+        let honest = from_json(&format!(
+            r#"{slots}"out_adj":[[[1,0]],[[0,0]]],"in_adj":[[],[]],"live_nodes":2,"live_edges":1}}"#
+        ))
+        .unwrap();
+        let (a, b) = (NodeId(0), NodeId(1));
+
+        // Adjacency naming node 7 (and edge 7) in a 2-node graph.
+        let g = from_json(&format!(
+            r#"{slots}"out_adj":[[[7,7]],[[0,0]]],"in_adj":[[],[]],"live_nodes":2,"live_edges":1}}"#
+        ))
+        .unwrap();
+        assert!(!g.has_edge(a, NodeId(7)));
+        assert!(g.has_edge(a, b));
+        assert_eq!(crate::CsrGraph::build(&g).n(), 2);
+        assert_eq!(g, honest);
+
+        // Adjacency lists shorter than the node slots.
+        let mut g = from_json(&format!(
+            r#"{slots}"out_adj":[],"in_adj":[],"live_nodes":2,"live_edges":1}}"#
+        ))
+        .unwrap();
+        assert_eq!(g, honest);
+        let c = g.add_node("C");
+        g.add_edge(a, c, "f").unwrap();
+        assert_eq!(g.degree(a), 2);
+
+        // Live counts that disagree with the slots.
+        let g = from_json(&format!(
+            r#"{slots}"out_adj":[[[1,0]],[[0,0]]],"in_adj":[[],[]],"live_nodes":40,"live_edges":9}}"#
+        ))
+        .unwrap();
+        assert_eq!((g.node_count(), g.edge_count()), (2, 1));
+
+        // An edge whose endpoint is outside the node slots.
+        let bad_edge = concat!(
+            r#"{"direction":"Undirected","name":"G","#,
+            r#""nodes":[{"label":"A","attrs":{},"removed":false}],"#,
+            r#""edges":[{"src":0,"dst":5,"label":"e","attrs":{},"removed":false}],"#,
+            r#""out_adj":[[]],"in_adj":[[]],"live_nodes":1,"live_edges":1}"#
+        );
+        assert!(from_json(bad_edge).is_err());
+    }
+
     #[test]
     fn default_edge_label_is_dash() {
         let g = parse_edge_list("edge x y").unwrap();

@@ -43,7 +43,6 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 pub mod kernels;
-pub mod stats;
 #[cfg(test)]
 mod version_tests;
 
@@ -52,7 +51,6 @@ pub use builder::GraphBuilder;
 pub use csr::{CsrCache, CsrGraph};
 pub use graph::{Direction, EdgeId, Graph, GraphError, NodeId};
 pub use kernels::{ChunkStrategy, KernelPolicy};
-pub use stats::{CatalogCache, StatsCatalog};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
@@ -61,7 +59,6 @@ pub mod prelude {
     pub use crate::builder::GraphBuilder;
     pub use crate::csr::{CsrCache, CsrGraph};
     pub use crate::kernels::{self, ChunkStrategy, KernelPolicy};
-    pub use crate::stats::{CatalogCache, StatsCatalog};
     pub use crate::generators::{
         self, BaParams, ErParams, KgParams, MoleculeParams, SocialParams,
     };

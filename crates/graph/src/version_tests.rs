@@ -99,6 +99,11 @@ fn scratch(g: &Graph) -> Graph {
     )
 }
 
+/// `Σ total_degree²` recomputed from scratch, for the graph's O(1) counter.
+fn degree_sum_sq(g: &Graph) -> u64 {
+    g.node_ids().map(|v| (g.total_degree(v) as u64).pow(2)).sum()
+}
+
 fn cases() -> Config {
     Config::default().with_cases(48)
 }
@@ -117,6 +122,7 @@ fn fingerprint_is_maintained_incrementally() {
             let rebuilt = scratch(&g);
             prop_assert!(rebuilt == g, "step {step}: slot rebuild differs from the graph");
             prop_assert_eq!(g.fingerprint(), rebuilt.fingerprint(), "step {}", step);
+            prop_assert_eq!(g.degree_sum_sq(), degree_sum_sq(&g), "step {}", step);
         }
         Ok(())
     });
@@ -141,6 +147,8 @@ fn fingerprint_survives_clone_codecs_and_delta_apply() {
         let applied = delta.apply(&base).map_err(|e| e.to_string())?;
         prop_assert!(applied == g, "delta apply differs from the edited graph");
         prop_assert_eq!(applied.fingerprint(), fp, "delta apply");
+        let counters = [&g, &from_json, &from_image, &applied].map(Graph::degree_sum_sq);
+        prop_assert_eq!(counters, [degree_sum_sq(&g); 4], "Σ deg² across clone and decoders");
         Ok(())
     });
 }

