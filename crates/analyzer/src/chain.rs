@@ -24,7 +24,7 @@
 //!    (removable without changing the result), CG012 edit/read ordering
 //!    hazard (a pre-edit graph read reported post-edit), CG013 needless
 //!    mid-chain barrier (a report sink before the end of the chain), CG015
-//!    interleaved edits thrashing the epoch-cached CSR snapshot.
+//!    interleaved edits thrashing the per-version CSR snapshot.
 
 use crate::diag::{Diagnostic, Diagnostics, Span};
 use std::collections::BTreeMap;

@@ -3,8 +3,8 @@
 //! them against declared lock orders.
 //!
 //! The workspace's locking discipline — three serving lock classes
-//! (`tenants` < `queue` < `session`), the shared `StepMemo`/`CsrCache`
-//! internals, scoped worker pools — used to live only in comments. This
+//! (`tenants` < `queue` < `session`), the shared `StepMemo` internals,
+//! scoped worker pools — used to live only in comments. This
 //! pass makes it checked:
 //!
 //! - **CG201** — the combined declared+observed acquisition graph has a

@@ -11,7 +11,7 @@ use crate::chain::{ApiChain, ChainError};
 use crate::monitor::{ChainEvent, Monitor};
 use crate::registry::ApiRegistry;
 use crate::value::{Value, ValueType};
-use chatgraph_graph::csr::{CsrBuild, CsrCache, CsrGraph};
+use chatgraph_graph::csr::{CsrBuild, CsrGraph};
 use chatgraph_graph::kernels::KernelPolicy;
 use chatgraph_graph::Graph;
 use std::sync::{Arc, Mutex};
@@ -20,50 +20,33 @@ use std::sync::{Arc, Mutex};
 /// value, so long chains don't pin every intermediate result in memory.
 pub const MAX_FULL_FINDINGS: usize = 32;
 
-/// Shared CSR-kernel state threaded through a chain execution: the epoch
-/// cache of snapshots, the chunking policy, and a log of kernel timings.
+/// Shared CSR-kernel state threaded through a chain execution: the chunking
+/// policy, and logs of kernel timings and of the snapshot builds this
+/// context caused.
 ///
-/// The cache and log are behind [`Arc`], so cloning the context for a
-/// worker-local execution (the parallel scheduler does this per step)
-/// shares one cache across every worker in the chain: a snapshot built by
-/// any step of an epoch serves all of them, and the scheduler drains build
-/// records and timings into [`ChainEvent::CsrBuilt`] /
-/// [`ChainEvent::KernelTimed`] events after each segment.
-#[derive(Debug, Clone)]
+/// Snapshots themselves live on the graph versions they describe
+/// ([`Graph::csr`]), so every step, worker and tenant reading one version
+/// shares one snapshot. The logs are behind [`Arc`], so cloning the context
+/// for a worker-local execution (the parallel scheduler does this per step)
+/// shares them across every worker in the chain; the scheduler drains them
+/// into [`ChainEvent::CsrBuilt`] / [`ChainEvent::KernelTimed`] events after
+/// each segment.
+#[derive(Debug, Clone, Default)]
 pub struct KernelState {
-    cache: Arc<CsrCache>,
     /// Worker/chunk policy handed to every kernel invocation.
     pub policy: KernelPolicy,
     timings: Arc<Mutex<Vec<(String, u64, usize)>>>,
     /// Build records for snapshots *this context* caused, even when the
-    /// cache itself is shared across sessions — monitoring events must not
-    /// leak between tenants.
+    /// graph is shared across sessions — monitoring events must not leak
+    /// between tenants.
     builds: Arc<Mutex<Vec<CsrBuild>>>,
 }
 
-impl Default for KernelState {
-    fn default() -> Self {
-        KernelState::with_cache(Arc::new(CsrCache::default()))
-    }
-}
-
 impl KernelState {
-    /// A kernel state over an existing (possibly shared, cross-session)
-    /// snapshot cache, with its own timing and build logs.
-    pub fn with_cache(cache: Arc<CsrCache>) -> Self {
-        KernelState {
-            cache,
-            policy: KernelPolicy::sequential(),
-            timings: Arc::new(Mutex::new(Vec::new())),
-            builds: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// The CSR snapshot for `g`, cached per mutation epoch (`Arc` identity;
-    /// copy-on-write mutation always allocates a new `Arc`, see
-    /// `chatgraph_graph::csr`).
-    pub fn csr(&self, g: &Arc<Graph>) -> Arc<CsrGraph> {
-        let (csr, built) = self.cache.get_or_build_tracked(g);
+    /// The CSR snapshot of `g`, built at most once per graph version (see
+    /// [`Graph::csr`]); a build this call caused is logged here.
+    pub fn csr(&self, g: &Graph) -> Arc<CsrGraph> {
+        let (csr, built) = g.csr_tracked();
         if let Some(b) = built {
             // lockdoc: recover(build log is append-only plain records; a panicked push cannot tear it)
             self.builds
@@ -96,7 +79,7 @@ impl KernelState {
     }
 
     /// Drains CSR build records this context accumulated since the last
-    /// drain (never another tenant's, even on a shared cache).
+    /// drain (never another tenant's, even on a shared graph).
     pub fn drain_builds(&self) -> Vec<CsrBuild> {
         // lockdoc: recover(draining a possibly-short log after a panic loses only metrics, not results)
         std::mem::take(&mut *self.builds.lock().unwrap_or_else(|e| e.into_inner()))
@@ -120,7 +103,7 @@ pub struct ExecContext {
     pub findings: Vec<(String, Value)>,
     /// Seed for any randomised analysis (community tie-breaking etc.).
     pub seed: u64,
-    /// Shared CSR snapshot cache, kernel policy, and timing log.
+    /// Kernel policy, and the timing and snapshot build logs.
     pub kernels: KernelState,
 }
 
@@ -148,13 +131,6 @@ impl ExecContext {
         self
     }
 
-    /// Replaces the kernel state — sessions route a shared (global) CSR
-    /// cache in here while keeping per-context timing and build logs.
-    pub fn with_kernels(mut self, kernels: KernelState) -> Self {
-        self.kernels = kernels;
-        self
-    }
-
     /// Mutable access to the session graph. Copies-on-write: if the graph
     /// is currently shared (a step input, a memo entry, a worker snapshot),
     /// the clone happens here — exactly once per mutation barrier — instead
@@ -166,17 +142,7 @@ impl ExecContext {
     /// Takes the session graph out of the context, cloning only if it is
     /// still shared elsewhere.
     pub fn into_graph(self) -> Graph {
-        let ExecContext { graph, kernels, .. } = self;
-        // The CSR cache pins graph epochs; drop it first so an un-mutated
-        // session graph can still be unwrapped without a deep clone.
-        drop(kernels);
-        Arc::try_unwrap(graph).unwrap_or_else(|shared| (*shared).clone())
-    }
-
-    /// The CSR snapshot of the current session graph, cached per mutation
-    /// epoch. Hot analysis handlers route through this.
-    pub fn csr(&self) -> Arc<CsrGraph> {
-        self.kernels.csr(&self.graph)
+        Arc::try_unwrap(self.graph).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Records one step's output, summarising past [`MAX_FULL_FINDINGS`].

@@ -20,7 +20,7 @@ use chatgraph_graph::{io, Graph};
 /// Standalone entry point: sizes the thread pool from the machine. API
 /// handlers go through [`rank_database_with`] so the worker count follows
 /// the scheduler's kernel policy and the query size comes from the
-/// epoch-cached CSR snapshot.
+/// graph version's CSR snapshot.
 pub fn rank_database(query: &Graph, database: &[Graph]) -> Vec<(usize, f64)> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())

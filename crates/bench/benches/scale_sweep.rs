@@ -74,7 +74,6 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
         .map_or(0, |&(w, _)| w);
 
     // Delta-CSR vs rebuild: one added edge, then patch vs from-scratch.
-    let old = graph.clone();
     let mut edited = graph.clone();
     let nodes: Vec<NodeId> = edited.node_ids().take(2).collect();
     edited.add_edge(nodes[0], nodes[1], "patched").ok();
@@ -83,7 +82,7 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
     });
     let delta_stats = group.bench("csr_delta_patch", || {
         black_box(
-            CsrGraph::build_delta(&old, &csr, &edited)
+            CsrGraph::build_delta(&csr, &edited)
                 .expect("a single added edge always patches")
                 .m(),
         );

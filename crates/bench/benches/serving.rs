@@ -70,7 +70,6 @@ fn build_server(core: &Arc<SessionCore>, pool_workers: usize, shared: bool) -> S
         ServeConfig {
             pool_workers,
             shared_memo: shared,
-            shared_csr: shared,
             queue_depth: 64,
             ..ServeConfig::default()
         },
@@ -173,7 +172,6 @@ fn dedup_server(core: &Arc<SessionCore>, coalesce: bool) -> SessionServer {
         ServeConfig {
             pool_workers: MAX_POOL_WORKERS,
             shared_memo: true,
-            shared_csr: true,
             queue_depth: 64,
             coalesce,
             ..ServeConfig::default()

@@ -8,6 +8,7 @@ use crate::config::ChatGraphConfig;
 use chatgraph_apis::ApiRegistry;
 use chatgraph_graph::Graph;
 use chatgraph_llm::{ApiLm, FeatureExtractor, SparseFeatures, Vocab};
+use chatgraph_support::json::JsonError;
 
 /// The graph-aware language model: extractor + scorer over the API
 /// vocabulary.
@@ -62,10 +63,21 @@ impl GraphAwareLm {
         chatgraph_support::json::to_string(&(self.extractor.clone(), self.model.clone()))
     }
 
-    /// Restores a model saved by [`GraphAwareLm::save_json`].
-    pub fn load_json(text: &str) -> Result<Self, chatgraph_support::json::JsonError> {
+    /// Restores a model saved by [`GraphAwareLm::save_json`], refusing one
+    /// whose shape would make the first prediction index out of range or
+    /// divide by zero: a zero dimension, an extractor dimension other than
+    /// the model's, or a weight count other than tokens × dimension.
+    pub fn load_json(text: &str) -> Result<Self, JsonError> {
         let (extractor, mut model): (FeatureExtractor, ApiLm) =
             chatgraph_support::json::from_str(text)?;
+        model.check_shape().map_err(JsonError::msg)?;
+        let dim = extractor.config().dim;
+        if dim != model.dim() {
+            return Err(JsonError::msg(format!(
+                "extractor dim {dim} differs from model dim {}",
+                model.dim()
+            )));
+        }
         model.reindex_vocab();
         Ok(GraphAwareLm { extractor, model })
     }
@@ -128,5 +140,29 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         assert!(GraphAwareLm::load_json("not json").is_err());
+    }
+
+    /// Models that parse but would panic on the first `send`: too few
+    /// weights (an index out of range in `ApiLm::logit`), a zero extractor
+    /// dimension (a division by zero in feature hashing), and an extractor
+    /// hashing into more features than the model has columns.
+    #[test]
+    fn load_rejects_models_of_the_wrong_shape() {
+        let reg = registry::standard();
+        let saved = GraphAwareLm::new(&reg, &ChatGraphConfig::default()).save_json();
+        assert!(GraphAwareLm::load_json(&saved).is_ok());
+        let dim = format!("\"dim\":{}", ChatGraphConfig::default().features.dim);
+        let weights = saved.find("\"weights\":[").expect("weights are saved");
+        let end = weights + saved[weights..].find(']').expect("weights end");
+        let bad = [
+            format!("{}\"weights\":[0.5{}", &saved[..weights], &saved[end..]),
+            saved.replacen(&dim, "\"dim\":0", 1),
+            saved.replacen(&dim, "\"dim\":8192", 1),
+        ];
+        for (i, text) in bad.iter().enumerate() {
+            assert!(text != &saved, "case {i} edits the saved text");
+            let loaded = GraphAwareLm::load_json(text);
+            assert!(loaded.is_err(), "case {i} was accepted");
+        }
     }
 }

@@ -1,24 +1,24 @@
 //! Multi-tenant session server: hundreds of concurrent [`ChatSession`]s
-//! over one shared [`SessionCore`], one shared worker pool, and shared
-//! cross-session caches (DESIGN.md §12).
+//! over one shared [`SessionCore`], one shared worker pool, and a shared
+//! cross-session step memo (DESIGN.md §12).
 //!
 //! ## Tenancy model
 //!
 //! One [`SessionServer`] owns one finetuned core. Each tenant holds a
 //! [`TenantId`] naming a private [`ChatSession`] (graph, transcript,
-//! scheduler) behind its own mutex. Three things are shared:
+//! scheduler) behind its own mutex. Two things are shared:
 //!
 //! * the **core** — config, registry, retriever, finetuned model; all
 //!   read-only after bootstrap;
 //! * the **step memo** — one [`StepMemo`] serving every tenant's pure-step
 //!   memoization. Sound across tenants because keys fingerprint the api,
 //!   parameters, seed, graph content and inputs; a hit from another
-//!   tenant's identical sub-chain is indistinguishable from one's own;
-//! * the **CSR cache** — one [`CsrCache`] of immutable graph snapshots,
-//!   keyed by `Arc` pointer identity (exact, because each entry pins its
-//!   graph). Graph replacement and mutation both install a fresh `Arc` and
-//!   evict the replaced graph's snapshot, so a stale snapshot can never be
-//!   served.
+//!   tenant's identical sub-chain is indistinguishable from one's own.
+//!
+//! CSR snapshots need no server-side sharing: each graph version carries
+//! its own ([`chatgraph_graph::Graph::csr`]), so tenants reading one shared
+//! version — a memoized graph value — read one snapshot, and a replaced
+//! version's snapshot is freed with it.
 //!
 //! ## Fairness and the pool
 //!
@@ -51,7 +51,6 @@ use crate::session::{ChatResponse, ChatSession, SessionCore, SessionError};
 use chatgraph_apis::{
     ApiChain, ChainError, ChainEvent, CollectingMonitor, MemoStats, StepMemo, Value,
 };
-use chatgraph_graph::csr::CsrCache;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -131,10 +130,6 @@ pub struct ServeConfig {
     pub shared_memo: bool,
     /// Capacity of the shared step memo (entries).
     pub memo_capacity: usize,
-    /// Route every tenant's CSR snapshots through one shared cache.
-    pub shared_csr: bool,
-    /// Capacity of the shared CSR cache (snapshots).
-    pub csr_capacity: usize,
     /// Requests a drain worker takes from one tenant's queue per claim
     /// (one queue-lock and one session-lock acquisition per batch). Also
     /// the fairness bound: a worker serves at most this many requests from
@@ -159,8 +154,6 @@ impl Default for ServeConfig {
             pool_workers: 4,
             shared_memo: true,
             memo_capacity: 1024,
-            shared_csr: true,
-            csr_capacity: 64,
             claim_batch: 8,
             coalesce: true,
             store_dir: String::new(),
@@ -183,9 +176,6 @@ impl ServeConfig {
         }
         if self.shared_memo && self.memo_capacity == 0 {
             problems.push("serve.memo_capacity must be >= 1 when shared_memo is on".to_owned());
-        }
-        if self.shared_csr && self.csr_capacity == 0 {
-            problems.push("serve.csr_capacity must be >= 1 when shared_csr is on".to_owned());
         }
         if self.claim_batch == 0 {
             problems.push("serve.claim_batch must be >= 1".to_owned());
@@ -276,7 +266,6 @@ pub struct SessionServer {
     core: Arc<SessionCore>,
     serve: ServeConfig,
     memo: Arc<StepMemo>,
-    csr: Arc<CsrCache>,
     tenants: Mutex<BTreeMap<u64, Arc<TenantSlot>>>,
     next_tenant: AtomicU64,
 }
@@ -307,12 +296,10 @@ impl SessionServer {
         serve.validate().map_err(ServeError::InvalidServeConfig)?;
         let memo = StepMemo::new(serve.memo_capacity);
         let memo = Arc::new(if serve.coalesce { memo } else { memo.without_coalescing() });
-        let csr = Arc::new(CsrCache::new(serve.csr_capacity));
         Ok(SessionServer {
             core,
             serve,
             memo,
-            csr,
             tenants: Mutex::new(BTreeMap::new()),
             next_tenant: AtomicU64::new(0),
         })
@@ -332,11 +319,6 @@ impl SessionServer {
     /// `shared_memo` is off — each session then counts privately).
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
-    }
-
-    /// Number of snapshots in the shared CSR cache.
-    pub fn csr_len(&self) -> usize {
-        self.csr.len()
     }
 
     /// Whether the shared memo coalesces concurrent identical pure steps.
@@ -378,9 +360,6 @@ impl SessionServer {
         let mut session = ChatSession::from_core(Arc::clone(&self.core));
         if self.serve.shared_memo {
             session.use_shared_memo(Arc::clone(&self.memo));
-        }
-        if self.serve.shared_csr {
-            session.use_shared_csr(Arc::clone(&self.csr));
         }
         let id = self.next_tenant.fetch_add(1, Ordering::Relaxed);
         if !self.serve.store_dir.is_empty() {

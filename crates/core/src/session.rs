@@ -23,16 +23,15 @@
 //! ## Graph versions
 //!
 //! The session graph lives behind a copy-on-write `Arc<Graph>`. Which
-//! version it is, is answered by the graph itself:
-//! [`Graph::fingerprint`] for content-keyed caches (the step memo) and the
-//! `Arc` pointer for the CSR snapshot cache, which pins its graph. The
-//! planner's statistics need no cache: they are O(1) counters on the graph.
-//! Replacing the graph (a new upload in [`ChatSession::send`] or
-//! [`ChatSession::set_graph`]) and mutating it (an edit chain in
-//! [`ChatSession::run_chain`]) both install a fresh `Arc` and evict the
-//! replaced graph's snapshot from the CSR cache — mandatory once the cache
-//! is shared across sessions, where an unevicted entry would pin another
-//! tenant's memory.
+//! version it is, is answered by the graph itself: [`Graph::fingerprint`]
+//! keys content-keyed caches (the step memo), and the per-version state
+//! hangs off the version — the planner's statistics are O(1) counters and
+//! the CSR snapshot is built once per version by [`Graph::csr`]. Replacing
+//! the graph (a new upload in [`ChatSession::send`] or
+//! [`ChatSession::set_graph`]) or mutating it (an edit chain in
+//! [`ChatSession::run_chain`]) installs another version, which carries its
+//! own snapshot; the replaced version's snapshot is freed with it, so the
+//! session has nothing to evict.
 
 use crate::config::ChatGraphConfig;
 use crate::dataset::{generate_corpus, CorpusParams};
@@ -44,9 +43,8 @@ use crate::retrieval::ApiRetriever;
 use chatgraph_analyzer::diag::Diagnostics;
 use chatgraph_apis::{
     registry, ApiChain, ApiRegistry, ChainError, ChainEvent, CommitAck, CommitSink, ExecContext,
-    KernelState, Monitor, Scheduler, StepMemo, Value,
+    Monitor, Scheduler, StepMemo, Value,
 };
-use chatgraph_graph::csr::CsrCache;
 use chatgraph_graph::Graph;
 use chatgraph_store::{GraphStore, RecoveryReport, StoreOpened};
 use std::path::Path;
@@ -220,10 +218,6 @@ impl SessionCore {
 pub struct ChatSession {
     core: Arc<SessionCore>,
     scheduler: Scheduler,
-    /// CSR snapshot cache used by this session's executions. Private by
-    /// default; [`ChatSession::use_shared_csr`] swaps in a server-global
-    /// one.
-    csr_cache: Arc<CsrCache>,
     /// The graph uploaded most recently (the session graph), shared
     /// copy-on-write with executions and caches.
     graph: Option<Arc<Graph>>,
@@ -280,7 +274,7 @@ impl ChatSession {
             .ok_or_else(|| SessionError::Store("store holds no saved model".to_owned()))?;
         let core = SessionCore::from_saved_model(config, &model)?;
         let mut session = ChatSession::from_core(core);
-        session.install_graph(store.graph());
+        session.graph = Some(store.graph());
         session.pending_recovery = Some(report);
         session.attach_store(Arc::new(store));
         Ok((session, report))
@@ -294,7 +288,6 @@ impl ChatSession {
         ChatSession {
             core,
             scheduler,
-            csr_cache: Arc::new(CsrCache::default()),
             graph: None,
             database: Arc::new(Vec::new()),
             transcript: Vec::new(),
@@ -349,7 +342,7 @@ impl ChatSession {
     /// commit failure marks the store dead and surfaces as
     /// [`ChainError::CommitFailed`] on the next mutating chain).
     pub fn set_graph(&mut self, graph: Graph) {
-        self.install_graph(Arc::new(graph));
+        self.graph = Some(Arc::new(graph));
         if let (Some(store), Some(g)) = (&self.store, &self.graph) {
             let _ = store.commit(g);
         }
@@ -366,7 +359,7 @@ impl ChatSession {
         let (store, opened) =
             GraphStore::open_or_create(path, init).map_err(|e| SessionError::Store(e.to_string()))?;
         if let StoreOpened::Recovered(report) = opened {
-            self.install_graph(store.graph());
+            self.graph = Some(store.graph());
             self.pending_recovery = Some(report);
         }
         self.attach_store(Arc::new(store));
@@ -425,19 +418,7 @@ impl ChatSession {
     /// shared elsewhere).
     pub fn take_graph(&mut self) -> Option<Graph> {
         let old = self.graph.take()?;
-        self.csr_cache.invalidate(&old);
         Some(Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone()))
-    }
-
-    /// Installs `graph` as the session graph, evicting the replaced
-    /// graph's snapshot from the (possibly shared) CSR cache. Callers pass
-    /// a fresh `Arc`, so pointer-keyed caches can never serve kernels off
-    /// the replaced graph.
-    fn install_graph(&mut self, graph: Arc<Graph>) {
-        if let Some(old) = self.graph.take() {
-            self.csr_cache.invalidate(&old);
-        }
-        self.graph = Some(graph);
     }
 
     /// Attaches a molecule database for similarity search.
@@ -450,15 +431,6 @@ impl ChatSession {
     /// params, seed, graph and inputs, and only `Ok` results are stored.
     pub fn use_shared_memo(&mut self, memo: Arc<StepMemo>) {
         self.scheduler.set_shared_memo(memo);
-    }
-
-    /// Routes this session's CSR snapshots through a shared
-    /// (server-global) cache. Entries are keyed by `Arc` pointer identity,
-    /// and every replacement/mutation allocates a fresh `Arc` and evicts
-    /// the replaced graph's entry, so tenants cannot observe each other's
-    /// snapshots as their own.
-    pub fn use_shared_csr(&mut self, cache: Arc<CsrCache>) {
-        self.csr_cache = cache;
     }
 
     /// Arms (or clears) deterministic fault injection on the chain
@@ -521,9 +493,7 @@ impl ChatSession {
     pub fn send(&mut self, prompt: Prompt) -> ChatResponse {
         self.transcript.push(Turn::User(prompt.text.clone()));
         if let Some(g) = prompt.graph {
-            // A new upload is a new graph: fresh `Arc`, dead snapshot
-            // evicted — pointer-keyed caches must not keep serving the
-            // replaced graph.
+            // A new upload is a new graph version, with its own snapshot.
             self.set_graph(g);
         }
         let graph_type = self
@@ -597,27 +567,19 @@ impl ChatSession {
                 tail_dropped: r.tail_dropped,
             });
         }
-        let before = match &self.graph {
+        let graph = match &self.graph {
             Some(g) => Arc::clone(g),
             None => Arc::new(Graph::undirected()),
         };
-        let mut ctx = ExecContext::new(Arc::clone(&before))
+        let mut ctx = ExecContext::new(graph)
             .with_database(Arc::clone(&self.database))
-            .with_seed(self.core.config.seed)
-            .with_kernels(KernelState::with_cache(Arc::clone(&self.csr_cache)));
+            .with_seed(self.core.config.seed);
         let result = self
             .scheduler
             .execute(&self.core.registry, chain, &mut ctx, monitor);
         // Persist mutations (scenario 3 cleans the session graph in place),
         // even when the chain failed part-way: completed edits happened.
-        // Copy-on-write means a mutated graph is a new `Arc`.
-        let after = Arc::clone(&ctx.graph);
-        drop(ctx);
-        if Arc::ptr_eq(&before, &after) {
-            self.graph = Some(after);
-        } else {
-            self.install_graph(after);
-        }
+        self.graph = Some(ctx.graph);
         if let Ok(value) = &result {
             self.transcript
                 .push(Turn::System(format!("Executed {chain}: {}", value.summary())));
@@ -812,8 +774,8 @@ mod tests {
             ));
             let first = Arc::clone(s.graph_arc().unwrap());
             // Re-uploading (even an identical graph) is a replacement too:
-            // a new `Arc` for the pointer-keyed caches, while the content
-            // fingerprint the memo keys on stays the same.
+            // a new `Arc`, while the content fingerprint the memo keys on
+            // stays the same.
             s.send(Prompt::with_graph(
                 "how big is G?",
                 social_network(&SocialParams::default(), 3),

@@ -48,14 +48,10 @@ pub fn find_embeddings(pattern: &Graph, target: &Graph, opts: &IsoOptions) -> Ve
         &mut used,
         &mut results,
     );
+    // Every recorded mapping is complete: it was pushed at full depth.
     results
         .into_iter()
-        .map(|m: Vec<Option<NodeId>>| {
-            p_nodes
-                .iter()
-                .map(|p| m[p.index()].expect("complete mapping"))
-                .collect()
-        })
+        .filter_map(|m: Vec<Option<NodeId>>| p_nodes.iter().map(|p| m[p.index()]).collect())
         .collect()
 }
 
@@ -72,19 +68,18 @@ fn connected_order(pattern: &Graph, nodes: &[NodeId]) -> Vec<NodeId> {
     // Start from the highest-degree node for maximal early pruning.
     let mut remaining: Vec<NodeId> = nodes.to_vec();
     remaining.sort_by_key(|&v| std::cmp::Reverse(pattern.total_degree(v)));
-    while order.len() < nodes.len() {
-        // Prefer an unplaced node adjacent to the placed set.
-        let next = remaining
-            .iter()
-            .copied()
-            .find(|&v| {
-                !placed[v.index()]
-                    && pattern
-                        .undirected_neighbors(v)
-                        .any(|(w, _)| placed[w.index()])
-            })
-            .or_else(|| remaining.iter().copied().find(|&v| !placed[v.index()]))
-            .expect("some node remains");
+    // Prefer an unplaced node adjacent to the placed set.
+    while let Some(next) = remaining
+        .iter()
+        .copied()
+        .find(|&v| {
+            !placed[v.index()]
+                && pattern
+                    .undirected_neighbors(v)
+                    .any(|(w, _)| placed[w.index()])
+        })
+        .or_else(|| remaining.iter().copied().find(|&v| !placed[v.index()]))
+    {
         placed[next.index()] = true;
         order.push(next);
     }
@@ -110,9 +105,12 @@ fn backtrack(
         return;
     }
     let p = order[depth];
-    let p_label = pattern.node_label(p).expect("live pattern node");
+    // `order` holds live pattern nodes only.
+    let Ok(p_label) = pattern.node_label(p) else {
+        return;
+    };
     'candidates: for t in target.node_ids() {
-        if used[t.index()] || target.node_label(t).expect("live node") != p_label {
+        if used[t.index()] || target.node_label(t) != Ok(p_label) {
             continue;
         }
         if target.total_degree(t) < pattern.total_degree(p) {
@@ -128,8 +126,7 @@ fn backtrack(
                 match te {
                     None => continue 'candidates,
                     Some(te) if opts.match_edge_labels
-                        && target.edge_label(te).expect("live edge")
-                            != pattern.edge_label(pe).expect("live edge")
+                        && target.edge_label(te) != pattern.edge_label(pe)
                         => {
                             continue 'candidates;
                         }

@@ -8,17 +8,26 @@
 use crate::graph::{Graph, NodeId};
 use std::collections::HashSet;
 
-/// All triangles as sorted node triples, each reported once.
-pub fn enumerate_triangles(g: &Graph) -> Vec<[NodeId; 3]> {
+/// The endpoints of every live edge, in edge-id order.
+fn live_endpoints(g: &Graph) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    g.edge_ids().filter_map(|e| g.edge_endpoints(e).ok())
+}
+
+/// Undirected neighbour sets, indexed by node slot.
+fn neighbour_sets(g: &Graph) -> Vec<HashSet<NodeId>> {
     let mut sets: Vec<HashSet<NodeId>> = vec![HashSet::new(); g.node_bound()];
-    for e in g.edge_ids() {
-        let (a, b) = g.edge_endpoints(e).expect("live edge");
+    for (a, b) in live_endpoints(g) {
         sets[a.index()].insert(b);
         sets[b.index()].insert(a);
     }
+    sets
+}
+
+/// All triangles as sorted node triples, each reported once.
+pub fn enumerate_triangles(g: &Graph) -> Vec<[NodeId; 3]> {
+    let sets = neighbour_sets(g);
     let mut out = Vec::new();
-    for e in g.edge_ids() {
-        let (a, b) = g.edge_endpoints(e).expect("live edge");
+    for (a, b) in live_endpoints(g) {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         for &w in sets[lo.index()].intersection(&sets[hi.index()]) {
             if w > hi {
@@ -35,12 +44,7 @@ pub fn enumerate_triangles(g: &Graph) -> Vec<[NodeId; 3]> {
 /// A wedge is an open triple (path of length 2 whose endpoints are not
 /// adjacent).
 pub fn triad_census(g: &Graph) -> (usize, usize) {
-    let mut sets: Vec<HashSet<NodeId>> = vec![HashSet::new(); g.node_bound()];
-    for e in g.edge_ids() {
-        let (a, b) = g.edge_endpoints(e).expect("live edge");
-        sets[a.index()].insert(b);
-        sets[b.index()].insert(a);
-    }
+    let sets = neighbour_sets(g);
     let triangles = enumerate_triangles(g).len();
     let paths: usize = g
         .node_ids()
@@ -58,12 +62,7 @@ pub fn triad_census(g: &Graph) -> (usize, usize) {
 /// Cliques smaller than `min_size` are not reported. This is the motif set the
 /// sequentialiser contracts into super-nodes.
 pub fn greedy_clique_cover(g: &Graph, min_size: usize) -> Vec<Vec<NodeId>> {
-    let mut sets: Vec<HashSet<NodeId>> = vec![HashSet::new(); g.node_bound()];
-    for e in g.edge_ids() {
-        let (a, b) = g.edge_endpoints(e).expect("live edge");
-        sets[a.index()].insert(b);
-        sets[b.index()].insert(a);
-    }
+    let sets = neighbour_sets(g);
     let mut order: Vec<NodeId> = g.node_ids().collect();
     order.sort_by_key(|&v| std::cmp::Reverse(sets[v.index()].len()));
     let mut assigned = vec![false; g.node_bound()];

@@ -29,20 +29,20 @@
 //! falls back to a full rebuild, which resets the slabs. Structural changes
 //! the dense remap cannot absorb (node removal) always decline.
 //!
-//! A snapshot is built once per *mutation epoch* and cached in
-//! [`CsrCache`]. The executor holds graphs behind copy-on-write
-//! `Arc<Graph>`: any mutation goes through `Arc::make_mut`, which clones the
-//! graph into a fresh allocation whenever a snapshot (or the cache) still
-//! holds a reference. Keying the cache by `Arc` pointer identity while
-//! retaining the `Arc` therefore *is* the epoch rule — a hit proves the
-//! bytes are unchanged since the snapshot was built, equivalently to the
-//! scheduler's per-epoch graph fingerprint (DESIGN.md §10). On a miss the
-//! cache first tries `build_delta` against each resident entry (the cache
-//! retains each entry's `Arc<Graph>`, so the pre-edit graph is still
-//! readable), and only then pays for a full rebuild.
+//! # One snapshot per graph version
+//!
+//! Each [`Graph`] carries its own snapshot: [`Graph::csr`] builds it on
+//! first use, at most once per version, and every later call (from any
+//! thread, any session, any clone of that version) returns the same `Arc`.
+//! A structural edit (a slot appended or tombstoned) moves the built
+//! snapshot into the graph's delta base, so the next `csr()` splices from
+//! it with [`CsrGraph::build_delta`] or rebuilds; label and attribute
+//! edits keep it, because the CSR holds no labels. The snapshot therefore
+//! lives and dies with the graph version it describes: there is no cache
+//! to key, evict or size.
 
 use crate::graph::{EdgeId, Graph, NodeId, Touched};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Dense id of a live node inside a [`CsrGraph`].
@@ -211,6 +211,10 @@ pub struct CsrGraph {
     /// For undirected graphs this aliases the out-CSR (no copy is kept).
     undv: Adjacency,
     live_edges: usize,
+    /// Journal tip of the graph version this snapshot was built from:
+    /// [`CsrGraph::build_delta`] splices from it when a descendant's
+    /// journal still holds it. Lineage metadata — excluded from equality.
+    tip: u64,
     /// True when this snapshot was produced by [`CsrGraph::build_delta`]
     /// (some rows live in a patch slab). Representation detail — excluded
     /// from equality.
@@ -334,18 +338,19 @@ impl CsrGraph {
             inn,
             undv,
             live_edges: g.edge_count(),
+            tip: g.journal().tip(),
             patched: false,
         }
     }
 
     /// Builds a snapshot of `new` by re-splicing only the rows that changed
-    /// relative to `base` (the cached snapshot of `old`). Untouched rows
+    /// since `base` was built from one of its ancestors. Untouched rows
     /// keep sharing `base`'s `Arc`'d slabs, so the cost is O(touched + n)
     /// bookkeeping instead of the full O(n + m) repack with per-row sorts.
     ///
     /// Returns `None` — meaning "do a full rebuild instead" — when the edit
     /// cannot be expressed as a row splice or is not worth one:
-    /// * `new` is not a journaled descendant of `old` (directedness
+    /// * `new` is not a journaled descendant of `base`'s graph (directedness
     ///   differs, a slot bound shrank, unrelated graphs, or more edits
     ///   than the journal retains);
     /// * a node was removed (the dense remap would shift every row's
@@ -353,32 +358,27 @@ impl CsrGraph {
     /// * the touched row set exceeds `n/8`, or the consolidated patch would
     ///   exceed half the base slab (delta no longer cheaper than rebuild).
     ///
-    /// The caller guarantees `base == CsrGraph::build(old)` logically; the
-    /// cache satisfies this by construction since it retains each entry's
-    /// `Arc<Graph>`.
-    ///
-    /// The touched-row set comes straight from the graphs' edit journals in
-    /// O(edits): when `old`'s journal tip is found in `new`'s journal, the
-    /// entries after it are — provably, since journal stamps are globally
-    /// unique and cloning preserves the journal — every slot that differs
-    /// between the two graphs. When lineage cannot be established that way
-    /// (unrelated or deserialised graphs, edits beyond the journal window)
-    /// there is no delta.
-    pub fn build_delta(old: &Graph, base: &CsrGraph, new: &Graph) -> Option<CsrGraph> {
-        if old.is_directed() != new.is_directed()
-            || new.node_bound() < old.node_bound()
-            || new.edge_bound() < old.edge_bound()
-            || base.node_bound != old.node_bound()
+    /// Everything known about the ancestor comes from `base` itself: its
+    /// journal tip, its slot bounds, node liveness (the dense map) and edge
+    /// liveness (the sorted out-rows). The touched-row set comes straight
+    /// from `new`'s edit journal in O(edits): when `base`'s tip is found in
+    /// it, the entries after it are — provably, since journal stamps are
+    /// globally unique and cloning preserves the journal — every slot that
+    /// can differ between the two versions.
+    pub fn build_delta(base: &CsrGraph, new: &Graph) -> Option<CsrGraph> {
+        if base.directed != new.is_directed()
+            || new.node_bound() < base.node_bound
+            || new.edge_bound() < base.edge_bound
         {
             return None;
         }
-        let touched = new.journal().touched_since(old.journal().tip())?;
+        let touched = new.journal().touched_since(base.tip)?;
         // Appended node slots extend the dense remap in slot order; every
         // one of them is journaled, so this walk is O(edits).
         let mut node_of = base.node_of.clone();
         let mut dense_of = base.dense_of.clone();
         let mut rows: Vec<u32> = Vec::new();
-        for i in old.node_bound()..new.node_bound() {
+        for i in base.node_bound..new.node_bound() {
             let v = NodeId(i as u32);
             if new.contains_node(v) {
                 dense_of.push(node_of.len() as u32);
@@ -393,15 +393,15 @@ impl CsrGraph {
                 // A removal shifts the dense remap of every later node.
                 // Label and attribute edits don't reach the CSR.
                 Touched::Node(v) => {
-                    if old.contains_node(v) && !new.contains_node(v) {
+                    if base.dense_of(v).is_some() && !new.contains_node(v) {
                         return None;
                     }
                 }
                 // An edge whose liveness changed touches its endpoint rows
                 // (endpoints never change, so the new slot names them).
                 Touched::Edge(e) => {
-                    if old.contains_edge(e) != new.contains_edge(e) {
-                        let slot = &new.edge_slots()[e.index()];
+                    let slot = &new.edge_slots()[e.index()];
+                    if base.holds_edge(e, slot.src, slot.dst) != new.contains_edge(e) {
                         let (ds, dd) = (dense_of[slot.src.index()], dense_of[slot.dst.index()]);
                         if ds == NO_DENSE || dd == NO_DENSE {
                             return None;
@@ -413,6 +413,22 @@ impl CsrGraph {
             }
         }
         Self::splice_delta(base, new, node_of, dense_of, rows)
+    }
+
+    /// Whether edge `e`, running `src → dst`, is live in this snapshot: its
+    /// id sits in `src`'s out-row among the entries targeting `dst` (rows
+    /// are sorted by target).
+    fn holds_edge(&self, e: EdgeId, src: NodeId, dst: NodeId) -> bool {
+        let (Some(s), Some(t)) = (self.dense_of(src), self.dense_of(dst)) else {
+            return false;
+        };
+        let row = self.out(s);
+        let from = row.partition_point(|&x| x < t);
+        row[from..]
+            .iter()
+            .take_while(|&&x| x == t)
+            .zip(&self.out_edge_ids(s)[from..])
+            .any(|(_, &id)| id == e)
     }
 
     /// Common delta tail: given the new dense remap and the touched-row
@@ -469,6 +485,7 @@ impl CsrGraph {
             inn,
             undv,
             live_edges: new.edge_count(),
+            tip: new.journal().tip(),
             patched: true,
         })
     }
@@ -608,160 +625,51 @@ pub struct CsrBuild {
     pub edges: usize,
     /// Wall-clock build time in microseconds.
     pub micros: u64,
-    /// True when the snapshot was spliced from a cached predecessor
-    /// ([`CsrGraph::build_delta`]) instead of fully rebuilt.
+    /// True when the snapshot was spliced from an ancestor version's
+    /// snapshot ([`CsrGraph::build_delta`]) instead of fully rebuilt.
     pub delta: bool,
 }
 
-struct CacheEntry {
-    graph: Arc<Graph>,
-    csr: Arc<CsrGraph>,
-}
-
-struct CacheInner {
-    entries: Vec<CacheEntry>,
-    capacity: usize,
-    builds: Vec<CsrBuild>,
-    hits: u64,
-    misses: u64,
-}
-
-/// An epoch cache of CSR snapshots, keyed by `Arc<Graph>` identity.
+/// A graph version's CSR snapshot slot: the snapshot of this version once
+/// built, and the nearest ancestor's snapshot to splice it from.
 ///
-/// Entries retain their `Arc<Graph>`, so a pointer match guarantees the
-/// graph content is unchanged (copy-on-write mutation allocates a new
-/// `Arc`); see the module docs for why this is the epoch-invalidation rule.
-/// The cache is small and most-recently-used-first: one entry per graph
-/// epoch alive in a chain, plus headroom for database graphs. A miss first
-/// tries [`CsrGraph::build_delta`] against each resident entry (most
-/// recent first) — the common "small edit, new epoch" case then costs a
-/// row splice instead of a full rebuild, transparently to every holder of
-/// the cache, including the cross-session shared cache.
-pub struct CsrCache {
-    inner: Mutex<CacheInner>,
+/// Cloning a graph clones the slot, so an unedited clone shares the built
+/// snapshot. [`Snapshot::retire`] runs on every structural edit.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Snapshot {
+    built: OnceLock<Arc<CsrGraph>>,
+    base: Option<Arc<CsrGraph>>,
 }
 
-impl Default for CsrCache {
-    fn default() -> Self {
-        CsrCache::new(4)
-    }
-}
-
-impl CsrCache {
-    /// Creates a cache holding up to `capacity` snapshots (minimum 1).
-    pub fn new(capacity: usize) -> CsrCache {
-        CsrCache {
-            inner: Mutex::new(CacheInner {
-                entries: Vec::new(),
-                capacity: capacity.max(1),
-                builds: Vec::new(),
-                hits: 0,
-                misses: 0,
-            }),
-        }
-    }
-
-    /// Returns the snapshot for `g`, building (and recording) it on a miss.
-    pub fn get_or_build(&self, g: &Arc<Graph>) -> Arc<CsrGraph> {
-        let (csr, built) = self.get_or_build_tracked(g);
-        if let Some(b) = built {
-            // lockdoc: recover(cache holders never leave entries half-written; see get_or_build_tracked)
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.builds.push(b);
-        }
-        csr
-    }
-
-    /// Like [`CsrCache::get_or_build`], but hands the build record back to
-    /// the caller instead of accumulating it in the cache. A cache shared
-    /// across sessions uses this so each session logs (and drains) only its
-    /// own builds — monitoring events must not leak across tenants, and an
-    /// undrained global log must not grow without bound.
-    pub fn get_or_build_tracked(&self, g: &Arc<Graph>) -> (Arc<CsrGraph>, Option<CsrBuild>) {
-        // lockdoc: recover(entries are whole CacheEntry values inserted in one call; a panicked holder cannot leave one torn, and counters are advisory)
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(pos) = inner.entries.iter().position(|e| Arc::ptr_eq(&e.graph, g)) {
-            inner.hits += 1;
-            let entry = inner.entries.remove(pos);
-            let csr = Arc::clone(&entry.csr);
-            inner.entries.insert(0, entry);
-            return (csr, None);
-        }
-        inner.misses += 1;
-        let started = Instant::now();
-        let spliced = inner
-            .entries
-            .iter()
-            .find_map(|e| CsrGraph::build_delta(&e.graph, &e.csr, g));
-        let delta = spliced.is_some();
-        let csr = Arc::new(match spliced {
-            Some(csr) => csr,
-            None => CsrGraph::build(g),
+impl Snapshot {
+    /// The snapshot of `g` (the graph owning this slot), building it on the
+    /// first call. Concurrent first callers wait for one build; only the
+    /// call that ran it gets the build record.
+    pub(crate) fn get(&self, g: &Graph) -> (Arc<CsrGraph>, Option<CsrBuild>) {
+        let mut build = None;
+        let csr = self.built.get_or_init(|| {
+            let started = Instant::now();
+            let spliced = self.base.as_deref().and_then(|b| CsrGraph::build_delta(b, g));
+            let delta = spliced.is_some();
+            let csr = spliced.unwrap_or_else(|| CsrGraph::build(g));
+            build = Some(CsrBuild {
+                nodes: csr.n(),
+                edges: csr.m(),
+                micros: started.elapsed().as_micros() as u64,
+                delta,
+            });
+            Arc::new(csr)
         });
-        let build = CsrBuild {
-            nodes: csr.n(),
-            edges: csr.m(),
-            micros: started.elapsed().as_micros() as u64,
-            delta,
-        };
-        inner.entries.insert(
-            0,
-            CacheEntry { graph: Arc::clone(g), csr: Arc::clone(&csr) },
-        );
-        let cap = inner.capacity;
-        inner.entries.truncate(cap);
-        (csr, Some(build))
+        (Arc::clone(csr), build)
     }
 
-    /// Drops the snapshot cached for `g` (pointer identity), returning
-    /// whether one was present. Sessions call this when they *replace*
-    /// their graph: the entry would never be hit again (the new graph is a
-    /// new `Arc`), but without eviction it pins the dead epoch's graph and
-    /// snapshot in memory until capacity pushes them out — unacceptable in
-    /// a shared, long-lived cache.
-    pub fn invalidate(&self, g: &Arc<Graph>) -> bool {
-        // lockdoc: recover(removing a dead epoch from a structurally valid cache is safe after poison)
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match inner.entries.iter().position(|e| Arc::ptr_eq(&e.graph, g)) {
-            Some(pos) => {
-                inner.entries.remove(pos);
-                true
-            }
-            None => false,
+    /// The graph's structure changed: the built snapshot (if any) becomes
+    /// the delta base for the next build. With none built, the older base
+    /// stays — the journal still names every edit since it.
+    pub(crate) fn retire(&mut self) {
+        if let Some(built) = self.built.take() {
+            self.base = Some(built);
         }
-    }
-
-    /// Number of snapshots currently cached.
-    pub fn len(&self) -> usize {
-        // lockdoc: recover(read-only observation of a structurally valid cache)
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.entries.len()
-    }
-
-    /// Whether the cache holds no snapshots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the build records accumulated since the last drain.
-    pub fn drain_builds(&self) -> Vec<CsrBuild> {
-        // lockdoc: recover(draining a possibly-short build log after a panic loses only metrics)
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut inner.builds)
-    }
-
-    /// `(hits, misses)` counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        // lockdoc: recover(read-only observation of advisory counters)
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        (inner.hits, inner.misses)
-    }
-}
-
-impl std::fmt::Debug for CsrCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
-        f.debug_struct("CsrCache").field("hits", &hits).field("misses", &misses).finish()
     }
 }
 
@@ -848,7 +756,7 @@ mod tests {
         let mut new = old.clone();
         new.add_edge(NodeId(0), NodeId(2), "r").expect("nodes exist");
 
-        let delta = CsrGraph::build_delta(&old, &base, &new).expect("spliceable edit");
+        let delta = CsrGraph::build_delta(&base, &new).expect("spliceable edit");
         assert!(delta.is_patched());
         assert_eq!(delta, CsrGraph::build(&new));
         // Untouched rows still share the base slab.
@@ -869,13 +777,13 @@ mod tests {
         let mut g1 = g0.clone();
         let (_, e) = (g1.node_ids().next(), EdgeId(1));
         g1.remove_edge(e).expect("edge exists");
-        let c1 = CsrGraph::build_delta(&g0, &c0, &g1).expect("edge removal splices");
+        let c1 = CsrGraph::build_delta(&c0, &g1).expect("edge removal splices");
         assert_eq!(c1, CsrGraph::build(&g1));
 
         let mut g2 = g1.clone();
         let v = g2.add_node("e");
         g2.add_edge(v, NodeId(0), "-").expect("nodes exist");
-        let c2 = CsrGraph::build_delta(&g1, &c1, &g2).expect("append splices on a delta base");
+        let c2 = CsrGraph::build_delta(&c1, &g2).expect("append splices on a delta base");
         assert!(c2.is_patched());
         assert_eq!(c2, CsrGraph::build(&g2));
     }
@@ -890,7 +798,7 @@ mod tests {
         let base = CsrGraph::build(&old);
         let mut new = old.clone();
         new.remove_node(NodeId(0)).expect("node exists");
-        assert!(CsrGraph::build_delta(&old, &base, &new).is_none());
+        assert!(CsrGraph::build_delta(&base, &new).is_none());
     }
 
     /// An attribute/label-only edit touches zero rows: the delta shares
@@ -901,73 +809,55 @@ mod tests {
         let base = CsrGraph::build(&old);
         let mut new = old.clone();
         new.set_node_attr(NodeId(0), "k", 1i64).expect("node exists");
-        let delta = CsrGraph::build_delta(&old, &base, &new).expect("attr edit splices");
+        let delta = CsrGraph::build_delta(&base, &new).expect("attr edit splices");
         assert_eq!(delta, CsrGraph::build(&new));
         assert_eq!(delta.out(0), base.out(0));
     }
 
-    /// The cache tries a delta before a full rebuild on each new epoch.
+    /// A graph builds its snapshot once and splices the next version's
+    /// from it after a structural edit.
     #[test]
-    fn cache_miss_uses_delta_when_possible() {
-        let cache = CsrCache::default();
-        let mut g = Arc::new(
-            GraphBuilder::undirected().edge("a", "b", "-").edge("b", "c", "-").build(),
-        );
-        let (_, first) = cache.get_or_build_tracked(&g);
-        assert_eq!(first.map(|b| b.delta), Some(false), "cold build is full");
+    fn graph_builds_once_then_splices_after_an_edit() {
+        let mut g = GraphBuilder::undirected()
+            .edge("a", "b", "-")
+            .edge("b", "c", "-")
+            .build();
+        let (first, built) = g.csr_tracked();
+        assert_eq!(built.map(|b| b.delta), Some(false), "cold build is full");
+        let (again, built) = g.csr_tracked();
+        assert!(Arc::ptr_eq(&first, &again), "same version: same snapshot");
+        assert!(built.is_none(), "no second build");
 
-        let m = Arc::make_mut(&mut g);
-        let v = m.add_node("d");
-        m.add_edge(v, NodeId(0), "-").expect("nodes exist");
-        let (csr, second) = cache.get_or_build_tracked(&g);
-        assert_eq!(second.map(|b| b.delta), Some(true), "edit epoch splices");
+        let v = g.add_node("d");
+        g.add_edge(v, NodeId(0), "-").expect("nodes exist");
+        let (csr, built) = g.csr_tracked();
+        assert_eq!(built.map(|b| b.delta), Some(true), "edit version splices");
         assert!(csr.is_patched());
         assert_eq!(*csr, CsrGraph::build(&g));
     }
 
+    /// A relabel keeps the snapshot (the CSR holds no labels); a
+    /// copy-on-write edit gives the new version its own snapshot and
+    /// leaves the shared one alone.
     #[test]
-    fn cache_hits_on_same_arc_and_misses_after_cow_mutation() {
-        let cache = CsrCache::default();
-        let mut g = Arc::new(
-            GraphBuilder::undirected().edge("a", "b", "-").build(),
+    fn relabels_keep_the_snapshot_and_cow_edits_replace_it() {
+        let mut g = Arc::new(GraphBuilder::undirected().edge("a", "b", "-").build());
+        let first = g.csr();
+        Arc::make_mut(&mut g)
+            .set_node_label(NodeId(0), "z")
+            .expect("node exists");
+        assert!(
+            Arc::ptr_eq(&first, &g.csr()),
+            "a relabel keeps the snapshot"
         );
-        let first = cache.get_or_build(&g);
-        let again = cache.get_or_build(&g);
-        assert!(Arc::ptr_eq(&first, &again), "same epoch: cached snapshot");
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.drain_builds().len(), 1);
 
-        // Copy-on-write mutation: the cache pins the old Arc, so make_mut
-        // clones → new pointer → new epoch → rebuild (here: a delta build).
+        let held = Arc::clone(&g);
         Arc::make_mut(&mut g).add_node("c");
-        let rebuilt = cache.get_or_build(&g);
+        let rebuilt = g.csr();
         assert!(!Arc::ptr_eq(&first, &rebuilt));
         assert_eq!(rebuilt.n(), 3);
         assert_eq!(*rebuilt, CsrGraph::build(&g));
-        assert_eq!(cache.drain_builds().len(), 1, "one new build since drain");
-    }
-
-    #[test]
-    fn cache_capacity_evicts_least_recently_used() {
-        let cache = CsrCache::new(2);
-        let graphs: Vec<Arc<Graph>> = (0..3)
-            .map(|i| {
-                let mut g = Graph::undirected();
-                for _ in 0..=i {
-                    g.add_node("x");
-                }
-                Arc::new(g)
-            })
-            .collect();
-        for g in &graphs {
-            cache.get_or_build(g);
-        }
-        // graphs[0] was evicted; re-fetch is a miss.
-        cache.get_or_build(&graphs[0]);
-        assert_eq!(cache.stats(), (0, 4));
-        // graphs[2] is still resident.
-        cache.get_or_build(&graphs[2]);
-        assert_eq!(cache.stats(), (1, 4));
+        assert!(Arc::ptr_eq(&first, &held.csr()), "the shared version keeps its snapshot");
     }
 
     #[test]

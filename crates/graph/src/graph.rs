@@ -18,10 +18,16 @@
 //!   O(1) content hash) and the edit journal (which slots changed since an
 //!   ancestor) in step. Caches key on the first; delta CSR snapshots and
 //!   the durable store's WAL deltas read the second.
+//! * **Each version carries its CSR snapshot.** [`Graph::csr`] builds the
+//!   analysis kernels' index at most once per version and shares it with
+//!   every clone of that version; a structural edit retires it to the
+//!   delta base the next version splices from.
 
 use crate::attr::{AttrValue, Attrs};
+use crate::csr::{CsrBuild, CsrGraph, Snapshot};
 use chatgraph_support::hash::Fnv64;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node in a [`Graph`]. Stable across removals of other elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -285,11 +291,15 @@ pub struct Graph {
     /// Recent slot edits (excluded from equality and serialisation —
     /// lineage metadata, not graph content).
     journal: Journal,
+    /// This version's CSR snapshot, built on first use (see
+    /// [`Graph::csr`]); derived data, excluded like the journal.
+    csr: Snapshot,
 }
 
 /// Equality is over graph *content*; the journal is lineage metadata and
-/// two equal graphs may well have disjoint histories. (`slot_sum` and
-/// `degree_sum_sq` are functions of the slots, so they need no comparison.)
+/// two equal graphs may well have disjoint histories. (`slot_sum`,
+/// `degree_sum_sq` and the CSR snapshot are functions of the slots, so they
+/// need no comparison.)
 impl PartialEq for Graph {
     fn eq(&self, other: &Graph) -> bool {
         self.direction == other.direction
@@ -377,6 +387,7 @@ impl Graph {
             degree_sum_sq: 0,
             slot_sum: 0,
             journal: Journal::fresh(),
+            csr: Snapshot::default(),
         }
     }
 
@@ -398,6 +409,30 @@ impl Graph {
         h.write_u64(self.nodes.len() as u64);
         h.write_u64(self.edges.len() as u64);
         fmix64(h.finish())
+    }
+
+    /// The CSR snapshot of this version: built on the first call (spliced
+    /// from the previous version's snapshot when the edit allows it) and
+    /// shared by every later call and every clone of this version.
+    /// Concurrent first callers wait for one build.
+    pub fn csr(&self) -> Arc<CsrGraph> {
+        self.csr.get(self).0
+    }
+
+    /// Like [`Graph::csr`], plus the build record when this call did the
+    /// build (`None` when the snapshot already existed).
+    pub fn csr_tracked(&self) -> (Arc<CsrGraph>, Option<CsrBuild>) {
+        self.csr.get(self)
+    }
+
+    /// Journals one slot edit. A structural one — a slot appended or
+    /// tombstoned — also retires the CSR snapshot to the delta base; label
+    /// and attribute edits keep it, since the CSR holds no labels.
+    fn record(&mut self, touched: Touched, structural: bool) {
+        self.journal.record(touched);
+        if structural {
+            self.csr.retire();
+        }
     }
 
     /// The slot-edit journal (for the CSR delta-splicer and WAL deltas).
@@ -467,6 +502,7 @@ impl Graph {
             live_nodes,
             live_edges,
             journal: Journal::fresh(),
+            csr: Snapshot::default(),
         }
     }
 
@@ -559,27 +595,28 @@ impl Graph {
         self.out_adj.push(Vec::new());
         self.in_adj.push(Vec::new());
         self.live_nodes += 1;
-        self.journal.record(Touched::Node(id));
+        self.record(Touched::Node(id), true);
         id
     }
 
-    /// Edits a node slot in place, keeping the slot hash and the journal
-    /// in step. Every change to an existing node slot goes through here.
+    /// Edits a node slot in place, keeping the slot hash, the journal and
+    /// the CSR snapshot in step. Every change to an existing node slot goes
+    /// through here.
     fn edit_node(&mut self, id: NodeId, edit: impl FnOnce(&mut NodeSlot)) {
         let i = id.index();
-        let old = self.nodes[i].hash(i);
+        let (old, was_removed) = (self.nodes[i].hash(i), self.nodes[i].removed);
         edit(&mut self.nodes[i]);
         self.slot_sum = self.slot_sum.wrapping_sub(old).wrapping_add(self.nodes[i].hash(i));
-        self.journal.record(Touched::Node(id));
+        self.record(Touched::Node(id), was_removed != self.nodes[i].removed);
     }
 
     /// Edits an edge slot in place; the edge counterpart of `edit_node`.
     fn edit_edge(&mut self, id: EdgeId, edit: impl FnOnce(&mut EdgeSlot)) {
         let i = id.index();
-        let old = self.edges[i].hash(i);
+        let (old, was_removed) = (self.edges[i].hash(i), self.edges[i].removed);
         edit(&mut self.edges[i]);
         self.slot_sum = self.slot_sum.wrapping_sub(old).wrapping_add(self.edges[i].hash(i));
-        self.journal.record(Touched::Edge(id));
+        self.record(Touched::Edge(id), was_removed != self.edges[i].removed);
     }
 
     /// True if `id` refers to a live node.
@@ -651,7 +688,7 @@ impl Graph {
             self.out_adj[dst.index()].push((src, id));
         }
         self.live_edges += 1;
-        self.journal.record(Touched::Edge(id));
+        self.record(Touched::Edge(id), true);
         Ok(id)
     }
 

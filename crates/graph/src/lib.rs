@@ -14,7 +14,8 @@
 //!   the slot-exact image and delta codec of the durable store.
 //! * [`Graph::fingerprint`] — the graph's O(1) version identity, and an
 //!   internal edit journal from which delta CSR snapshots and WAL deltas
-//!   are derived in O(edits).
+//!   are derived in O(edits); [`Graph::csr`] — the version's own CSR
+//!   snapshot, built once and shared by its clones.
 //! * [`generators`] — seeded generators for the graph families the paper's
 //!   demo scenarios use: Erdős–Rényi / Barabási–Albert synthetic graphs,
 //!   planted-partition *social networks*, valence-constrained *molecules*, and
@@ -48,7 +49,7 @@ mod version_tests;
 
 pub use attr::{AttrValue, Attrs};
 pub use builder::GraphBuilder;
-pub use csr::{CsrCache, CsrGraph};
+pub use csr::CsrGraph;
 pub use graph::{Direction, EdgeId, Graph, GraphError, NodeId};
 pub use kernels::{ChunkStrategy, KernelPolicy};
 
@@ -57,7 +58,7 @@ pub mod prelude {
     pub use crate::algo;
     pub use crate::attr::{AttrValue, Attrs};
     pub use crate::builder::GraphBuilder;
-    pub use crate::csr::{CsrCache, CsrGraph};
+    pub use crate::csr::CsrGraph;
     pub use crate::kernels::{self, ChunkStrategy, KernelPolicy};
     pub use crate::generators::{
         self, BaParams, ErParams, KgParams, MoleculeParams, SocialParams,

@@ -1,11 +1,12 @@
 //! Properties of the graph's version identity and change log: the O(1)
-//! fingerprint every mutation method maintains, and the edit journal from
-//! which WAL deltas are built.
+//! fingerprint every mutation method maintains, the edit journal from
+//! which WAL deltas are built, and the CSR snapshot each version carries.
 //!
 //! Cases are `(seed, edits)` pairs; each check regenerates its graphs from
 //! the seed, so a failure report stays small and replays exactly.
 
 use crate::attr::{AttrValue, Attrs};
+use crate::csr::CsrGraph;
 use crate::delta::{image_from_bytes, image_to_bytes, GraphDelta};
 use crate::graph::{Direction, EdgeId, Graph, NodeId, JOURNAL_CAP};
 use chatgraph_support::json;
@@ -123,6 +124,10 @@ fn fingerprint_is_maintained_incrementally() {
             prop_assert!(rebuilt == g, "step {step}: slot rebuild differs from the graph");
             prop_assert_eq!(g.fingerprint(), rebuilt.fingerprint(), "step {}", step);
             prop_assert_eq!(g.degree_sum_sq(), degree_sum_sq(&g), "step {}", step);
+            prop_assert!(
+                *g.csr() == CsrGraph::build(&g),
+                "step {step}: snapshot differs from a rebuild"
+            );
         }
         Ok(())
     });
@@ -133,6 +138,7 @@ fn fingerprint_survives_clone_codecs_and_delta_apply() {
     check("fingerprint_survives_clone_codecs_and_delta_apply", cases(), seeded, |&(seed, edits)| {
         let mut rng = StdRng::seed_from_u64(seed);
         let base = random_graph(&mut rng, edits);
+        base.csr();
         let mut g = base.clone();
         prop_assert_eq!(g.fingerprint(), base.fingerprint());
         for _ in 0..edits {
@@ -149,6 +155,9 @@ fn fingerprint_survives_clone_codecs_and_delta_apply() {
         prop_assert_eq!(applied.fingerprint(), fp, "delta apply");
         let counters = [&g, &from_json, &from_image, &applied].map(Graph::degree_sum_sq);
         prop_assert_eq!(counters, [degree_sum_sq(&g); 4], "Σ deg² across clone and decoders");
+        let snapshots =
+            [&g, &from_json, &from_image, &applied].map(|h| *h.csr() == CsrGraph::build(h));
+        prop_assert_eq!(snapshots, [true; 4], "CSR snapshot across clone and decoders");
         Ok(())
     });
 }

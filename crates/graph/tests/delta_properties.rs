@@ -1,19 +1,19 @@
 //! Differential properties of delta-CSR snapshots.
 //!
-//! The delta path (`CsrGraph::build_delta`, and the same path implicitly
-//! inside `CsrCache`) must be *indistinguishable* from a from-scratch
-//! rebuild: after any sequence of random adds, deletes and relabels the
+//! The delta path (`CsrGraph::build_delta`, taken implicitly by
+//! `Graph::csr` after an edit) must be *indistinguishable* from a
+//! from-scratch rebuild: after any sequence of random adds, deletes and relabels the
 //! patched snapshot is logically equal to `CsrGraph::build`, and every
 //! kernel returns bit-identical results on both at any worker count and
 //! either chunking strategy. Edits the delta path declines (node removal,
 //! too many touched rows) must fall back to a rebuild transparently.
 
-use chatgraph_graph::csr::{CsrCache, CsrGraph};
+use chatgraph_graph::csr::CsrGraph;
 use chatgraph_graph::generators::{knowledge_graph, social_network, KgParams, SocialParams};
 use chatgraph_graph::kernels::{self, ChunkStrategy, KernelPolicy};
 use chatgraph_graph::{EdgeId, Graph, NodeId};
 use chatgraph_support::rng::{RngExt, SeedableRng, StdRng};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn live_nodes(g: &Graph) -> Vec<NodeId> {
     g.node_ids().collect()
@@ -101,20 +101,19 @@ fn assert_kernels_agree(patched: &CsrGraph, rebuilt: &CsrGraph, seed_node: NodeI
     }
 }
 
-/// The core differential loop: `epochs` rounds of random edits against a
-/// shared cache; every epoch's cached snapshot must equal a from-scratch
-/// rebuild, and kernels must agree on both.
+/// The core differential loop: `epochs` rounds of random edits, each on a
+/// copy-on-write version of the last; every version's own snapshot must
+/// equal a from-scratch rebuild, and kernels must agree on both.
 fn run_differential(mut graph: Arc<Graph>, seed: u64, epochs: usize, node_removal_period: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let cache = CsrCache::new(3);
     let mut deltas = 0usize;
     for epoch in 0..epochs {
         mutate_epoch(Arc::make_mut(&mut graph), &mut rng, epoch, node_removal_period);
-        let (snapshot, built) = cache.get_or_build_tracked(&graph);
+        let (snapshot, built) = graph.csr_tracked();
         let rebuilt = CsrGraph::build(&graph);
         assert_eq!(
             *snapshot, rebuilt,
-            "epoch {epoch}: cached snapshot (patched={}) != rebuild",
+            "epoch {epoch}: graph's snapshot (patched={}) != rebuild",
             snapshot.is_patched()
         );
         if built.is_some_and(|b| b.delta) {
@@ -146,12 +145,12 @@ fn kg_edit_sequences_patch_identically_directed() {
 fn node_removals_fall_back_to_rebuild_and_stay_identical() {
     let g = Arc::new(social_network(&SocialParams::default(), 3));
     let mut rng = StdRng::seed_from_u64(0xDEAD);
-    let cache = CsrCache::new(3);
     let mut graph = g;
+    graph.csr();
     let mut fallbacks = 0usize;
     for epoch in 0..12 {
         mutate_epoch(Arc::make_mut(&mut graph), &mut rng, epoch, 2);
-        let (snapshot, built) = cache.get_or_build_tracked(&graph);
+        let (snapshot, built) = graph.csr_tracked();
         let rebuilt = CsrGraph::build(&graph);
         assert_eq!(*snapshot, rebuilt, "epoch {epoch} diverged");
         if built.is_some_and(|b| !b.delta) {
@@ -161,22 +160,46 @@ fn node_removals_fall_back_to_rebuild_and_stay_identical() {
     assert!(fallbacks > 0, "node removals must force full rebuilds");
 }
 
-/// A patched snapshot served through a *shared* cache is the same object
-/// for every consumer — and equal to a rebuild — so cross-session sharing
-/// (the serving layer's global CSR cache) transparently benefits.
+/// Threads reading one shared version get one snapshot from one build —
+/// how tenants sharing a memoized graph value share its snapshot.
 #[test]
-fn shared_cache_serves_one_patched_snapshot_to_all_consumers() {
-    let cache = Arc::new(CsrCache::new(4));
-    let mut graph = Arc::new(social_network(&SocialParams::default(), 5));
-    cache.get_or_build(&graph);
-    // One cheap edit → the next epoch should be served as a delta.
-    let nodes: Vec<NodeId> = graph.node_ids().collect();
-    Arc::make_mut(&mut graph)
-        .add_edge(nodes[0], nodes[nodes.len() - 1], "patched")
-        .ok();
-    let (a, built) = cache.get_or_build_tracked(&graph);
+fn concurrent_callers_share_one_build() {
+    let graph = Arc::new(social_network(&SocialParams::default(), 5));
+    let start = Barrier::new(2);
+    let results: Vec<_> = std::thread::scope(|s| {
+        let call = || {
+            start.wait();
+            graph.csr_tracked()
+        };
+        let calls: Vec<_> = (0..2).map(|_| s.spawn(call)).collect();
+        calls
+            .into_iter()
+            .map(|c| c.join().expect("csr() does not panic"))
+            .collect()
+    });
+    let (first, second) = (&results[0].0, &results[1].0);
+    assert!(Arc::ptr_eq(first, second), "both callers share the snapshot");
+    let builds: Vec<_> = results.iter().filter_map(|(_, b)| *b).collect();
+    assert_eq!(builds.len(), 1, "exactly one build record");
+    assert!(!builds[0].delta, "a fresh graph builds in full");
+    assert_eq!(*results[0].0, CsrGraph::build(&graph));
+}
+
+/// A clone shares its source's snapshot; a one-edge edit on the clone is
+/// served as a delta, and the source keeps its snapshot untouched.
+#[test]
+fn clone_shares_the_snapshot_and_its_edit_splices() {
+    let source = social_network(&SocialParams::default(), 5);
+    let before = source.csr();
+    let mut clone = source.clone();
+    assert!(Arc::ptr_eq(&before, &clone.csr()), "an unedited clone shares the snapshot");
+    let nodes: Vec<NodeId> = clone.node_ids().collect();
+    let (a, b) = (nodes[0], nodes[nodes.len() - 1]);
+    assert!(!clone.has_edge(a, b), "the generator leaves these two unlinked");
+    clone.add_edge(a, b, "patched").expect("nodes exist, no edge yet");
+    let (after, built) = clone.csr_tracked();
     assert!(built.is_some_and(|b| b.delta), "single edit must patch, not rebuild");
-    let b = cache.get_or_build(&graph);
-    assert!(Arc::ptr_eq(&a, &b), "both consumers share the same snapshot");
-    assert_eq!(*a, CsrGraph::build(&graph));
+    assert_eq!(*after, CsrGraph::build(&clone));
+    assert!(Arc::ptr_eq(&before, &source.csr()), "the source keeps its snapshot");
+    assert_eq!(*before, CsrGraph::build(&source));
 }

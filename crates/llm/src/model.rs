@@ -48,6 +48,23 @@ impl ApiLm {
         self.dim
     }
 
+    /// Checks the shape a decoded model needs before use: a positive
+    /// dimension and one weight row of that width per token.
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.dim == 0 {
+            return Err("model dim is 0".to_owned());
+        }
+        let tokens = self.vocab.len();
+        if tokens.checked_mul(self.dim) != Some(self.weights.len()) {
+            return Err(format!(
+                "model has {} weights, expected {tokens} tokens × dim {}",
+                self.weights.len(),
+                self.dim
+            ));
+        }
+        Ok(())
+    }
+
     /// Raw logit of one token for a feature vector.
     pub fn logit(&self, token: u32, x: &SparseFeatures) -> f32 {
         let row = token as usize * self.dim;
