@@ -60,6 +60,6 @@ pub use monitor::{ChainEvent, CollectingMonitor, Monitor, SilentMonitor};
 pub use plan::{InputSource, Plan, PlanStep, Segment};
 pub use executor::KernelState;
 pub use registry::ApiRegistry;
-pub use sched::{Claim, CommitAck, CommitSink, ExecProfile, FlightLease, MemoStats, Scheduler, StepMemo};
+pub use sched::{CommitAck, CommitSink, ExecProfile, MemoStats, Scheduler, StepMemo};
 pub use supervisor::{FailurePolicy, FaultPlan, SupervisorConfig};
 pub use value::{Report, Table, Value, ValueType};

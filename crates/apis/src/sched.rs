@@ -36,13 +36,15 @@
 //!
 //! The memo only captures *warm* redundancy; under concurrent duplicate
 //! load (many tenants asking the same question of the same graph) identical
-//! steps would still each execute once, cold. [`StepMemo::claim`] closes
-//! that window with singleflight coalescing: the first claimant of a key
-//! becomes the *leader* of an in-flight slot and executes; concurrent
-//! claimants park on the slot's condvar and receive the published outcome —
-//! `Ok` or the step-attributed failure — without running the handler.
-//! Coalescing is bypassed whenever a fault plan is armed: injected faults
-//! are per-tenant decisions and must never leak through a shared flight.
+//! steps would still each execute once, cold. `StepMemo::claim`, the
+//! scheduler's one memo operation, closes that window with singleflight
+//! coalescing: the first claimant of a key becomes the *leader* of an
+//! in-flight slot and executes; concurrent claimants park on the slot's
+//! condvar and receive the published outcome — `Ok` or the step-attributed
+//! failure — without running the handler. A step its [`FaultPlan`]
+//! afflicts gets no key and runs unmemoized, so an injected fault never
+//! enters a shared flight and warm-memo runs see the faults cold runs saw;
+//! every other step claims, whether or not a plan is armed.
 
 use crate::chain::{ApiCall, ApiChain, ChainError};
 use crate::descriptor::ApiCategory;
@@ -53,7 +55,7 @@ use crate::registry::ApiRegistry;
 use crate::executor::KernelState;
 use crate::supervisor::{self, FailurePolicy, FaultPlan, StepFailure, SupervisorConfig};
 use crate::value::Value;
-use chatgraph_graph::kernels::{ChunkStrategy, KernelPolicy, DEFAULT_KERNEL_CHUNK};
+use chatgraph_graph::kernels::{KernelPolicy, DEFAULT_KERNEL_CHUNK};
 use chatgraph_graph::Graph;
 use chatgraph_support::cancel::CancelToken;
 use chatgraph_support::hash::Fnv64;
@@ -77,7 +79,7 @@ const COALESCE_WAIT: Duration = Duration::from_secs(10);
 pub struct MemoStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that missed (the step then ran uncached or was stored).
+    /// Lookups that missed (the step then ran, or joined a flight).
     pub misses: u64,
     /// Misses that never executed: the claimant joined an identical
     /// in-flight execution and received its published outcome.
@@ -121,10 +123,6 @@ impl MemoStats {
 #[derive(Debug)]
 pub struct StepMemo {
     inner: Mutex<MemoInner>,
-    /// Whether concurrent identical claims collapse onto one in-flight
-    /// execution. Construction-time: flipping it mid-flight would strand
-    /// waiters.
-    coalesce: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -188,13 +186,13 @@ impl FlightSlot {
 }
 
 /// What [`StepMemo::claim`] tells its caller to do.
-pub enum Claim {
+enum Claim {
     /// Served from the memo; nothing runs.
     Hit(Value),
     /// The caller executes the step. With a lease it *leads* an in-flight
     /// slot concurrent claimants may join, and must publish its outcome
-    /// through the lease. Without one (coalescing off, or a waiter whose
-    /// backstop expired) it runs solo and stores any `Ok` itself.
+    /// through the lease. Without one (a waiter whose backstop expired) it
+    /// runs solo and leaves the memo alone.
     Run(Option<FlightLease>),
     /// An identical in-flight execution published its outcome while this
     /// caller waited: the shared value, or the shared failure.
@@ -206,7 +204,7 @@ pub enum Claim {
 /// unpublished (a scheduler-internal death), an abandonment error is
 /// published instead so waiters fail immediately rather than hang until
 /// their backstop.
-pub struct FlightLease {
+struct FlightLease {
     memo: Arc<StepMemo>,
     key: u64,
     flight: Arc<FlightSlot>,
@@ -217,7 +215,7 @@ impl FlightLease {
     /// Publishes the leader's outcome: an `Ok` is stored in the memo
     /// (failures are shared with waiters but never cached), the in-flight
     /// entry is removed, and every waiter wakes with a clone.
-    pub fn publish(mut self, outcome: Result<Value, StepFailure>) {
+    fn publish(mut self, outcome: Result<Value, StepFailure>) {
         self.complete(outcome);
     }
 
@@ -252,31 +250,17 @@ impl Default for StepMemo {
 }
 
 impl StepMemo {
-    /// A memo holding at most `capacity` results (0 disables storage),
-    /// with coalescing on.
+    /// A memo holding at most `capacity` results (0 disables storage).
     pub fn new(capacity: usize) -> Self {
         StepMemo {
             inner: Mutex::new(MemoInner {
                 lru: Lru::new(capacity),
                 flights: HashMap::new(),
             }),
-            coalesce: true,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
         }
-    }
-
-    /// The same memo with coalescing disabled: every claim that misses
-    /// runs solo (the coalescing-off bench baseline).
-    pub fn without_coalescing(mut self) -> Self {
-        self.coalesce = false;
-        self
-    }
-
-    /// Whether concurrent identical claims coalesce.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
     }
 
     // lockdoc: acquires(inner)
@@ -287,28 +271,12 @@ impl StepMemo {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up a fingerprint, counting the hit or miss. This is the plain
-    /// (non-coalescing) read used on the fault-armed path.
-    pub fn lookup(&self, key: u64) -> Option<Value> {
-        let found = self.lock().lru.get(&key).cloned();
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Atomically looks up `key`, joins its in-flight execution, or takes
-    /// leadership of a new one — the coalescing entry point. The decision
+    /// leadership of a new one — the memo's only entry point. The decision
     /// happens under one lock, so of all concurrent claimants of a missing
     /// key exactly one receives a lease; the rest park on the slot (with a
     /// backstop) and return [`Claim::Coalesced`] once the leader publishes.
-    pub fn claim(self: &Arc<Self>, key: u64) -> Claim {
+    fn claim(self: &Arc<Self>, key: u64) -> Claim {
         let flight = {
             let mut inner = self.lock();
             if let Some(v) = inner.lru.get(&key) {
@@ -318,9 +286,6 @@ impl StepMemo {
                 return Claim::Hit(v);
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
-            if !self.coalesce {
-                return Claim::Run(None);
-            }
             match inner.flights.get(&key) {
                 Some(flight) => Arc::clone(flight),
                 None => {
@@ -345,24 +310,10 @@ impl StepMemo {
         }
     }
 
-    /// Stores one `Ok` step result under its fingerprint.
-    pub fn store(&self, key: u64, value: Value) {
-        self.lock().lru.insert(key, value);
-    }
-
     /// Current number of memoized results.
+    #[allow(clippy::len_without_is_empty)] // a statistic, not a collection
     pub fn len(&self) -> usize {
         self.lock().lru.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lock().lru.is_empty()
-    }
-
-    /// Drops every memoized result (counters and in-flight slots are kept).
-    pub fn clear(&self) {
-        self.lock().lru.clear();
     }
 
     /// Hit/miss/coalesced counters since construction.
@@ -482,12 +433,6 @@ impl Scheduler {
         self
     }
 
-    /// Installs a shared memo on an existing scheduler (the serving layer
-    /// does this when a session joins a server's global cache).
-    pub fn set_shared_memo(&mut self, memo: Arc<StepMemo>) {
-        self.memo = memo;
-    }
-
     /// A handle to the memo cache (for sharing or for reading stats).
     pub fn memo_handle(&self) -> Arc<StepMemo> {
         Arc::clone(&self.memo)
@@ -529,26 +474,9 @@ impl Scheduler {
         self.commit_sink = sink;
     }
 
-    /// Whether a durable commit sink is installed.
-    pub fn has_commit_sink(&self) -> bool {
-        self.commit_sink.is_some()
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Current number of memoized step results.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Drops all memoized step results (e.g. after replacing the session
-    /// graph, although stale entries are harmless — the graph fingerprint
-    /// in the key already separates them).
-    pub fn clear_memo(&self) {
-        self.memo.clear();
     }
 
     /// Plans and executes `chain` — same contract as
@@ -599,7 +527,6 @@ impl Scheduler {
         // Rebuild the policy for this chain but keep the session's scratch
         // pool: kernel working memory warmed by earlier chains stays warm.
         ctx.kernels.policy = KernelPolicy::new(self.workers, self.kernel_chunk)
-            .with_strategy(ChunkStrategy::DegreeWeighted)
             .with_scratch(ctx.kernels.policy.scratch.clone());
         let mut prev = Value::Unit;
         for segment in plan.segments() {
@@ -998,114 +925,57 @@ impl SegmentRun<'_> {
         }
     }
 
-    /// Runs one pure step against an isolated context, consulting and
-    /// feeding the memo cache. When the segment itself is running across
-    /// worker threads (`parallel`), kernel-level parallelism is disabled so
-    /// the pool is never oversubscribed — the worker threads *are* the
-    /// kernel chunk workers in that regime.
+    /// Runs one pure step against an isolated context through the memo.
+    /// When the segment itself is running across worker threads
+    /// (`parallel`), kernel-level parallelism is disabled so the pool is
+    /// never oversubscribed — the worker threads *are* the kernel chunk
+    /// workers in that regime.
+    ///
+    /// Every keyed step claims: a hit or a coalesced flight skips the
+    /// handler, and a leader publishes its outcome (value *or* failure) to
+    /// its waiters — identical keys imply identical outcomes, so sharing is
+    /// observationally identical to running solo. The one exception is a
+    /// step the fault plan afflicts: it gets no key, so its injected faults
+    /// and clean retry stay private to this run, and the memo can neither
+    /// mask them on a warm run nor leak them through a flight.
     fn exec_pure(&self, j: usize, input: Value, parallel: bool) -> StepOutcome {
         let call = &self.chain.steps[j];
-        let key = self.memo_key(call, &input);
+        let cfg = &self.scheduler.supervisor;
+        let afflicted = cfg.faults.as_ref().is_some_and(|f| f.fault_for(j, 0).is_some());
+        let key = if afflicted { None } else { self.memo_key(call, &input) };
+        let start = Instant::now();
+        let served = |result, cached, coalesced| StepOutcome {
+            result,
+            retries: Vec::new(),
+            micros: start.elapsed().as_micros() as u64,
+            cached,
+            coalesced,
+            memo_checked: true,
+        };
+        let lease = match key.map(|k| self.scheduler.memo.claim(k)) {
+            Some(Claim::Hit(v)) => return served(Ok(v), true, false),
+            Some(Claim::Coalesced(shared)) => return served(shared, false, true),
+            Some(Claim::Run(lease)) => lease,
+            None => None,
+        };
         let retryable = self
             .registry
             .descriptor(&call.api)
             .is_some_and(|d| d.transient_retryable);
-        let start = Instant::now();
-
-        // Fault-free path (production serving): there are no fault
-        // decisions to order the memo consult against, so the claim happens
-        // up front and concurrent identical executions coalesce onto one
-        // flight. Identical keys imply identical outcomes — sharing the
-        // leader's value *or failure* is observationally identical to
-        // running solo.
-        if self.scheduler.supervisor.faults.is_none() {
-            let outcome = |result, retries, cached, coalesced, memo_checked| StepOutcome {
-                result,
-                retries,
-                micros: start.elapsed().as_micros() as u64,
-                cached,
-                coalesced,
-                memo_checked,
-            };
-            return match key.map(|k| self.scheduler.memo.claim(k)) {
-                Some(Claim::Hit(v)) => outcome(Ok(v), Vec::new(), true, false, true),
-                Some(Claim::Coalesced(shared)) => {
-                    outcome(shared, Vec::new(), false, true, true)
-                }
-                Some(Claim::Run(lease)) => {
-                    let attempted = self.attempt(j, input, parallel, retryable);
-                    match lease {
-                        Some(lease) => lease.publish(attempted.result.clone()),
-                        None => {
-                            if let (Some(k), Ok(v)) = (key, &attempted.result) {
-                                self.scheduler.memo.store(k, v.clone());
-                            }
-                        }
-                    }
-                    outcome(attempted.result, attempted.retries, false, false, true)
-                }
-                None => {
-                    let attempted = self.attempt(j, input, parallel, retryable);
-                    outcome(attempted.result, attempted.retries, false, false, false)
-                }
-            };
-        }
-
-        // Fault-armed path (tests, the REPL's `:faults`): the supervisor
-        // decides fault injection *before* this closure runs, so the memo
-        // cache (consulted inside) cannot mask injected faults on warm
-        // runs. Coalescing is bypassed entirely — injected faults are
-        // per-tenant decisions that must never leak through a shared
-        // flight.
-        let mut cached = false;
-        let mut memo_checked = false;
-        let attempted = supervisor::run_step(
-            &self.scheduler.supervisor,
-            self.seed,
-            j,
-            retryable,
-            |token, chunk_delay| {
-                memo_checked = key.is_some();
-                if let Some(k) = key {
-                    if let Some(hit) = self.scheduler.memo.lookup(k) {
-                        cached = true;
-                        return Ok(hit);
-                    }
-                }
-                self.attempt_once(j, &input, parallel, token, chunk_delay)
-            },
-        );
-        let micros = start.elapsed().as_micros() as u64;
-        if !cached {
-            if let (Some(k), Ok(v)) = (key, &attempted.result) {
-                self.scheduler.memo.store(k, v.clone());
-            }
+        let attempted = supervisor::run_step(cfg, self.seed, j, retryable, |token, delay| {
+            self.attempt_once(j, &input, parallel, token, delay)
+        });
+        if let Some(lease) = lease {
+            lease.publish(attempted.result.clone());
         }
         StepOutcome {
             result: attempted.result,
             retries: attempted.retries,
-            micros,
-            cached,
+            micros: start.elapsed().as_micros() as u64,
+            cached: false,
             coalesced: false,
-            memo_checked,
+            memo_checked: key.is_some(),
         }
-    }
-
-    /// One supervised execution of step `j` (no memo involvement).
-    fn attempt(
-        &self,
-        j: usize,
-        input: Value,
-        parallel: bool,
-        retryable: bool,
-    ) -> supervisor::Attempted {
-        supervisor::run_step(
-            &self.scheduler.supervisor,
-            self.seed,
-            j,
-            retryable,
-            |token, chunk_delay| self.attempt_once(j, &input, parallel, token, chunk_delay),
-        )
     }
 
     /// A single attempt of step `j` against an isolated context. Kernel
@@ -1399,7 +1269,7 @@ mod tests {
         sched
             .execute(&reg, &chain, &mut ctx, &mut crate::monitor::SilentMonitor)
             .unwrap();
-        assert!(sched.memo_len() >= 2);
+        assert!(sched.memo_handle().len() >= 2);
         // Same chain, same graph: every step is a hit now.
         let mut ctx2 = social_ctx();
         let mut mon = CollectingMonitor::new();

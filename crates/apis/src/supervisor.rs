@@ -33,9 +33,10 @@
 //!   attempt with seeded jitter keyed on `(seed, step, attempt)`.
 //! * **Fault injection** — a [`FaultPlan`] decides, per `(step, attempt)`
 //!   and entirely from its seed, whether an attempt fails with an injected
-//!   error, an injected panic, or an injected stall. The decision is made
-//!   *before* the memo cache is consulted, so warm-memo runs see exactly
-//!   the faults cold runs saw.
+//!   error, an injected panic, or an injected stall. The fault kind is
+//!   drawn once per step, so the scheduler knows up front which steps are
+//!   afflicted and runs exactly those unmemoized: warm-memo runs see the
+//!   faults cold runs saw, and no injected fault enters a shared flight.
 
 use crate::chain::ChainError;
 use crate::value::Value;
@@ -211,14 +212,6 @@ impl Default for SupervisorConfig {
             backoff_base_ms: 1,
             faults: None,
         }
-    }
-}
-
-impl SupervisorConfig {
-    /// Whether this config can alter fault-free execution at all (used by
-    /// the scheduler to skip supervisor bookkeeping entirely when passive).
-    pub fn is_armed(&self) -> bool {
-        self.step_deadline_ms > 0 || self.faults.is_some()
     }
 }
 
@@ -431,7 +424,7 @@ mod tests {
         assert_eq!(out.result, Ok(Value::Number(7.0)));
         assert!(out.retries.is_empty());
         assert_eq!(calls, 1);
-        assert!(!cfg.is_armed());
+        assert!(cfg.faults.is_none() && cfg.step_deadline_ms == 0);
     }
 
     #[test]
@@ -512,7 +505,6 @@ mod tests {
     #[test]
     fn deadline_discards_late_results_and_retries() {
         let cfg = SupervisorConfig { step_deadline_ms: 4, max_retries: 2, ..Default::default() };
-        assert!(cfg.is_armed());
         let mut calls = 0;
         let out = run_step(&cfg, 1, 0, true, |_, _| {
             calls += 1;

@@ -3,9 +3,10 @@
 //! computation, and coalescing is observationally invisible — every waiter
 //! sees bit-for-bit what a solo run would have produced, for successes
 //! *and* failures. A panicking leader fails all waiters with the same
-//! step-attributed error and never leaves them hanging; a fault-armed
-//! supervisor bypasses coalescing entirely so injected faults cannot leak
-//! across tenants through a shared flight.
+//! step-attributed error and never leaves them hanging; a step a fault
+//! plan afflicts runs unmemoized, so injected faults cannot leak across
+//! tenants through a shared flight, while the rest of the armed chain still
+//! coalesces.
 
 use chatgraph_apis::supervisor::SupervisorConfig;
 use chatgraph_apis::{
@@ -225,53 +226,120 @@ fn panicking_leader_fails_all_waiters_with_step_attribution() {
     });
 }
 
-/// Fault isolation: with an armed fault plan (even an all-zero-rate one)
-/// coalescing is bypassed — fault decisions are per-tenant and must never
-/// leak through a shared flight. Every tenant that misses executes.
-#[test]
-fn fault_armed_supervisor_bypasses_coalescing() {
-    const TENANTS: usize = 4;
-    let counter = Arc::new(AtomicUsize::new(0));
-    let reg = probe_registry(Arc::clone(&counter), Duration::from_millis(100), false);
-    let chain = ApiChain::from_names(["probe"]);
-    let memo = Arc::new(StepMemo::new(64));
-    let cfg = SupervisorConfig {
-        faults: Some(FaultPlan::new(7)), // armed, all rates zero
-        ..Default::default()
-    };
-    let runs = concurrent_runs(&reg, &chain, &memo, 2, TENANTS, &cfg);
-    for got in &runs {
-        assert_eq!(got.result, Ok(Value::Number(42.0)));
-        assert_eq!(got.coalesced_events, 0);
+/// A registry with three retryable `probe{i}` APIs (graph → number), each
+/// counting its handler executions in `counts[i]` and holding its flight
+/// open for `hold` so a concurrent tenant's identical claim overlaps it.
+fn probe_chain_registry(
+    counts: Arc<[AtomicUsize; 3]>,
+    hold: Duration,
+) -> chatgraph_apis::ApiRegistry {
+    let mut reg = registry::standard();
+    for i in 0..3 {
+        let counts = Arc::clone(&counts);
+        reg.register(
+            ApiDescriptor::new(
+                &format!("probe{i}"),
+                "test api counting distinct executions",
+                ApiCategory::Structure,
+                ValueType::Graph,
+                ValueType::Number,
+            ),
+            Box::new(move |_, _, _| {
+                counts[i].fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(hold);
+                Ok(Value::Number(i as f64))
+            }),
+        );
     }
-    let stats = memo.stats();
-    assert_eq!(stats.coalesced, 0, "no flight sharing on the fault-armed path: {stats:?}");
-    // The 100ms hold keeps the memo empty while every tenant looks up, so
-    // each one executes privately — the legacy pre-coalescing behaviour.
-    assert!(counter.load(Ordering::SeqCst) >= 1);
+    reg
 }
 
-/// The explicit opt-out: a memo built `without_coalescing` never parks a
-/// claimant — concurrent duplicates all execute, exactly as before the
-/// singleflight landed.
+/// Seed of the fault plan below: with error rate 0.5 it afflicts the middle
+/// step of the 3-step probe chain only.
+const FAULT_SEED: u64 = 3;
+
+/// Fault isolation without a tenant-wide memo bypass: two concurrent
+/// tenants share one memo, one of them with an armed fault plan. Exactly
+/// the steps the plan afflicts run unmemoized on the armed tenant — each
+/// runs its own handler on its clean retry, with no memo lookup, no flight
+/// and no memo entry — while its unafflicted steps share the clean
+/// tenant's executions. Both replies equal their solo runs.
 #[test]
-fn without_coalescing_disables_flight_sharing() {
-    const TENANTS: usize = 4;
-    let counter = Arc::new(AtomicUsize::new(0));
-    let reg = probe_registry(Arc::clone(&counter), Duration::from_millis(100), false);
-    let chain = ApiChain::from_names(["probe"]);
-    let memo = Arc::new(StepMemo::new(64).without_coalescing());
-    assert!(!memo.coalescing());
-    let runs = concurrent_runs(&reg, &chain, &memo, 2, TENANTS, &SupervisorConfig::default());
-    for got in &runs {
-        assert_eq!(got.result, Ok(Value::Number(42.0)));
-        assert_eq!(got.coalesced_events, 0);
-    }
-    let stats = memo.stats();
-    assert_eq!(stats.coalesced, 0, "{stats:?}");
-    assert_eq!(
-        counter.load(Ordering::SeqCst) as u64,
-        stats.executed(),
-        "every miss executes when coalescing is off: {stats:?}"
+fn only_afflicted_steps_bypass_the_shared_memo() {
+    let plan = FaultPlan::new(FAULT_SEED).with_error_rate(0.5).with_faults_per_step(1);
+    let afflicted = plan.afflicted(3);
+    assert!(
+        !afflicted.is_empty() && afflicted.len() < 3,
+        "the seed must afflict part of the chain: {afflicted:?}"
     );
+    let armed = SupervisorConfig { faults: Some(plan), ..Default::default() };
+    let clean = SupervisorConfig::default();
+    let chain = ApiChain::from_names(["probe0", "probe1", "probe2"]);
+    let counts: Arc<[AtomicUsize; 3]> = Arc::default();
+    let reg = probe_chain_registry(Arc::clone(&counts), Duration::from_millis(100));
+    let run = |sched: &Scheduler| {
+        let mut events = Vec::new();
+        let observed = observe(|ctx, mon| {
+            let result = sched.execute(&reg, &chain, ctx, mon);
+            events = mon.events.clone();
+            result
+        });
+        (observed, events)
+    };
+
+    // Solo references, each over a private memo.
+    let (clean_solo, _) = run(&Scheduler::new(1));
+    let armed_sched = Scheduler::new(1).with_supervisor(armed.clone());
+    let (armed_solo, _) = run(&armed_sched);
+    assert_eq!(armed_solo.result, clean_solo.result, "one retry recovers each afflicted step");
+    assert_eq!(
+        armed_sched.memo_handle().len(),
+        3 - afflicted.len(),
+        "afflicted steps add no memo entry"
+    );
+
+    // Both tenants released together over one fresh shared memo.
+    for c in counts.iter() {
+        c.store(0, Ordering::SeqCst);
+    }
+    let memo = Arc::new(StepMemo::new(64));
+    let barrier = Barrier::new(2);
+    let tenant = |cfg: &SupervisorConfig| {
+        let sched = Scheduler::new(1)
+            .with_shared_memo(Arc::clone(&memo))
+            .with_supervisor(cfg.clone());
+        barrier.wait();
+        run(&sched)
+    };
+    let ((clean_run, _), (armed_run, armed_events)) = std::thread::scope(|scope| {
+        let c = scope.spawn(|| tenant(&clean));
+        let a = scope.spawn(|| tenant(&armed));
+        (c.join().expect("clean tenant"), a.join().expect("armed tenant"))
+    });
+
+    for j in 0..3 {
+        let touched_memo = armed_events.iter().any(|e| {
+            matches!(e, ChainEvent::MemoLookup { step, .. } | ChainEvent::StepCoalesced { step, .. }
+                if *step == j)
+        });
+        let retried = armed_events
+            .iter()
+            .any(|e| matches!(e, ChainEvent::StepRetried { step, .. } if *step == j));
+        let executions = counts[j].load(Ordering::SeqCst);
+        if afflicted.contains(&j) {
+            assert!(retried, "afflicted step {j} recovers on a retry");
+            assert!(!touched_memo, "afflicted step {j} must not hit or join a flight");
+            assert_eq!(executions, 2, "afflicted step {j} runs its own handler");
+        } else {
+            assert!(!retried, "unafflicted step {j} runs clean");
+            assert!(touched_memo, "unafflicted step {j} claims the shared memo");
+            assert_eq!(executions, 1, "unafflicted step {j} is shared across tenants");
+        }
+    }
+    assert_eq!(memo.len(), 3, "one entry per step, all from the clean tenant's keys");
+    for (got, want, who) in [(&clean_run, &clean_solo, "clean"), (&armed_run, &armed_solo, "armed")] {
+        assert_eq!(got.result, want.result, "{who} result");
+        assert_eq!(got.findings, want.findings, "{who} findings");
+        assert_eq!(got.core_events, want.core_events, "{who} core events");
+    }
 }

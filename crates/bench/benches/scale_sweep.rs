@@ -19,7 +19,7 @@
 use chatgraph_bench::{env_json, print_table, quick_mode};
 use chatgraph_graph::csr::CsrGraph;
 use chatgraph_graph::generators::{social_network, SocialParams};
-use chatgraph_graph::kernels::{self, ChunkStrategy, KernelPolicy};
+use chatgraph_graph::kernels::{self, KernelPolicy};
 use chatgraph_graph::NodeId;
 use chatgraph_support::bench::{format_duration, Bench, Stats};
 use chatgraph_support::json::Json;
@@ -55,12 +55,12 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
     let mut bench = Bench::new("scale_sweep").with_iters(iters);
     let mut group = bench.group(label);
 
-    // Parallel-vs-sequential: the iterated pull kernel under the same
-    // degree-weighted chunking the scheduler uses.
+    // Parallel-vs-sequential: the iterated pull kernel under the chunking
+    // the scheduler uses (degree-weighted above one worker).
     let mut pagerank_ns: Vec<(String, Json)> = Vec::new();
     let mut medians: Vec<(usize, u64)> = Vec::new();
     for workers in WORKER_SWEEP {
-        let policy = KernelPolicy::new(workers, 1024).with_strategy(ChunkStrategy::DegreeWeighted);
+        let policy = KernelPolicy::new(workers, 1024);
         let stats = group.bench(&format!("pagerank_{workers}w"), || {
             black_box(kernels::pagerank(&csr, 0.85, PAGERANK_ITERS, &policy));
         });

@@ -1,17 +1,17 @@
 //! Multi-tenant serving bench: a seeded open-loop workload over the
-//! [`SessionServer`] shared worker pool, solo-vs-shared cache modes, at
-//! several pool widths, plus a duplicate-heavy workload gating the
-//! singleflight step coalescing (executed-steps/requested-steps and req/s
-//! with coalescing on vs off). Writes `results/BENCH_serving.json` with
-//! requests/sec, sessions/sec, p50/p95 chain latency (queue wait
-//! included), the cross-session memo hit rates, and the coalescing
-//! comparison. `--quick` runs only the coalescing tier and validates the
-//! committed artifact instead of overwriting it.
+//! [`SessionServer`] shared worker pool at several pool widths, the
+//! cross-session memo hit rate against standalone sessions with private
+//! memos, plus a duplicate-heavy workload gating the singleflight step
+//! coalescing (executed-steps/requested-steps and req/s). Writes
+//! `results/BENCH_serving.json` with requests/sec, sessions/sec, p50/p95
+//! chain latency (queue wait included), the solo and shared memo hit
+//! rates, and the coalescing record. `--quick` runs only the coalescing
+//! tier and validates the committed artifact instead of overwriting it.
 
-use chatgraph_apis::{ApiCall, ApiChain, MemoStats};
+use chatgraph_apis::{ApiCall, ApiChain, MemoStats, SilentMonitor};
 use chatgraph_bench::{env_json, quick_mode};
 use chatgraph_core::serve::{Request, ServeConfig, SessionServer};
-use chatgraph_core::session::SessionCore;
+use chatgraph_core::session::{ChatSession, SessionCore};
 use chatgraph_core::ChatGraphConfig;
 use chatgraph_graph::generators::{social_network, SocialParams};
 use chatgraph_graph::Graph;
@@ -22,7 +22,7 @@ use std::time::Instant;
 const TENANTS: usize = 8;
 const ROUNDS: usize = 4;
 /// Fresh-server repetitions of the cold duplicate-heavy round (coalescing
-/// only matters cold — warm rounds are all memo hits in either mode).
+/// only matters cold — warm rounds are all memo hits).
 const DEDUP_ITERS: usize = 3;
 /// Pool width for the coalescing comparison (and the widest sweep level);
 /// recorded in `env` so `oversubscribed` reflects what actually ran.
@@ -42,7 +42,7 @@ fn tenant_graph(i: usize) -> Graph {
     )
 }
 
-fn tenant_requests() -> Vec<Request> {
+fn tenant_chains() -> Vec<ApiChain> {
     // Read-heavy analysis chains, no within-tenant repetition: a memo hit
     // in a single cold round can only come from another tenant.
     [
@@ -59,17 +59,16 @@ fn tenant_requests() -> Vec<Request> {
         for (api, k) in calls {
             chain.push(ApiCall::new(api).with_param("k", k));
         }
-        Request::Execute(chain)
+        chain
     })
     .collect()
 }
 
-fn build_server(core: &Arc<SessionCore>, pool_workers: usize, shared: bool) -> SessionServer {
+fn build_server(core: &Arc<SessionCore>, pool_workers: usize) -> SessionServer {
     let server = SessionServer::from_core(
         Arc::clone(core),
         ServeConfig {
             pool_workers,
-            shared_memo: shared,
             queue_depth: 64,
             ..ServeConfig::default()
         },
@@ -95,7 +94,7 @@ fn percentile(sorted_micros: &[u64], p: f64) -> u64 {
 /// Submits `rounds` full workloads and drains them, returning
 /// (total requests, drain seconds, sorted latencies in µs).
 fn run_workload(server: &SessionServer, rounds: usize) -> (usize, f64, Vec<u64>) {
-    let requests = tenant_requests();
+    let requests: Vec<Request> = tenant_chains().into_iter().map(Request::Execute).collect();
     let tenants = server.tenants();
     let mut latencies = Vec::new();
     let mut total = 0usize;
@@ -119,22 +118,25 @@ fn run_workload(server: &SessionServer, rounds: usize) -> (usize, f64, Vec<u64>)
     (total, secs, latencies)
 }
 
-/// Per-session memo stats aggregated across tenants (the solo-mode
-/// counterpart of the server's shared-memo stats).
-fn private_memo_stats(server: &SessionServer) -> MemoStats {
-    server
-        .tenants()
-        .into_iter()
-        .fold(MemoStats { hits: 0, misses: 0, coalesced: 0 }, |acc, t| {
-            let s = server
-                .with_session(t, |s| s.memo_handle().stats())
-                .expect("tenant is healthy");
-            MemoStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-                coalesced: acc.coalesced + s.coalesced,
-            }
-        })
+/// The solo counterpart of the server's shared-memo stats: one cold round
+/// of the same workload on standalone sessions over the same core, each
+/// with its own private memo, aggregated across tenants.
+fn solo_memo_stats(core: &Arc<SessionCore>) -> MemoStats {
+    let mut agg = MemoStats::default();
+    for i in 0..TENANTS {
+        let mut session = ChatSession::from_core(Arc::clone(core));
+        session.set_graph(tenant_graph(i));
+        for chain in tenant_chains() {
+            session
+                .run_chain(&chain, &mut SilentMonitor)
+                .expect("workload must serve cleanly");
+        }
+        let s = session.memo_handle().stats();
+        agg.hits += s.hits;
+        agg.misses += s.misses;
+        agg.coalesced += s.coalesced;
+    }
+    agg
 }
 
 fn memo_json(label: &str, stats: &MemoStats) -> (String, Json) {
@@ -166,14 +168,12 @@ fn dedup_graph() -> Graph {
 
 /// Maximal cross-tenant duplication: every tenant holds the *same* graph,
 /// so the identical per-tenant chains fingerprint to identical step keys.
-fn dedup_server(core: &Arc<SessionCore>, coalesce: bool) -> SessionServer {
+fn dedup_server(core: &Arc<SessionCore>) -> SessionServer {
     let server = SessionServer::from_core(
         Arc::clone(core),
         ServeConfig {
             pool_workers: MAX_POOL_WORKERS,
-            shared_memo: true,
             queue_depth: 64,
-            coalesce,
             ..ServeConfig::default()
         },
     )
@@ -189,12 +189,11 @@ fn dedup_server(core: &Arc<SessionCore>, coalesce: bool) -> SessionServer {
 
 /// `iters` cold duplicate-heavy rounds, each on a fresh server, returning
 /// the aggregated memo stats, request count, and drain seconds.
-fn run_dedup(core: &Arc<SessionCore>, coalesce: bool, iters: usize) -> (MemoStats, usize, f64) {
-    let mut agg = MemoStats { hits: 0, misses: 0, coalesced: 0 };
+fn run_dedup(core: &Arc<SessionCore>, iters: usize) -> (MemoStats, usize, f64) {
+    let mut agg = MemoStats::default();
     let (mut total, mut secs) = (0usize, 0.0f64);
     for _ in 0..iters {
-        let server = dedup_server(core, coalesce);
-        assert_eq!(server.coalescing(), coalesce);
+        let server = dedup_server(core);
         let (t, s, _) = run_workload(&server, 1);
         total += t;
         secs += s;
@@ -241,25 +240,18 @@ fn validate_committed_artifact(path: &std::path::Path) {
         env.iter().any(|(k, _)| k == "oversubscribed"),
         "env must record the oversubscription flag"
     );
-    let coalescing = doc
+    let on = doc
         .get("coalescing")
-        .and_then(|c| c.as_object())
-        .expect("artifact carries a `coalescing` object");
-    for mode in ["on", "off"] {
-        let section = coalescing
-            .iter()
-            .find(|(k, _)| k == mode)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("coalescing comparison is missing `{mode}`"));
-        for field in [
-            "requested_steps",
-            "executed_steps",
-            "executed_ratio",
-            "coalesced_steps",
-            "requests_per_sec",
-        ] {
-            assert!(section.get(field).is_some(), "coalescing.{mode} is missing `{field}`");
-        }
+        .and_then(|c| c.get("on"))
+        .expect("artifact carries a `coalescing.on` record");
+    for field in [
+        "requested_steps",
+        "executed_steps",
+        "executed_ratio",
+        "coalesced_steps",
+        "requests_per_sec",
+    ] {
+        assert!(on.get(field).is_some(), "coalescing.on is missing `{field}`");
     }
     println!("committed {} validated: schema intact", path.display());
 }
@@ -271,25 +263,19 @@ fn main() {
     let (core, _) =
         SessionCore::bootstrap(ChatGraphConfig::default(), 96).expect("default config is valid");
 
-    // Step coalescing, on vs off: the duplicate-heavy workload where every
-    // tenant submits identical chains over identical graphs. Executed
-    // steps are the misses that actually ran (misses − coalesced).
+    // Step coalescing: the duplicate-heavy workload where every tenant
+    // submits identical chains over identical graphs. Executed steps are
+    // the misses that actually ran (misses − coalesced).
     let iters = if quick { 1 } else { DEDUP_ITERS };
-    let (on_stats, on_total, on_secs) = run_dedup(&core, true, iters);
-    let (off_stats, off_total, off_secs) = run_dedup(&core, false, iters);
-    let report = |label: &str, stats: &MemoStats, total: usize, secs: f64| {
-        println!(
-            "coalescing {label}: {} requested steps, {} executed (ratio {:.3}), \
-             {} coalesced, {:.0} req/s",
-            stats.requested(),
-            stats.executed(),
-            stats.executed() as f64 / stats.requested().max(1) as f64,
-            stats.coalesced,
-            total as f64 / secs.max(1e-9),
-        );
-    };
-    report("on ", &on_stats, on_total, on_secs);
-    report("off", &off_stats, off_total, off_secs);
+    let (on_stats, on_total, on_secs) = run_dedup(&core, iters);
+    println!(
+        "coalescing: {} requested steps, {} executed (ratio {:.3}), {} coalesced, {:.0} req/s",
+        on_stats.requested(),
+        on_stats.executed(),
+        on_stats.executed() as f64 / on_stats.requested().max(1) as f64,
+        on_stats.coalesced,
+        on_total as f64 / on_secs.max(1e-9),
+    );
     // Exactly-once makes this timing-independent: once a unique key is
     // executed, every later duplicate is a flight share or a memo hit.
     let on_ratio = on_stats.executed() as f64 / on_stats.requested().max(1) as f64;
@@ -298,7 +284,6 @@ fn main() {
         "duplicate-heavy workload must dedup below 0.6 executed/requested, got {on_ratio:.3}"
     );
     assert!(on_stats.coalesced > 0, "concurrent duplicates must coalesce: {on_stats:?}");
-    assert_eq!(off_stats.coalesced, 0, "coalescing off must never park a claim");
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("results/BENCH_serving.json");
@@ -310,13 +295,10 @@ fn main() {
     }
 
     // Cross-session memo measurement: one cold round, solo vs shared.
-    // Solo mode runs the identical workload on private caches.
-    let solo = build_server(&core, 2, false);
-    let (_, _, _) = run_workload(&solo, 1);
-    let solo_stats = private_memo_stats(&solo);
-    assert_eq!(solo.memo_stats().hits, 0, "solo mode must not touch the shared memo");
+    // Solo runs the identical workload on standalone private-memo sessions.
+    let solo_stats = solo_memo_stats(&core);
 
-    let shared_cold = build_server(&core, 2, true);
+    let shared_cold = build_server(&core, 2);
     let (_, _, _) = run_workload(&shared_cold, 1);
     let shared_stats = shared_cold.memo_stats();
     println!(
@@ -329,7 +311,7 @@ fn main() {
     // Sustained throughput at three pool widths, shared caches on.
     let mut levels: Vec<Json> = Vec::new();
     for pool_workers in [1usize, 2, 4] {
-        let server = build_server(&core, pool_workers, true);
+        let server = build_server(&core, pool_workers);
         run_workload(&server, 1); // warmup: caches hot, pool exercised
         let (total, secs, latencies) = run_workload(&server, ROUNDS);
         let requests_per_sec = total as f64 / secs.max(1e-9);
@@ -356,7 +338,7 @@ fn main() {
         ("rounds".to_owned(), Json::UInt(ROUNDS as u64)),
         (
             "requests_per_tenant_per_round".to_owned(),
-            Json::UInt(tenant_requests().len() as u64),
+            Json::UInt(tenant_chains().len() as u64),
         ),
         ("env".to_owned(), env_json(MAX_POOL_WORKERS)),
         memo_json("memo_solo_cold", &solo_stats),
@@ -371,7 +353,6 @@ fn main() {
                 ("pool_workers".to_owned(), Json::UInt(MAX_POOL_WORKERS as u64)),
                 ("iterations".to_owned(), Json::UInt(DEDUP_ITERS as u64)),
                 ("on".to_owned(), coalescing_json(&on_stats, on_total, on_secs)),
-                ("off".to_owned(), coalescing_json(&off_stats, off_total, off_secs)),
             ]),
         ),
         ("levels".to_owned(), Json::Array(levels)),

@@ -382,7 +382,8 @@ mod tests {
         assert_eq!(sup.failure_policy, FailurePolicy::SkipDegraded);
         assert!(sup.faults.is_none(), "config never arms fault injection");
         // Passive defaults: the supervisor cannot alter fault-free runs.
-        assert!(!ChatGraphConfig::default().exec.supervisor_config().is_armed());
+        let passive = ChatGraphConfig::default().exec.supervisor_config();
+        assert!(passive.faults.is_none() && passive.step_deadline_ms == 0);
     }
 
     #[test]

@@ -126,8 +126,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Worker threads in the shared drain pool.
     pub pool_workers: usize,
-    /// Route every tenant's pure-step memo through one shared cache.
-    pub shared_memo: bool,
     /// Capacity of the shared step memo (entries).
     pub memo_capacity: usize,
     /// Requests a drain worker takes from one tenant's queue per claim
@@ -135,10 +133,6 @@ pub struct ServeConfig {
     /// the fairness bound: a worker serves at most this many requests from
     /// one tenant before its cursor moves on.
     pub claim_batch: usize,
-    /// Coalesce concurrent identical pure steps across tenants into one
-    /// execution ([`StepMemo`] singleflight). Off = every miss executes,
-    /// as before; the memo still dedupes *sequential* repeats.
-    pub coalesce: bool,
     /// Directory for per-tenant durable store files. Empty (the default)
     /// disables durability; otherwise each opened session gets a store at
     /// `<store_dir>/tenant-<id>.cgdb` and an existing file is recovered
@@ -152,10 +146,8 @@ impl Default for ServeConfig {
             max_sessions: 256,
             queue_depth: 32,
             pool_workers: 4,
-            shared_memo: true,
             memo_capacity: 1024,
             claim_batch: 8,
-            coalesce: true,
             store_dir: String::new(),
         }
     }
@@ -174,8 +166,8 @@ impl ServeConfig {
         if self.pool_workers == 0 {
             problems.push("serve.pool_workers must be >= 1".to_owned());
         }
-        if self.shared_memo && self.memo_capacity == 0 {
-            problems.push("serve.memo_capacity must be >= 1 when shared_memo is on".to_owned());
+        if self.memo_capacity == 0 {
+            problems.push("serve.memo_capacity must be >= 1".to_owned());
         }
         if self.claim_batch == 0 {
             problems.push("serve.claim_batch must be >= 1".to_owned());
@@ -294,8 +286,7 @@ impl SessionServer {
     /// Serves an existing shared core.
     pub fn from_core(core: Arc<SessionCore>, serve: ServeConfig) -> Result<Self, ServeError> {
         serve.validate().map_err(ServeError::InvalidServeConfig)?;
-        let memo = StepMemo::new(serve.memo_capacity);
-        let memo = Arc::new(if serve.coalesce { memo } else { memo.without_coalescing() });
+        let memo = Arc::new(StepMemo::new(serve.memo_capacity));
         Ok(SessionServer {
             core,
             serve,
@@ -315,15 +306,9 @@ impl SessionServer {
         &self.serve
     }
 
-    /// Hit/miss counters of the shared step memo (all zero while
-    /// `shared_memo` is off — each session then counts privately).
+    /// Hit/miss/coalesced counters of the shared step memo.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
-    }
-
-    /// Whether the shared memo coalesces concurrent identical pure steps.
-    pub fn coalescing(&self) -> bool {
-        self.memo.coalescing()
     }
 
     /// Currently open sessions.
@@ -357,10 +342,8 @@ impl SessionServer {
         if tenants.len() >= self.serve.max_sessions {
             return Err(ServeError::AtCapacity);
         }
-        let mut session = ChatSession::from_core(Arc::clone(&self.core));
-        if self.serve.shared_memo {
-            session.use_shared_memo(Arc::clone(&self.memo));
-        }
+        let mut session =
+            ChatSession::from_core(Arc::clone(&self.core)).with_shared_memo(Arc::clone(&self.memo));
         let id = self.next_tenant.fetch_add(1, Ordering::Relaxed);
         if !self.serve.store_dir.is_empty() {
             let dir = std::path::Path::new(&self.serve.store_dir);
@@ -598,6 +581,8 @@ mod tests {
             SessionServer::from_core(shared_core(), bad),
             Err(ServeError::InvalidServeConfig(_))
         ));
+        let bad = ServeConfig { claim_batch: 0, ..ServeConfig::default() };
+        assert_eq!(bad.validate().unwrap_err().len(), 1);
     }
 
     #[test]
@@ -679,12 +664,13 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_knob_reaches_the_shared_memo() {
-        assert!(server(ServeConfig::default()).coalescing());
-        let off = server(ServeConfig { coalesce: false, ..ServeConfig::default() });
-        assert!(!off.coalescing());
-        let bad = ServeConfig { claim_batch: 0, ..ServeConfig::default() };
-        assert_eq!(bad.validate().unwrap_err().len(), 1);
+    fn every_session_joins_the_shared_memo() {
+        let srv = server(ServeConfig::default());
+        for _ in 0..2 {
+            let t = srv.open_session().unwrap();
+            let joined = srv.with_session(t, |s| Arc::ptr_eq(&s.memo_handle(), &srv.memo));
+            assert_eq!(joined, Ok(true));
+        }
     }
 
     #[test]

@@ -429,8 +429,9 @@ impl ChatSession {
     /// Routes this session's pure-step memoization through a shared
     /// (server-global) cache. Sound across tenants: keys fingerprint api,
     /// params, seed, graph and inputs, and only `Ok` results are stored.
-    pub fn use_shared_memo(&mut self, memo: Arc<StepMemo>) {
-        self.scheduler.set_shared_memo(memo);
+    pub fn with_shared_memo(mut self, memo: Arc<StepMemo>) -> Self {
+        self.scheduler = self.scheduler.with_shared_memo(memo);
+        self
     }
 
     /// Arms (or clears) deterministic fault injection on the chain

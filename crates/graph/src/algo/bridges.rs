@@ -66,20 +66,20 @@ impl<'a> Dfs<'a> {
                 }
             } else {
                 // Post-visit: propagate low-link to the parent.
-                let done = stack.pop().expect("non-empty stack");
+                let Some(done) = stack.pop() else { break };
                 let v = done.v;
-                if done.parent_edge.is_none() {
+                // Only the root frame lacks a parent edge (and a parent).
+                let (Some(pe), Some(parent_frame)) = (done.parent_edge, stack.last()) else {
                     // DFS root: articulation iff it has ≥ 2 DFS children.
                     if done.child_count >= 2 {
                         self.articulation[v.index()] = true;
                     }
                     continue;
-                }
-                let parent_frame = stack.last().expect("child has a parent");
+                };
                 let p = parent_frame.v;
-                let pe = done.parent_edge.expect("checked above");
                 self.low[p.index()] = self.low[p.index()].min(self.low[v.index()]);
-                let disc_p = self.disc[p.index()].expect("visited");
+                // A parent on the stack was discovered when it was pushed.
+                let Some(disc_p) = self.disc[p.index()] else { continue };
                 if self.low[v.index()] > disc_p {
                     self.bridges.push(pe);
                 }

@@ -83,17 +83,14 @@ pub fn label_propagation(g: &Graph, seed: u64) -> Communities {
                     *freq.entry(l).or_default() += 1;
                 }
             }
-            if freq.is_empty() {
+            // Most frequent neighbour label, ties to the smallest label.
+            let Some((_, std::cmp::Reverse(best))) =
+                freq.iter().map(|(&l, &c)| (c, std::cmp::Reverse(l))).max()
+            else {
                 continue;
-            }
-            let best = freq
-                .iter()
-                .map(|(&l, &c)| (c, std::cmp::Reverse(l)))
-                .max()
-                .map(|(c, std::cmp::Reverse(l))| (l, c))
-                .expect("non-empty freq");
-            if labels[v.index()] != Some(best.0) {
-                labels[v.index()] = Some(best.0);
+            };
+            if labels[v.index()] != Some(best) {
+                labels[v.index()] = Some(best);
                 changed = true;
             }
         }
@@ -111,8 +108,7 @@ pub fn modularity(g: &Graph, comms: &Communities) -> f64 {
         return 0.0;
     }
     let mut intra = 0.0;
-    for e in g.edge_ids() {
-        let (a, b) = g.edge_endpoints(e).expect("live edge");
+    for (a, b) in g.edge_ids().filter_map(|e| g.edge_endpoints(e).ok()) {
         if comms.community_of(a) == comms.community_of(b) {
             intra += 1.0;
         }
@@ -152,8 +148,7 @@ pub fn greedy_modularity(g: &Graph) -> Communities {
     }
     // edge counts between communities
     let mut between: HashMap<(usize, usize), f64> = HashMap::new();
-    for e in g.edge_ids() {
-        let (a, b) = g.edge_endpoints(e).expect("live edge");
+    for (a, b) in g.edge_ids().filter_map(|e| g.edge_endpoints(e).ok()) {
         let (x, y) = ord(a.index(), b.index());
         *between.entry((x, y)).or_default() += 1.0;
     }

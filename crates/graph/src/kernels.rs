@@ -12,17 +12,16 @@
 //!   addition sequence as the reference's push loop; components renumber
 //!   min-labels by first occurrence so the numbering matches BFS discovery
 //!   order; the traversal kernels only combine integers.
-//! * **Worker-count independence** — work is split into chunks whose
-//!   boundaries depend only on the policy's [`ChunkStrategy`] (and the
-//!   graph), never on [`KernelPolicy::workers`]; workers claim whole
-//!   chunks and results are combined in chunk order, so 1 worker and N
-//!   workers produce identical bytes. Under
-//!   [`ChunkStrategy::DegreeWeighted`] the boundaries equalise *edge*
-//!   weight instead of node count — a hub-heavy chunk no longer serialises
-//!   the whole kernel behind one worker — and since every chunk is still a
-//!   contiguous in-order range combined in chunk order, the bytes are also
-//!   identical *across strategies*. Threads are scoped to each call — the
-//!   kernels add no background pool beyond the scheduler's own workers.
+//! * **Worker-count independence** — work is split into contiguous
+//!   in-order chunks, workers claim whole chunks, and results are combined
+//!   in chunk order, so the bytes never depend on where the cuts fall.
+//!   Adjacency-bound kernels cut equal-*edge*-weight chunks when
+//!   [`KernelPolicy::workers`] is above one — a hub-heavy chunk no longer
+//!   serialises the whole kernel behind one worker — and fixed-size chunks
+//!   on one worker, where load balance is moot and the weight pass would be
+//!   pure overhead. 1 worker and N workers produce identical bytes. Threads
+//!   are scoped to each call — the kernels add no background pool beyond
+//!   the scheduler's own workers.
 
 //! * **Cooperative cancellation** — every chunked kernel polls
 //!   [`KernelPolicy::cancel`] at chunk boundaries. Once the token fires the
@@ -190,36 +189,15 @@ impl ScratchPool {
 const PAGERANK_BLOCK_NODES: usize = 1 << 17;
 const PAGERANK_BLOCK_MIN_DEG: usize = 8;
 
-/// How chunk boundaries are placed. Both strategies cut `0..len` into
-/// contiguous in-order ranges and combine results in chunk order, so kernel
-/// output is bit-identical across strategies *and* worker counts; only the
-/// load balance differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkStrategy {
-    /// Fixed-size chunks of [`KernelPolicy::chunk`] work items.
-    #[default]
-    Fixed,
-    /// Equal-*weight* chunks: the same chunk *count* as [`Fixed`], but cut
-    /// so each chunk carries roughly `Σ weight / chunks` of per-item weight
-    /// (for adjacency-bound kernels, `1 + degree`). On skewed graphs this
-    /// keeps hub rows from serialising a kernel behind one worker.
-    ///
-    /// [`Fixed`]: ChunkStrategy::Fixed
-    DegreeWeighted,
-}
-
 /// How a kernel invocation splits its work.
 #[derive(Debug, Clone)]
 pub struct KernelPolicy {
     /// Scoped worker threads to use; `<= 1` runs fully sequentially.
     pub workers: usize,
-    /// Chunk size (work items per chunk under [`ChunkStrategy::Fixed`];
-    /// also sets the chunk *count* under
-    /// [`ChunkStrategy::DegreeWeighted`]). Chunk boundaries are independent
-    /// of `workers`, so results are identical for any worker count.
+    /// Chunk size: work items per fixed chunk, and the chunk *count* of
+    /// the equal-weight cuts taken above one worker. Boundaries never
+    /// affect results, only load balance.
     pub chunk: usize,
-    /// Boundary placement. Never affects results, only load balance.
-    pub strategy: ChunkStrategy,
     /// Cooperative cancellation, polled at every chunk boundary. The
     /// default token never fires; the chain supervisor swaps in a
     /// deadline-armed clone per supervised step.
@@ -242,17 +220,10 @@ impl KernelPolicy {
         KernelPolicy {
             workers: workers.max(1),
             chunk: chunk.max(1),
-            strategy: ChunkStrategy::Fixed,
             cancel: CancelToken::new(),
             chunk_delay: Duration::ZERO,
             scratch: ScratchPool::new(),
         }
-    }
-
-    /// The same policy with a different boundary-placement strategy.
-    pub fn with_strategy(mut self, strategy: ChunkStrategy) -> KernelPolicy {
-        self.strategy = strategy;
-        self
     }
 
     /// Fully sequential execution with the default chunk size.
@@ -319,15 +290,6 @@ fn weighted_bounds(chunk: usize, len: usize, weight: impl Fn(usize) -> u64) -> V
     bounds
 }
 
-/// Chunk boundaries for `0..len` under the policy's [`ChunkStrategy`],
-/// weighting item `i` by `weight(i)` when degree-aware.
-fn chunk_bounds(policy: &KernelPolicy, len: usize, weight: impl Fn(usize) -> u64) -> Vec<usize> {
-    match policy.strategy {
-        ChunkStrategy::Fixed => fixed_bounds(policy.chunk, len),
-        ChunkStrategy::DegreeWeighted => weighted_bounds(policy.chunk, len, weight),
-    }
-}
-
 /// Applies `f` to each fixed-size chunk of `0..len` and returns the
 /// per-chunk results **in chunk order** — the uniform-cost entry point;
 /// degree-aware kernels go through [`map_weighted`]. See [`map_parts`] for
@@ -340,11 +302,10 @@ where
     map_parts(policy, &fixed_bounds(policy.chunk, len), f)
 }
 
-/// Like [`map_chunks`], but boundaries follow the policy's
-/// [`ChunkStrategy`] with per-item `weight` (adjacency-bound kernels pass
-/// `1 + degree`). Results are bit-identical to [`map_chunks`] for any
-/// weight function: chunks are contiguous in-order ranges combined in
-/// chunk order.
+/// Like [`map_chunks`], but above one worker the boundaries equalise the
+/// per-item `weight` (adjacency-bound kernels pass `1 + degree`). Results
+/// are bit-identical to [`map_chunks`] for any weight function: chunks are
+/// contiguous in-order ranges combined in chunk order.
 fn map_weighted<T, F>(
     policy: &KernelPolicy,
     len: usize,
@@ -355,7 +316,12 @@ where
     T: Send,
     F: Fn(std::ops::Range<usize>) -> T + Sync,
 {
-    map_parts(policy, &chunk_bounds(policy, len, weight), f)
+    let bounds = if policy.workers > 1 {
+        weighted_bounds(policy.chunk, len, weight)
+    } else {
+        fixed_bounds(policy.chunk, len)
+    };
+    map_parts(policy, &bounds, f)
 }
 
 /// Applies `f` to each `bounds[c]..bounds[c+1]` range and returns the
@@ -1101,15 +1067,16 @@ mod tests {
         assert_eq!(got[3], Some(2.0), "a→b→d beats the direct weight-10 edge");
     }
 
-    /// Degree-weighted boundaries change the cuts, never the bytes: every
-    /// kernel output matches the fixed-chunk result at 1 and 4 workers.
+    /// Degree-weighted boundaries (taken above one worker) change the
+    /// cuts, never the bytes: every kernel output matches the fixed-chunk
+    /// result of one worker.
     #[test]
     fn degree_weighted_strategy_is_bit_identical() {
         let g = social();
         let csr = CsrGraph::build(&g);
         let fixed = KernelPolicy::new(1, 8);
-        for workers in [1, 4] {
-            let dw = KernelPolicy::new(workers, 8).with_strategy(ChunkStrategy::DegreeWeighted);
+        for workers in [2, 4] {
+            let dw = KernelPolicy::new(workers, 8);
             assert_eq!(pagerank(&csr, 0.85, 50, &dw), pagerank(&csr, 0.85, 50, &fixed));
             let (a, b) = (connected_components(&csr, &dw), connected_components(&csr, &fixed));
             assert_eq!(a.assignment, b.assignment);
@@ -1148,6 +1115,26 @@ mod tests {
             assert!(bounds.windows(2).all(|p| p[0] < p[1]), "strictly increasing: {bounds:?}");
             assert!(bounds.len() <= fixed_bounds(chunk, len).len());
         }
+    }
+
+    /// The boundary rule follows the worker count: one worker cuts fixed
+    /// chunks without evaluating a single weight; more workers cut
+    /// equal-weight chunks.
+    #[test]
+    fn boundary_rule_follows_the_worker_count() {
+        let weighed = AtomicUsize::new(0);
+        // Item 0 carries most of the weight, so the two rules cut apart.
+        let weight = |i: usize| {
+            weighed.fetch_add(1, Ordering::SeqCst);
+            if i == 0 { 100 } else { 1 }
+        };
+        let ranges = |workers| {
+            map_weighted(&KernelPolicy::new(workers, 4), 16, weight, |r| r).expect("never cancelled")
+        };
+        assert_eq!(ranges(1), vec![0..4, 4..8, 8..12, 12..16]);
+        assert_eq!(weighed.load(Ordering::SeqCst), 0, "one worker skips the weight pass");
+        assert_eq!(ranges(2), vec![0..1, 1..16], "the heavy item gets a chunk of its own");
+        assert!(weighed.load(Ordering::SeqCst) > 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use attr::{AttrValue, Attrs};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use graph::{Direction, EdgeId, Graph, GraphError, NodeId};
-pub use kernels::{ChunkStrategy, KernelPolicy};
+pub use kernels::KernelPolicy;
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::attr::{AttrValue, Attrs};
     pub use crate::builder::GraphBuilder;
     pub use crate::csr::CsrGraph;
-    pub use crate::kernels::{self, ChunkStrategy, KernelPolicy};
+    pub use crate::kernels::{self, KernelPolicy};
     pub use crate::generators::{
         self, BaParams, ErParams, KgParams, MoleculeParams, SocialParams,
     };

@@ -1,8 +1,8 @@
 //! Chunking determinism: kernel results are a function of the graph only.
 //!
-//! The scheduler is free to pick any worker count, chunk size, or chunking
-//! strategy ([`ChunkStrategy::Fixed`] vs degree-aware
-//! [`ChunkStrategy::DegreeWeighted`]) — none of them may change a single
+//! The scheduler is free to pick any worker count or chunk size — and with
+//! the worker count, the boundary rule (fixed-size chunks on one worker,
+//! degree-weighted cuts above one) — and none of them may change a single
 //! bit of any kernel's output. This pins the property the cost model's
 //! sequential-vs-parallel decision relies on: flipping `par_kernel` is a
 //! pure performance knob, never a semantics knob. It also pins the
@@ -12,16 +12,14 @@ use chatgraph_graph::csr::CsrGraph;
 use chatgraph_graph::generators::{
     knowledge_graph, social_network, KgParams, SocialParams,
 };
-use chatgraph_graph::kernels::{self, ChunkStrategy, KernelPolicy};
+use chatgraph_graph::kernels::{self, KernelPolicy};
 use chatgraph_graph::Graph;
 
 fn variants() -> Vec<KernelPolicy> {
     let mut out = Vec::new();
     for workers in [1usize, 2, 4, 7] {
         for chunk in [1usize, 64, 1024] {
-            for strategy in [ChunkStrategy::Fixed, ChunkStrategy::DegreeWeighted] {
-                out.push(KernelPolicy::new(workers, chunk).with_strategy(strategy));
-            }
+            out.push(KernelPolicy::new(workers, chunk));
         }
     }
     out
@@ -37,10 +35,7 @@ fn assert_all_variants_agree(g: &Graph) {
     let start = g.node_ids().next().unwrap();
     let bfs = kernels::bfs_distances(&csr, start, usize::MAX, &baseline);
     for policy in variants() {
-        let tag = format!(
-            "{}w chunk={} {:?}",
-            policy.workers, policy.chunk, policy.strategy
-        );
+        let tag = format!("{}w chunk={}", policy.workers, policy.chunk);
         assert_eq!(kernels::pagerank(&csr, 0.85, 15, &policy), pr, "pagerank @ {tag}");
         assert_eq!(
             kernels::pagerank_blocked(&csr, 0.85, 15, &policy),
@@ -92,7 +87,7 @@ fn blocked_pull_matches_plain_pull_past_the_auto_threshold() {
     let g = social_network(&SocialParams::sized(8_000), 3);
     let csr = CsrGraph::build(&g);
     for workers in [1usize, 4] {
-        let policy = KernelPolicy::new(workers, 256).with_strategy(ChunkStrategy::DegreeWeighted);
+        let policy = KernelPolicy::new(workers, 256);
         let plain = kernels::pagerank(&csr, 0.9, 10, &policy);
         let blocked = kernels::pagerank_blocked(&csr, 0.9, 10, &policy);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

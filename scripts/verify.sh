@@ -29,7 +29,7 @@ fi
 # --quick-serve: the coalescing property suite plus a single-iteration
 # duplicate-heavy serving round, validating that the committed
 # results/BENCH_serving.json still carries the full schema (env with the
-# oversubscription flag, coalescing on/off sections; see benches/serving.rs
+# oversubscription flag, the coalescing.on record; see benches/serving.rs
 # and EXPERIMENTS.md E13).
 if [[ "${1:-}" == "--quick-serve" ]]; then
     cargo test -q --offline -p chatgraph-apis --test coalesce_properties
@@ -79,12 +79,13 @@ cargo test -q --offline -p chatgraph-core --test serving_properties
 
 # Coalescing properties: concurrent identical steps execute exactly once,
 # results (and failures) are bit-identical to solo runs at widths 1/2/4,
-# a panicking leader fails all waiters without hanging, and fault-armed
-# supervisors bypass coalescing entirely (DESIGN.md §15).
+# a panicking leader fails all waiters without hanging, and only the steps
+# a fault plan afflicts run unmemoized (DESIGN.md §15).
 cargo test -q --offline -p chatgraph-apis --test coalesce_properties
 
 # Serving baseline: requests/sec, sessions/sec, and p50/p95 open-loop
-# latency at three pool widths plus solo-vs-shared memo hit rates, written
+# latency at three pool widths plus the memo hit rates of standalone
+# private-memo sessions vs the shared memo, written
 # to results/BENCH_serving.json. The cross-session hit count must be > 0.
 cargo bench --offline -p chatgraph-bench --bench serving
 
