@@ -1,9 +1,10 @@
 //! The shared diagnostics vocabulary: severities, spans, diagnostics, and a
 //! multi-diagnostic sink with text and JSON renderers.
 //!
-//! Every analysis in this crate (the chain analyzer, repolint) reports
-//! through [`Diagnostics`], so downstream consumers — the chain executor,
-//! the confirm-and-edit flow, `scripts/verify.sh` — handle one shape.
+//! Every analysis reports through [`Diagnostics`] — the chain and plan
+//! passes in `chatgraph_apis::analysis`, repolint and the concurrency lints
+//! here — so downstream consumers (the chain executor, the confirm-and-edit
+//! flow, `scripts/verify.sh`) handle one shape.
 //! Codes are `CG0xx` for chain/plan analysis, `CG1xx` for repolint hygiene,
 //! and `CG2xx` for the concurrency lints; the full registry lives in
 //! [`code_info`]/[`CODES`].
@@ -206,7 +207,7 @@ pub struct CodeInfo {
     pub title: &'static str,
 }
 
-/// Every diagnostic code this crate can emit, in code order. DESIGN.md §8
+/// Every diagnostic code the workspace's analyses emit, in code order. DESIGN.md §8
 /// documents the policy; golden tests pin the table.
 pub const CODES: &[CodeInfo] = &[
     CodeInfo { code: "CG001", severity: Severity::Error, title: "empty chain" },

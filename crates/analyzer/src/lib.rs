@@ -1,17 +1,14 @@
 //! ChatGraph reproduction — static analysis.
 //!
-//! One diagnostics vocabulary ([`diag`]) with two analysis targets:
+//! One diagnostics vocabulary ([`diag`]) shared by every analysis in the
+//! workspace:
 //!
-//! - [`chain`]: multi-pass static analysis over the lowered API-chain IR —
-//!   the artifact the paper's LLM actually emits — collecting *every*
-//!   type-flow, parameter, and hygiene finding instead of stopping at the
-//!   first. `chatgraph-apis` lowers its `ApiChain`/`ApiRegistry` into this
-//!   IR (the dependency points that way round so the executor, the
-//!   search-based decoder, and the confirm-and-edit flow can all consume
-//!   diagnostics without a crate cycle).
-//! - [`plan`]: the parallel-segment interference audit (CG016/CG017) over
-//!   the lowered plan IR — re-proves the scheduler's barrier classification
-//!   before a plan executes, same lowering direction as [`chain`].
+//! - [`diag`]: severities, spans, the multi-diagnostic sink and the
+//!   [`CODES`] table. The API-chain passes (CG001–CG015) and the plan
+//!   interference audit (CG016/CG017) report through it from
+//!   `chatgraph_apis::analysis`, where they run directly on the chain,
+//!   descriptor and plan types; this crate sits below `chatgraph-apis` and
+//!   depends only on `chatgraph-support`.
 //! - [`repolint`]: workspace invariants (panic-site ratchet, no `unsafe`,
 //!   manifest hermeticity) on top of a hand-rolled Rust [`lexer`], exposed
 //!   as the `repolint` binary run by `scripts/verify.sh`.
@@ -20,13 +17,9 @@
 //!   sanctioned poisoned-lock recovery, and the `Ordering::Relaxed`
 //!   ratchet — run by repolint across the workspace.
 
-pub mod chain;
 pub mod conc;
 pub mod diag;
 pub mod lexer;
-pub mod plan;
 pub mod repolint;
 
-pub use chain::{analyze_chain, step_accepts, ApiSig, Catalog, ChainIr, ChainStep, ParamKind, ParamSpec, SigType, TypeClass};
 pub use diag::{code_info, CodeInfo, Diagnostic, Diagnostics, Severity, Span, CODES};
-pub use plan::{audit_plan, PlanIr, PlanStepIr, SegmentIr};

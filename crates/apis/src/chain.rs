@@ -261,10 +261,7 @@ impl ApiChain {
             let desc = registry
                 .descriptor(&step.api)
                 .ok_or_else(|| ChainError::UnknownApi(i, step.api.clone()))?;
-            let satisfied = desc.input.accepts(prev)
-                || (desc.input == ValueType::Graph && has_session_graph)
-                || desc.input == ValueType::Unit;
-            if !satisfied {
+            if !desc.accepts_input(prev, has_session_graph) {
                 return Err(ChainError::TypeMismatch {
                     step: i,
                     api: step.api.clone(),
@@ -308,7 +305,9 @@ impl fmt::Display for ApiChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{analyze, edit_distance, nearest_name};
     use crate::registry;
+    use chatgraph_analyzer::diag::{Diagnostics, Severity, Span};
 
     #[test]
     fn chain_error_is_a_std_error_with_uniform_display() {
@@ -444,5 +443,244 @@ mod tests {
         let c = ApiChain::from_names(["a", "b"]);
         let s = chatgraph_support::json::to_string(&c);
         assert_eq!(chatgraph_support::json::from_str::<ApiChain>(&s).unwrap(), c);
+    }
+
+    // The chain passes of `analysis::analyze`, one code at a time, against
+    // the standard catalogue.
+
+    fn run(chain: &ApiChain, has_session_graph: bool) -> Diagnostics {
+        analyze(chain, &registry::standard(), has_session_graph)
+    }
+
+    fn chain(names: &[&str]) -> ApiChain {
+        ApiChain::from_names(names.iter().copied())
+    }
+
+    /// Gives step `i` the two parameters `relabel_nodes` requires.
+    fn relabel(c: &mut ApiChain, i: usize) {
+        c.steps[i].params.insert("from".into(), "A".into());
+        c.steps[i].params.insert("to".into(), "B".into());
+    }
+
+    fn codes(d: &Diagnostics) -> Vec<&str> {
+        d.items.iter().map(|d| d.code.as_str()).collect()
+    }
+
+    #[test]
+    fn empty_chain_is_cg001() {
+        let d = run(&chain(&[]), true);
+        assert_eq!(codes(&d), vec!["CG001"]);
+        assert!(d.has_errors());
+    }
+
+    #[test]
+    fn unknown_api_is_cg002_with_suggestion() {
+        let d = run(&chain(&["node_cuont"]), true);
+        assert_eq!(codes(&d), vec!["CG002"]);
+        assert_eq!(d.items[0].suggestion.as_deref(), Some("did you mean `node_count`?"));
+    }
+
+    #[test]
+    fn type_mismatch_is_cg003() {
+        let d = run(&chain(&["node_count", "remove_edges"]), true);
+        assert!(codes(&d).contains(&"CG003"), "{}", d.render_text());
+    }
+
+    #[test]
+    fn missing_session_graph_is_cg004() {
+        let d = run(&chain(&["node_count"]), false);
+        assert_eq!(codes(&d), vec!["CG004"]);
+        let ok = run(&chain(&["node_count"]), true);
+        assert!(ok.is_empty(), "{}", ok.render_text());
+    }
+
+    #[test]
+    fn all_type_errors_are_collected_not_just_first() {
+        // Two independent mismatches in one chain.
+        let d = run(&chain(&["node_count", "remove_edges", "node_count", "remove_edges"]), false);
+        let errs: Vec<&str> = d
+            .items
+            .iter()
+            .filter(|x| x.severity == Severity::Error)
+            .map(|x| x.code.as_str())
+            .collect();
+        assert!(errs.len() >= 3, "{}", d.render_text());
+    }
+
+    #[test]
+    fn unknown_param_is_cg005_with_suggestion() {
+        let mut c = chain(&["top_pagerank", "generate_report"]);
+        c.steps[0].params.insert("kk".into(), "5".into());
+        let d = run(&c, true);
+        assert_eq!(codes(&d), vec!["CG005"]);
+        assert_eq!(d.items[0].suggestion.as_deref(), Some("did you mean `k`?"));
+        assert!(!d.has_errors());
+    }
+
+    #[test]
+    fn unparseable_param_is_cg006() {
+        let mut c = chain(&["top_pagerank", "generate_report"]);
+        c.steps[0].params.insert("k".into(), "lots".into());
+        let d = run(&c, true);
+        assert_eq!(codes(&d), vec!["CG006"]);
+        assert!(d.items[0].suggestion.as_deref().unwrap_or("").contains("default `5`"));
+    }
+
+    #[test]
+    fn out_of_range_param_is_cg007() {
+        let mut c = chain(&["top_pagerank", "generate_report"]);
+        c.steps[0].params.insert("k".into(), "5000".into());
+        let d = run(&c, true);
+        assert_eq!(codes(&d), vec!["CG007"]);
+    }
+
+    #[test]
+    fn discarded_output_is_cg008_unless_sink_follows() {
+        let d = run(&chain(&["node_count", "node_count"]), true);
+        assert!(codes(&d).contains(&"CG008"), "{}", d.render_text());
+        let with_sink = run(&chain(&["node_count", "node_count", "generate_report"]), true);
+        assert!(!codes(&with_sink).contains(&"CG008"), "{}", with_sink.render_text());
+    }
+
+    #[test]
+    fn repeated_step_is_cg009() {
+        let d = run(&chain(&["node_count", "node_count", "generate_report"]), true);
+        assert!(codes(&d).contains(&"CG009"), "{}", d.render_text());
+        // Different params are not redundant.
+        let mut c = chain(&["top_pagerank", "top_pagerank", "generate_report"]);
+        c.steps[1].params.insert("k".into(), "9".into());
+        let d2 = run(&c, true);
+        assert!(!codes(&d2).contains(&"CG009"), "{}", d2.render_text());
+    }
+
+    #[test]
+    fn confirmation_step_is_cg010() {
+        let d = run(&chain(&["remove_edges"]), true);
+        assert!(codes(&d).contains(&"CG010"), "{}", d.render_text());
+        // CG010 is a warning: it must not block execution on its own.
+        assert!(d.items.iter().filter(|x| x.code == "CG010").all(|x| x.severity == Severity::Warning));
+    }
+
+    #[test]
+    fn unknown_api_does_not_cascade_type_errors() {
+        let d = run(&chain(&["frobnicate", "node_count"]), true);
+        assert_eq!(codes(&d), vec!["CG002"], "{}", d.render_text());
+    }
+
+    #[test]
+    fn dead_step_is_cg011_unless_sink_or_effect() {
+        let d = run(&chain(&["node_count", "node_count"]), true);
+        assert!(codes(&d).contains(&"CG011"), "{}", d.render_text());
+        assert!(d.items.iter().filter(|x| x.code == "CG011").all(|x| x.severity == Severity::Info));
+        // A later report sink collects the finding: not dead.
+        let with_sink = run(&chain(&["node_count", "node_count", "generate_report"]), true);
+        assert!(!codes(&with_sink).contains(&"CG011"), "{}", with_sink.render_text());
+        // A mutating step is never dead, even with its output discarded.
+        let mut c = chain(&["relabel_nodes", "node_count"]);
+        relabel(&mut c, 0);
+        let mutating = run(&c, true);
+        assert!(!codes(&mutating).contains(&"CG011"), "{}", mutating.render_text());
+    }
+
+    #[test]
+    fn edit_read_race_is_cg012() {
+        // top_pagerank's table is only a finding; it is read pre-edit but
+        // reported post-edit.
+        let mut c = chain(&["top_pagerank", "relabel_nodes", "generate_report"]);
+        relabel(&mut c, 1);
+        let d = run(&c, true);
+        assert!(codes(&d).contains(&"CG012"), "{}", d.render_text());
+        assert!(d.items.iter().filter(|x| x.code == "CG012").all(|x| x.severity == Severity::Warning));
+        // Without a report after the edit there is nothing to mix: no CG012.
+        let mut c2 = chain(&["top_pagerank", "relabel_nodes"]);
+        relabel(&mut c2, 1);
+        let d2 = run(&c2, true);
+        assert!(!codes(&d2).contains(&"CG012"), "{}", d2.render_text());
+    }
+
+    #[test]
+    fn edit_before_any_read_is_not_a_race() {
+        // No pure graph read precedes the edit, so there is nothing the
+        // report could mix, even with a sink afterwards.
+        let mut c = chain(&["relabel_nodes", "generate_report"]);
+        relabel(&mut c, 0);
+        let d = run(&c, true);
+        assert!(!codes(&d).contains(&"CG012"), "{}", d.render_text());
+    }
+
+    #[test]
+    fn mid_chain_sink_is_cg013() {
+        let d = run(&chain(&["node_count", "generate_report", "node_count"]), true);
+        assert!(codes(&d).contains(&"CG013"), "{}", d.render_text());
+        let at_end = run(&chain(&["node_count", "generate_report"]), true);
+        assert!(!codes(&at_end).contains(&"CG013"), "{}", at_end.render_text());
+    }
+
+    #[test]
+    fn missing_required_param_is_cg014() {
+        let d = run(&chain(&["relabel_nodes"]), true);
+        let cg014: Vec<_> = d.items.iter().filter(|x| x.code == "CG014").collect();
+        assert_eq!(cg014.len(), 2, "{}", d.render_text());
+        assert!(cg014.iter().all(|x| x.severity == Severity::Warning));
+        // Providing both parameters silences the lint.
+        let mut c = chain(&["relabel_nodes"]);
+        relabel(&mut c, 0);
+        let d2 = run(&c, true);
+        assert!(!codes(&d2).contains(&"CG014"), "{}", d2.render_text());
+    }
+
+    #[test]
+    fn interleaved_edits_are_cg015() {
+        // edit → analytics → edit: the middle read builds a CSR snapshot of
+        // a graph version the second edit immediately replaces.
+        let mut c = chain(&["relabel_nodes", "top_pagerank", "relabel_nodes"]);
+        relabel(&mut c, 0);
+        relabel(&mut c, 2);
+        let d = run(&c, true);
+        let cg015: Vec<_> = d.items.iter().filter(|x| x.code == "CG015").collect();
+        assert_eq!(cg015.len(), 1, "{}", d.render_text());
+        assert!(cg015.iter().all(|x| x.severity == Severity::Info));
+        assert!(matches!(cg015[0].span, Span::Step { step: 2, .. }), "{:?}", cg015[0].span);
+        assert!(cg015[0].suggestion.as_deref().unwrap_or("").contains("group the edits"));
+    }
+
+    #[test]
+    fn adjacent_or_linked_edits_are_not_cg015() {
+        // Adjacent edits: already batched, nothing to reorder.
+        let mut adjacent = chain(&["relabel_nodes", "relabel_nodes", "top_pagerank"]);
+        relabel(&mut adjacent, 0);
+        relabel(&mut adjacent, 1);
+        let d = run(&adjacent, true);
+        assert!(!codes(&d).contains(&"CG015"), "{}", d.render_text());
+
+        // A report sink between the edits is not a pure graph read, so the
+        // reorder is not provably safe.
+        let mut sunk = chain(&["relabel_nodes", "generate_report", "relabel_nodes"]);
+        relabel(&mut sunk, 0);
+        relabel(&mut sunk, 2);
+        let d2 = run(&sunk, true);
+        assert!(!codes(&d2).contains(&"CG015"), "{}", d2.render_text());
+    }
+
+    #[test]
+    fn edit_distance_basics() {
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("abc", "abc"), 0);
+        assert_eq!(edit_distance("kitten", "sitting"), 3);
+        assert_eq!(nearest_name("graph_stat", ["graph_stats", "node_count"]), Some("graph_stats"));
+        assert_eq!(nearest_name("zzzzzz", ["graph_stats", "node_count"]), None);
+    }
+
+    #[test]
+    fn step_accepts_mirrors_validator_rules() {
+        let reg = registry::standard();
+        let desc = |name: &str| reg.descriptor(name).unwrap();
+        // Graph input with a session graph: ok from anywhere.
+        assert!(desc("node_count").accepts_input(ValueType::Number, true));
+        assert!(!desc("node_count").accepts_input(ValueType::Number, false));
+        // Any-input sink accepts everything.
+        assert!(desc("generate_report").accepts_input(ValueType::Number, false));
+        // Chain start counts as unit.
+        assert!(!desc("remove_edges").accepts_input(ValueType::Unit, true));
     }
 }

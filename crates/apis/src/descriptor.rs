@@ -2,10 +2,12 @@
 //!
 //! Each API carries the natural-language description the retrieval module
 //! embeds (paper §II-A: "the descriptions of APIs … are embedded into
-//! high-dimensional vectors"), plus typing information for chain validation.
+//! high-dimensional vectors"), plus typing information for chain validation:
+//! input/output [`ValueType`]s, the step-typing rule
+//! ([`ApiDescriptor::accepts_input`]) and the declared parameter schema
+//! ([`ParamSpec`]).
 
 use crate::value::ValueType;
-use chatgraph_analyzer::chain::ParamSpec;
 
 /// Functional category of an API. Mirrors the paper's scenario families;
 /// graph-type prediction routes to category-specific APIs (scenario 1:
@@ -50,6 +52,54 @@ impl ApiCategory {
             ApiCategory::Edit,
             ApiCategory::Report,
         ]
+    }
+}
+
+/// Declared kind of one API parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamKind {
+    /// Parsed with `str::parse::<usize>`.
+    Int,
+    /// Parsed with `str::parse::<f64>`.
+    Float,
+    /// Any string.
+    Text,
+}
+
+chatgraph_support::impl_json_enum!(ParamKind { Int, Float, Text });
+
+/// Declared schema of one API parameter (name, kind, range, default).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParamSpec {
+    /// Parameter name as it appears in [`crate::ApiCall::params`].
+    pub name: String,
+    /// Value kind.
+    pub kind: ParamKind,
+    /// Inclusive lower bound (numeric kinds).
+    pub min: Option<f64>,
+    /// Inclusive upper bound (numeric kinds).
+    pub max: Option<f64>,
+    /// Default used when the parameter is absent or unparseable.
+    pub default: Option<String>,
+}
+
+chatgraph_support::impl_json_struct!(ParamSpec { name, kind, min, max, default });
+
+impl ParamSpec {
+    /// An integer parameter with a range and default.
+    pub fn int(name: &str, min: usize, max: usize, default: usize) -> Self {
+        ParamSpec {
+            name: name.to_owned(),
+            kind: ParamKind::Int,
+            min: Some(min as f64),
+            max: Some(max as f64),
+            default: Some(default.to_string()),
+        }
+    }
+
+    /// A free-text parameter (no range, no default — i.e. required).
+    pub fn text(name: &str) -> Self {
+        ParamSpec { name: name.to_owned(), kind: ParamKind::Text, min: None, max: None, default: None }
     }
 }
 
@@ -137,6 +187,19 @@ impl ApiDescriptor {
     pub fn with_params<I: IntoIterator<Item = ParamSpec>>(mut self, params: I) -> Self {
         self.params = params.into_iter().collect();
         self
+    }
+
+    /// The step-typing rule: whether this API can run after a step that
+    /// produced `prev` (`Unit` at chain start). Its input is satisfied by
+    /// the previous output (`Any` accepts everything), by the session graph
+    /// when the input is `Graph` and a graph was uploaded, or trivially when
+    /// it takes `Unit`. [`crate::ApiChain::validate`], the decoder's
+    /// [`crate::analysis::can_extend`] and the analyzer's CG003/CG004 pass
+    /// all decide with this one function.
+    pub fn accepts_input(&self, prev: ValueType, has_session_graph: bool) -> bool {
+        self.input.accepts(prev)
+            || (self.input == ValueType::Graph && has_session_graph)
+            || self.input == ValueType::Unit
     }
 
     /// Looks up one declared parameter.

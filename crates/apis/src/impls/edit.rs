@@ -5,10 +5,9 @@
 //! monitor before anything is changed.
 
 use super::input_graph;
-use crate::descriptor::{ApiCategory, ApiDescriptor};
+use crate::descriptor::{ApiCategory, ApiDescriptor, ParamSpec};
 use crate::registry::ApiRegistry;
 use crate::value::{Value, ValueType};
-use chatgraph_analyzer::chain::ParamSpec;
 use chatgraph_graph::io;
 
 /// Registers the edit APIs.

@@ -5,10 +5,9 @@
 //! top-2 similar molecules.
 
 use super::input_graph;
-use crate::descriptor::{ApiCategory, ApiDescriptor};
+use crate::descriptor::{ApiCategory, ApiDescriptor, ParamSpec};
 use crate::registry::ApiRegistry;
 use crate::value::{Value, ValueType};
-use chatgraph_analyzer::chain::ParamSpec;
 use chatgraph_ged::{approx_ged, exact_ged_with_limit, CostModel};
 use chatgraph_graph::algo::isomorphism::{find_embeddings, IsoOptions};
 use chatgraph_graph::{io, Graph};

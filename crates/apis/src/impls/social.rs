@@ -1,10 +1,9 @@
 //! Social-network analysis APIs (demo scenario 1's social branch).
 
 use super::input_graph;
-use crate::descriptor::{ApiCategory, ApiDescriptor};
+use crate::descriptor::{ApiCategory, ApiDescriptor, ParamSpec};
 use crate::registry::ApiRegistry;
 use crate::value::{Value, ValueType};
-use chatgraph_analyzer::chain::ParamSpec;
 use chatgraph_graph::algo::{bridges, centrality, community};
 use chatgraph_graph::kernels;
 use chatgraph_graph::Graph;

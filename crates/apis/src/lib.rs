@@ -7,7 +7,9 @@
 //! * [`value`] — the typed values APIs exchange ([`Value`]/[`ValueType`]),
 //!   so chains can be validated before execution.
 //! * [`descriptor`] — API metadata: name, the natural-language description
-//!   the retrieval module embeds, category, and input/output types.
+//!   the retrieval module embeds, category, input/output types, the
+//!   step-typing rule ([`ApiDescriptor::accepts_input`]) and the declared
+//!   parameter schema ([`ParamSpec`]).
 //! * [`registry`] — the [`ApiRegistry`] mapping names to descriptors and
 //!   executable handlers; [`registry::standard`] registers the full catalogue
 //!   of ~40 APIs across the paper's categories (structure, social, molecule,
@@ -21,9 +23,11 @@
 //!   events, progress, and user-confirmation hooks used by the cleaning
 //!   scenario.
 //! * [`impls`] — the concrete API implementations.
-//! * [`analysis`] — lowering into the `chatgraph-analyzer` IR: multi-pass
-//!   chain diagnostics ([`analyze`]) and the decoder's type-flow pruning
-//!   predicate ([`can_extend`]).
+//! * [`analysis`] — static analysis run directly on chains, descriptors
+//!   and plans: multi-pass chain diagnostics ([`analyze`]), the plan
+//!   interference audit ([`analysis::audit_plan`]) and the decoder's
+//!   type-flow pruning predicate ([`can_extend`]), reporting through
+//!   `chatgraph-analyzer`'s diagnostics vocabulary.
 //! * [`plan`] — the execution-plan IR: a validated chain lowered to a DAG
 //!   of [`PlanStep`]s whose edges are real data dependencies (prev-output,
 //!   session graph, barriers).
@@ -54,7 +58,7 @@ pub mod value;
 pub use analysis::{analyze, can_extend};
 pub use chain::{ApiCall, ApiChain, ChainError};
 pub use cost::{CostModel, PAR_KERNEL_MIN_WORK};
-pub use descriptor::{ApiCategory, ApiDescriptor};
+pub use descriptor::{ApiCategory, ApiDescriptor, ParamKind, ParamSpec};
 pub use executor::{execute_chain, execute_chain_reference, ExecContext};
 pub use monitor::{ChainEvent, CollectingMonitor, Monitor, SilentMonitor};
 pub use plan::{InputSource, Plan, PlanStep, Segment};

@@ -596,4 +596,90 @@ mod tests {
         assert!(text.contains("node_count"));
         assert!(text.contains("barrier"));
     }
+
+    // The CG016/CG017 interference audit (`analysis::audit_plan`) on
+    // hand-built plans: `Plan::build` never produces these flaws.
+
+    /// A pure, memoizable step reading `input`, with no dependencies.
+    fn step(index: usize, api: &str, input: InputSource) -> PlanStep {
+        PlanStep {
+            index,
+            api: api.to_owned(),
+            params: BTreeMap::new(),
+            input,
+            deps: Vec::new(),
+            barrier: false,
+            reads_graph: true,
+            mutates_graph: false,
+            reads_findings: false,
+            memoizable: true,
+            est_cost: 0,
+            par_kernel: true,
+        }
+    }
+
+    fn audit_codes(plan: &Plan) -> Vec<String> {
+        crate::analysis::audit_plan(plan).items.into_iter().map(|d| d.code).collect()
+    }
+
+    #[test]
+    fn clean_parallel_plan_passes() {
+        let plan = Plan {
+            steps: vec![
+                step(0, "node_count", InputSource::SessionGraph),
+                step(1, "edge_count", InputSource::SessionGraph),
+            ],
+        };
+        assert_eq!(plan.segments(), vec![Segment::Parallel(vec![vec![0], vec![1]])]);
+        assert!(audit_codes(&plan).is_empty());
+    }
+
+    #[test]
+    fn mutating_step_in_parallel_segment_is_cg016_error() {
+        let mut s = step(0, "remove_edges", InputSource::SessionGraph);
+        s.mutates_graph = true;
+        let plan = Plan { steps: vec![s, step(1, "node_count", InputSource::SessionGraph)] };
+        let d = crate::analysis::audit_plan(&plan);
+        assert_eq!(audit_codes(&plan), vec!["CG016"]);
+        assert!(d.has_errors());
+    }
+
+    #[test]
+    fn cross_chain_dependency_is_cg016() {
+        let mut s1 = step(1, "graph_density", InputSource::SessionGraph);
+        s1.deps = vec![0];
+        let plan = Plan { steps: vec![step(0, "node_count", InputSource::SessionGraph), s1] };
+        let d = crate::analysis::audit_plan(&plan);
+        assert_eq!(audit_codes(&plan), vec!["CG016"]);
+        assert!(d.items[0].message.contains("different sub-chain"));
+    }
+
+    #[test]
+    fn in_chain_dependency_order_is_checked() {
+        // Step 0 depends on step 1, which its own sub-chain runs later.
+        let mut s0 = step(0, "largest_component", InputSource::SessionGraph);
+        s0.deps = vec![1];
+        let plan = Plan { steps: vec![s0, step(1, "node_count", InputSource::PrevOutput(0))] };
+        assert_eq!(plan.segments(), vec![Segment::Parallel(vec![vec![0, 1]])]);
+        assert_eq!(audit_codes(&plan), vec!["CG016"]);
+    }
+
+    #[test]
+    fn dependency_on_earlier_step_of_same_chain_is_fine() {
+        let mut s1 = step(1, "node_count", InputSource::PrevOutput(0));
+        s1.deps = vec![0];
+        let plan = Plan { steps: vec![step(0, "largest_component", InputSource::SessionGraph), s1] };
+        assert!(audit_codes(&plan).is_empty());
+    }
+
+    #[test]
+    fn memoizable_findings_reader_is_cg017_warning() {
+        let mut s = step(0, "generate_report", InputSource::Unit);
+        s.barrier = true;
+        s.reads_findings = true;
+        let plan = Plan { steps: vec![s] };
+        let d = crate::analysis::audit_plan(&plan);
+        assert_eq!(audit_codes(&plan), vec!["CG017"]);
+        assert!(!d.has_errors());
+    }
 }

@@ -55,7 +55,6 @@ use crate::registry::ApiRegistry;
 use crate::executor::KernelState;
 use crate::supervisor::{self, FailurePolicy, FaultPlan, StepFailure, SupervisorConfig};
 use crate::value::Value;
-use chatgraph_graph::kernels::{KernelPolicy, DEFAULT_KERNEL_CHUNK};
 use chatgraph_graph::Graph;
 use chatgraph_support::cancel::CancelToken;
 use chatgraph_support::hash::Fnv64;
@@ -336,8 +335,6 @@ pub struct ExecProfile {
     pub workers: usize,
     /// Capacity of the pure-step memo cache (0 disables caching).
     pub memo_capacity: usize,
-    /// Work-chunk size for the parallel CSR kernels.
-    pub kernel_chunk: usize,
     /// Deadline / retry / failure-policy configuration.
     pub supervisor: SupervisorConfig,
 }
@@ -347,7 +344,6 @@ impl Default for ExecProfile {
         ExecProfile {
             workers: 1,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
-            kernel_chunk: DEFAULT_KERNEL_CHUNK,
             supervisor: SupervisorConfig::default(),
         }
     }
@@ -387,7 +383,6 @@ pub trait CommitSink: Send + Sync + std::fmt::Debug {
 #[derive(Debug)]
 pub struct Scheduler {
     workers: usize,
-    kernel_chunk: usize,
     supervisor: SupervisorConfig,
     memo: Arc<StepMemo>,
     commit_sink: Option<Arc<dyn CommitSink>>,
@@ -399,7 +394,6 @@ impl Scheduler {
     pub fn new(workers: usize) -> Self {
         Scheduler {
             workers: workers.max(1),
-            kernel_chunk: DEFAULT_KERNEL_CHUNK,
             supervisor: SupervisorConfig::default(),
             memo: Arc::new(StepMemo::default()),
             commit_sink: None,
@@ -412,7 +406,6 @@ impl Scheduler {
     pub fn from_exec_config(profile: &ExecProfile) -> Self {
         Scheduler {
             workers: profile.workers.max(1),
-            kernel_chunk: profile.kernel_chunk.max(1),
             supervisor: profile.supervisor.clone(),
             memo: Arc::new(StepMemo::new(profile.memo_capacity)),
             commit_sink: None,
@@ -436,12 +429,6 @@ impl Scheduler {
     /// A handle to the memo cache (for sharing or for reading stats).
     pub fn memo_handle(&self) -> Arc<StepMemo> {
         Arc::clone(&self.memo)
-    }
-
-    /// Overrides the CSR kernel chunk size (`exec.kernel_chunk`).
-    pub fn with_kernel_chunk(mut self, chunk: usize) -> Self {
-        self.kernel_chunk = chunk.max(1);
-        self
     }
 
     /// Overrides the supervisor configuration (`exec.step_deadline_ms`,
@@ -502,11 +489,23 @@ impl Scheduler {
         // per-step work estimates order sub-chain dispatch, and steps under
         // the parallelism bar run their CSR kernels sequentially.
         let plan = Plan::build_with_stats(chain, registry, Some(&ctx.graph))?;
+        self.run_plan(registry, chain, &plan, ctx, monitor)
+    }
+
+    /// Audits `plan` (built from `chain`) and executes it.
+    fn run_plan(
+        &self,
+        registry: &ApiRegistry,
+        chain: &ApiChain,
+        plan: &Plan,
+        ctx: &mut ExecContext,
+        monitor: &mut dyn Monitor,
+    ) -> Result<Value, ChainError> {
         // Interference audit (CG016/CG017): independently re-prove that no
         // parallel segment hides a conflicting effect before running any of
         // it. Plans from `Plan::build` are clean by construction, so this
         // only fires if planning and scheduling ever drift apart.
-        let audit = crate::analysis::audit_plan(&plan);
+        let audit = crate::analysis::audit_plan(plan);
         if !audit.is_empty() {
             monitor.on_event(&ChainEvent::Diagnostics {
                 diagnostics: audit.clone(),
@@ -524,10 +523,7 @@ impl Scheduler {
             est_cost: plan.total_cost(),
         });
 
-        // Rebuild the policy for this chain but keep the session's scratch
-        // pool: kernel working memory warmed by earlier chains stays warm.
-        ctx.kernels.policy = KernelPolicy::new(self.workers, self.kernel_chunk)
-            .with_scratch(ctx.kernels.policy.scratch.clone());
+        ctx.kernels.policy.workers = self.workers;
         let mut prev = Value::Unit;
         for segment in plan.segments() {
             match segment {
@@ -655,7 +651,7 @@ impl Scheduler {
                         scheduler: self,
                         registry,
                         chain,
-                        plan: &plan,
+                        plan,
                         snapshot: Arc::clone(&ctx.graph),
                         database: Arc::clone(&ctx.database),
                         seed: ctx.seed,
@@ -1236,6 +1232,28 @@ mod tests {
         assert_eq!(par_out, ref_out);
         assert_eq!(par_ctx.findings, ref_ctx.findings);
         assert_eq!(core_events(&par_mon.events), core_events(&ref_mon.events));
+    }
+
+    #[test]
+    fn audit_refuses_a_plan_with_an_unbarriered_mutation() {
+        let reg = registry::standard();
+        let mut chain = ApiChain::from_names(["relabel_nodes", "node_count"]);
+        chain.steps[0] = ApiCall::new("relabel_nodes").with_param("from", "A").with_param("to", "B");
+        let mut plan = Plan::build(&chain, &reg).unwrap();
+        // Misclassify the edit: it now shares a parallel segment with the read.
+        plan.steps[0].barrier = false;
+        let mut ctx = social_ctx();
+        let before = ctx.graph.fingerprint();
+        let mut mon = CollectingMonitor::new();
+        let err = Scheduler::new(2)
+            .run_plan(&reg, &chain, &plan, &mut ctx, &mut mon)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ChainError::AnalysisRejected(msg) if msg.contains("CG016")),
+            "{err}"
+        );
+        assert_eq!(ctx.graph.fingerprint(), before, "nothing ran");
+        assert!(mon.events.iter().all(|e| matches!(e, ChainEvent::Diagnostics { .. })));
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Property-based tests for the chain analyzer, exercised through the real
-//! registry and executor (`chatgraph-apis` / `chatgraph-graph` are
-//! dev-dependencies — the analyzer itself stays support-only).
+//! Property-based tests for the chain analyzer ([`analyze`]), exercised
+//! through the real registry and executor.
 
 use chatgraph_analyzer::diag::Severity;
 use chatgraph_apis::{analyze, execute_chain, registry, ApiCall, ApiChain, ChainError, ExecContext, SilentMonitor};

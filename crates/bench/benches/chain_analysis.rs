@@ -1,7 +1,6 @@
-//! Timing benches for the static chain analyzer: registry lowering, the
-//! full multi-pass analysis, the decoder's pruning predicate, and repolint's
-//! lexer. Writes the machine-readable baseline to
-//! `results/BENCH_chain_analysis.json`.
+//! Timing benches for the static chain analyzer: the full multi-pass
+//! analysis, the decoder's pruning predicate, and repolint's lexer. Writes
+//! the machine-readable baseline to `results/BENCH_chain_analysis.json`.
 
 use chatgraph_analyzer::lexer;
 use chatgraph_apis::{analysis, registry, ApiCall, ApiChain};
@@ -31,13 +30,6 @@ fn main() {
     let mut results: Vec<(String, Json)> = Vec::new();
     let mut bench = Bench::new("chain_analysis");
     let mut group = bench.group("chain_analysis");
-    record(
-        &mut results,
-        "lower_registry",
-        group.bench("lower_registry", || {
-            black_box(analysis::lower_registry(black_box(&reg)).names().count());
-        }),
-    );
     record(
         &mut results,
         "analyze_6_step_chain",

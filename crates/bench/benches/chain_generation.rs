@@ -1,5 +1,5 @@
 //! Timing benches for the chain-generation pipeline: feature extraction,
-//! search-based prediction, and greedy decoding.
+//! search-based prediction, and greedy (type-pruned) decoding.
 
 use chatgraph_apis::registry;
 use chatgraph_core::finetune::build_examples;
@@ -41,8 +41,9 @@ fn main() {
     let cands = candidate_apis(&reg, &retriever, &corpus[0].question, Some(&corpus[0].graph));
     group.bench("greedy_decode", || {
         black_box(
-            gen.generate_greedy(
+            gen.generate_greedy_checked(
                 &lm,
+                &reg,
                 &corpus[0].question,
                 Some(&corpus[0].graph),
                 &cands,

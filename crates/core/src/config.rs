@@ -3,7 +3,7 @@
 use chatgraph_ann::TauMgParams;
 use chatgraph_apis::supervisor::{FailurePolicy, SupervisorConfig};
 use chatgraph_embed::EmbedderConfig;
-use chatgraph_llm::{FeatureConfig, SamplingConfig, TrainConfig};
+use chatgraph_llm::{FeatureConfig, TrainConfig};
 use chatgraph_sequencer::CoverParams;
 
 /// Retrieval-module settings (§II-A, §II-D).
@@ -104,10 +104,6 @@ pub struct ExecConfig {
     pub workers: usize,
     /// Capacity of the bounded pure-step memo cache (0 disables caching).
     pub memo_capacity: usize,
-    /// Work-chunk size (nodes or edges) for the parallel CSR graph kernels
-    /// (DESIGN.md §10). Chunk boundaries are fixed, so results never depend
-    /// on the worker count.
-    pub kernel_chunk: usize,
     /// Per-step deadline in milliseconds (DESIGN.md §11); 0 disables
     /// deadlines. Kernels observe the deadline cooperatively at chunk
     /// boundaries.
@@ -121,7 +117,6 @@ pub struct ExecConfig {
 chatgraph_support::impl_json_struct!(ExecConfig {
     workers,
     memo_capacity,
-    kernel_chunk,
     step_deadline_ms,
     max_retries,
     failure_policy,
@@ -132,7 +127,6 @@ impl Default for ExecConfig {
         ExecConfig {
             workers: 1,
             memo_capacity: 64,
-            kernel_chunk: 1024,
             step_deadline_ms: 0,
             max_retries: 2,
             failure_policy: FailurePolicy::Abort,
@@ -161,7 +155,6 @@ impl ExecConfig {
         chatgraph_apis::ExecProfile {
             workers: self.workers,
             memo_capacity: self.memo_capacity,
-            kernel_chunk: self.kernel_chunk,
             supervisor: self.supervisor_config(),
         }
     }
@@ -206,8 +199,6 @@ pub struct ChatGraphConfig {
     pub retrieval: RetrievalConfig,
     /// LLM feature space.
     pub features: FeatureConfig,
-    /// Decoding settings (temperature, top-k).
-    pub sampling: SamplingConfig,
     /// Finetuning module.
     pub finetune: FinetuneConfig,
     /// Chain-execution scheduler.
@@ -222,7 +213,6 @@ chatgraph_support::impl_json_struct!(ChatGraphConfig {
     cover,
     retrieval,
     features,
-    sampling,
     finetune,
     exec,
     store,
@@ -265,7 +255,6 @@ impl Default for ChatGraphConfig {
             cover: SequencerConfig::default(),
             retrieval: RetrievalConfig::default(),
             features: FeatureConfig::default(),
-            sampling: SamplingConfig::default(),
             finetune: FinetuneConfig::default(),
             exec: ExecConfig::default(),
             store: StoreConfig::default(),
@@ -302,14 +291,8 @@ impl ChatGraphConfig {
         if self.finetune.train.learning_rate <= 0.0 || self.finetune.train.learning_rate.is_nan() {
             problems.push("finetune.train.learning_rate must be > 0".to_owned());
         }
-        if self.sampling.temperature < 0.0 {
-            problems.push("sampling.temperature must be >= 0".to_owned());
-        }
         if self.exec.workers == 0 {
             problems.push("exec.workers must be >= 1".to_owned());
-        }
-        if self.exec.kernel_chunk == 0 {
-            problems.push("exec.kernel_chunk must be >= 1".to_owned());
         }
         if self.exec.max_retries > 16 {
             problems.push("exec.max_retries must be <= 16 (bounded retry storms)".to_owned());
@@ -355,10 +338,8 @@ mod tests {
     fn zero_workers_is_rejected() {
         let mut c = ChatGraphConfig::default();
         c.exec.workers = 0;
-        c.exec.kernel_chunk = 0;
         let problems = c.validate().unwrap_err();
         assert!(problems.iter().any(|p| p.contains("exec.workers")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("exec.kernel_chunk")), "{problems:?}");
         // memo_capacity 0 is legal: it just disables the cache.
         let mut c = ChatGraphConfig::default();
         c.exec.memo_capacity = 0;

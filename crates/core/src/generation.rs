@@ -64,24 +64,6 @@ impl Default for ChainGenerator {
 }
 
 impl ChainGenerator {
-    /// Greedy decoding restricted to `candidates`.
-    pub fn generate_greedy(
-        &self,
-        lm: &GraphAwareLm,
-        prompt: &str,
-        graph: Option<&Graph>,
-        candidates: &[String],
-    ) -> ApiChain {
-        let mut sampler = Sampler::new(
-            SamplingConfig {
-                temperature: 0.0,
-                top_k: 1,
-            },
-            0,
-        );
-        self.generate(lm, prompt, graph, candidates, &mut sampler)
-    }
-
     /// Greedy decoding with per-step type-flow pruning (see
     /// [`ChainGenerator::generate_checked`]).
     pub fn generate_greedy_checked(
@@ -102,20 +84,8 @@ impl ChainGenerator {
         self.generate_checked(lm, registry, prompt, graph, candidates, &mut sampler)
     }
 
-    /// Sampled decoding restricted to `candidates`.
-    pub fn generate(
-        &self,
-        lm: &GraphAwareLm,
-        prompt: &str,
-        graph: Option<&Graph>,
-        candidates: &[String],
-        sampler: &mut Sampler,
-    ) -> ApiChain {
-        self.decode(lm, None, prompt, graph, candidates, sampler)
-    }
-
-    /// Sampled decoding with static-analysis pruning: before each step, the
-    /// candidate set is filtered through
+    /// Sampled decoding restricted to `candidates`, with static-analysis
+    /// pruning: before each step, the candidate set is filtered through
     /// [`chatgraph_apis::analysis::can_extend`], so extensions that would
     /// introduce a type-flow error (analyzer codes CG003/CG004) are never
     /// offered to the sampler. `[EOS]` always remains available, so pruning
@@ -129,31 +99,16 @@ impl ChainGenerator {
         candidates: &[String],
         sampler: &mut Sampler,
     ) -> ApiChain {
-        self.decode(lm, Some(registry), prompt, graph, candidates, sampler)
-    }
-
-    fn decode(
-        &self,
-        lm: &GraphAwareLm,
-        prune_against: Option<&ApiRegistry>,
-        prompt: &str,
-        graph: Option<&Graph>,
-        candidates: &[String],
-        sampler: &mut Sampler,
-    ) -> ApiChain {
         let context = lm.context(prompt, graph);
         let has_graph = graph.is_some();
-        let mut allowed = lm.allowed_ids(candidates);
         let mut names: Vec<String> = Vec::new();
         for _ in 0..self.max_len {
-            if let Some(registry) = prune_against {
-                let last = names.last().map(String::as_str);
-                let step_candidates: Vec<&String> = candidates
-                    .iter()
-                    .filter(|c| chatgraph_apis::analysis::can_extend(registry, last, c, has_graph))
-                    .collect();
-                allowed = lm.allowed_ids(&step_candidates);
-            }
+            let last = names.last().map(String::as_str);
+            let step_candidates: Vec<&String> = candidates
+                .iter()
+                .filter(|c| chatgraph_apis::analysis::can_extend(registry, last, c, has_graph))
+                .collect();
+            let allowed = lm.allowed_ids(&step_candidates);
             let x = lm.step_features(&context, &names);
             let token = sampler.sample(&lm.model, &x, &allowed);
             if token == lm.model.vocab().eos() || token == lm.model.vocab().bos() {
@@ -191,11 +146,23 @@ mod tests {
         lm
     }
 
+    /// A session graph for the Graph-input APIs the tests decode.
+    fn graph() -> chatgraph_graph::Graph {
+        use chatgraph_graph::generators::{social_network, SocialParams};
+        social_network(&SocialParams::default(), 1)
+    }
+
     #[test]
     fn greedy_decodes_trained_chain() {
         let lm = lm_preferring("node_count");
         let gen = ChainGenerator::default();
-        let chain = gen.generate_greedy(&lm, "question", None, &["node_count".to_owned()]);
+        let chain = gen.generate_greedy_checked(
+            &lm,
+            &registry::standard(),
+            "question",
+            Some(&graph()),
+            &["node_count".to_owned()],
+        );
         assert_eq!(chain.api_names(), vec!["node_count"]);
     }
 
@@ -204,10 +171,11 @@ mod tests {
         let lm = lm_preferring("node_count");
         let gen = ChainGenerator::default();
         // node_count is not among the candidates, so it cannot be emitted.
-        let chain = gen.generate_greedy(
+        let chain = gen.generate_greedy_checked(
             &lm,
+            &registry::standard(),
             "question",
-            None,
+            Some(&graph()),
             &["edge_count".to_owned(), "graph_stats".to_owned()],
         );
         for api in chain.api_names() {
@@ -222,18 +190,17 @@ mod tests {
         let gen = ChainGenerator { max_len: 3 };
         let names: Vec<String> = reg.names().iter().map(|s| s.to_string()).collect();
         let mut sampler = Sampler::new(SamplingConfig { temperature: 2.0, top_k: 0 }, 5);
-        let chain = gen.generate(&lm, "anything", None, &names, &mut sampler);
+        let chain = gen.generate_checked(&lm, &reg, "anything", Some(&graph()), &names, &mut sampler);
         assert!(chain.len() <= 3);
     }
 
     #[test]
     fn checked_decoding_only_emits_well_typed_chains() {
-        use chatgraph_graph::generators::{social_network, SocialParams};
         let reg = registry::standard();
         let lm = GraphAwareLm::new(&reg, &ChatGraphConfig::default());
         let gen = ChainGenerator { max_len: 4 };
         let names: Vec<String> = reg.names().iter().map(|s| s.to_string()).collect();
-        let g = social_network(&SocialParams::default(), 1);
+        let g = graph();
         for seed in 0..10 {
             // An untrained model at high temperature emits near-uniform noise;
             // pruning must still keep every non-empty chain well-typed, both

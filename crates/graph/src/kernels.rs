@@ -72,15 +72,15 @@ const PAGERANK_SOURCE_BLOCK: usize = 1 << 16;
 /// Shrink trigger for checked-in scratch buffers: a buffer whose capacity
 /// exceeds this multiple of its last-use length is shrunk to that length,
 /// so one 10^6-node run doesn't pin high-water memory across later small
-/// epochs.
+/// kernels.
 const SCRATCH_SHRINK_FACTOR: usize = 4;
 
 /// Reusable kernel working memory: the frontier queues, value/next vectors
 /// and pair buffers the kernels used to allocate per invocation. One
 /// `Scratch` is checked out of the policy's [`ScratchPool`] per worker (or
 /// per chunk, for per-chunk buffers like the BFS sweep's distance array)
-/// and checked back in when done, so the capacity survives across chunks,
-/// steps and epochs. Buffers carry arbitrary stale contents at checkout —
+/// and checked back in when done, so the capacity survives across the
+/// chunks, kernels and steps that share the pool. Buffers carry arbitrary stale contents at checkout —
 /// every kernel re-initialises the prefix it uses (`clear` + `resize`),
 /// which is what keeps outputs bit-identical to the allocate-fresh code.
 #[derive(Debug, Default)]
@@ -132,7 +132,9 @@ impl Scratch {
 /// A shared pool of [`Scratch`] arenas, cloned by `Arc` into every worker's
 /// [`KernelPolicy`]. Checkouts are exclusive, so the pool never grows past
 /// the peak number of concurrent checkouts (≈ the worker count); a
-/// checked-in arena keeps its capacity for the next kernel, step, or epoch.
+/// checked-in arena keeps its capacity for the next chunk, kernel or step.
+/// The pool lives as long as the policy's owner: an `ExecContext` holds one
+/// per chain execution.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
     arenas: Arc<Mutex<Vec<Scratch>>>,
@@ -162,24 +164,6 @@ impl ScratchPool {
         scratch.shrink_to_high_water();
         // lockdoc: recover(pool arenas are whole owned buffers; poison cannot tear them)
         self.arenas.lock().unwrap_or_else(|e| e.into_inner()).push(scratch);
-    }
-
-    /// Arenas currently parked in the pool.
-    pub fn len(&self) -> usize {
-        // lockdoc: recover(pool arenas are whole owned buffers; poison cannot tear them)
-        self.arenas.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the pool is empty (everything checked out, or never used).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every parked arena (an explicit release valve for callers
-    /// that know a large epoch just ended).
-    pub fn release(&self) {
-        // lockdoc: recover(pool arenas are whole owned buffers; poison cannot tear them)
-        self.arenas.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 
@@ -240,13 +224,6 @@ impl KernelPolicy {
     /// The same policy with an injected per-chunk stall (fault harness).
     pub fn with_chunk_delay(mut self, delay: Duration) -> KernelPolicy {
         self.chunk_delay = delay;
-        self
-    }
-
-    /// The same policy drawing working memory from `scratch` — used by the
-    /// scheduler to keep one pool alive across per-chain policy rebuilds.
-    pub fn with_scratch(mut self, scratch: ScratchPool) -> KernelPolicy {
-        self.scratch = scratch;
         self
     }
 }
@@ -816,7 +793,7 @@ fn bfs_scan(csr: &CsrGraph, s: u32, dist: &mut [usize], queue: &mut VecDeque<u32
 /// Per-source BFS sweep, parallel over sources. Each chunk checks one
 /// scratch arena out of the policy's pool and reuses its distance buffer
 /// and queue across the chunk's sources (and, via the pool, across chunks,
-/// steps and epochs). Returns per-source `(ecc, Σ d, pairs)` in ascending
+/// kernels and steps). Returns per-source `(ecc, Σ d, pairs)` in ascending
 /// source order.
 fn sweep(csr: &CsrGraph, policy: &KernelPolicy) -> Vec<(usize, usize, usize)> {
     let n = csr.n();

@@ -121,7 +121,7 @@ fn untrained_end_to_end_is_robust() {
     let generator = ChainGenerator::default();
     let g = social_network(&SocialParams::default(), 1);
     let candidates = candidate_apis(&reg, &retriever, "tell me about G", Some(&g));
-    let chain = generator.generate_greedy(&lm, "tell me about G", Some(&g), &candidates);
+    let chain = generator.generate_greedy_checked(&lm, &reg, "tell me about G", Some(&g), &candidates);
     if !chain.is_empty() {
         let mut ctx = ExecContext::new(g);
         // Edit APIs would ask for confirmation; answer yes and accept
