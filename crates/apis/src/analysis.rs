@@ -536,30 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn collects_every_type_error_not_just_the_first() {
-        let reg = registry::standard();
-        // Two independent mismatches; legacy validate() reports only the first.
-        let chain = ApiChain::from_names([
-            "node_count",
-            "remove_edges",
-            "node_count",
-            "remove_edges",
-        ]);
-        let d = analyze(&chain, &reg, true);
-        assert!(d.count(Severity::Error) >= 2, "{}", d.render_text());
-        assert!(chain.validate(&reg, true).is_err());
-    }
-
-    #[test]
-    fn unknown_api_suggests_nearest_registered_name() {
-        let reg = registry::standard();
-        let chain = ApiChain::from_names(["node_cout"]);
-        let d = analyze(&chain, &reg, true);
-        assert_eq!(codes(&d), vec!["CG002"]);
-        assert_eq!(d.items[0].suggestion.as_deref(), Some("did you mean `node_count`?"));
-    }
-
-    #[test]
     fn parameter_lints_fire_against_declared_schemas() {
         let reg = registry::standard();
         let mut chain = ApiChain::new();
@@ -580,15 +556,6 @@ mod tests {
         chain.push(ApiCall::new("generate_report"));
         let d = analyze(&chain, &reg, true);
         assert_eq!(codes(&d), vec!["CG007"]);
-    }
-
-    #[test]
-    fn confirmation_gated_api_warns_cg010() {
-        let reg = registry::standard();
-        let chain = ApiChain::from_names(["detect_incorrect_edges", "remove_edges"]);
-        let d = analyze(&chain, &reg, true);
-        assert!(codes(&d).contains(&"CG010"), "{}", d.render_text());
-        assert!(!d.has_errors());
     }
 
     #[test]

@@ -123,8 +123,10 @@ pub enum ChainError {
     /// The chain is empty.
     Empty,
     /// Static analysis found Error-level diagnostics; execution refused.
-    /// (Belt and braces over [`ApiChain::validate`]: fires only for error
-    /// classes the legacy validator does not model.)
+    /// The chain-level Error codes (CG001–CG004) are exactly
+    /// [`ApiChain::validate`]'s errors, which execution reports first as
+    /// their typed variants, so in practice only the CG016 plan
+    /// interference audit raises this.
     AnalysisRejected(String),
     /// The user rejected a confirmation prompt; execution stopped.
     Rejected(usize, String),
@@ -505,6 +507,12 @@ mod tests {
             .map(|x| x.code.as_str())
             .collect();
         assert!(errs.len() >= 3, "{}", d.render_text());
+        // With a session graph the Graph-input steps type-check, yet both
+        // mismatches remain, and `validate` refuses the chain too.
+        let c = chain(&["node_count", "remove_edges", "node_count", "remove_edges"]);
+        let d = run(&c, true);
+        assert!(d.count(Severity::Error) >= 2, "{}", d.render_text());
+        assert!(c.validate(&registry::standard(), true).is_err());
     }
 
     #[test]
@@ -559,6 +567,9 @@ mod tests {
         assert!(codes(&d).contains(&"CG010"), "{}", d.render_text());
         // CG010 is a warning: it must not block execution on its own.
         assert!(d.items.iter().filter(|x| x.code == "CG010").all(|x| x.severity == Severity::Warning));
+        let d = run(&chain(&["detect_incorrect_edges", "remove_edges"]), true);
+        assert!(codes(&d).contains(&"CG010"), "{}", d.render_text());
+        assert!(!d.has_errors(), "{}", d.render_text());
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Chain execution.
 //!
-//! [`execute_chain`] is the public entry point; since the plan refactor it
-//! is a thin wrapper over a 1-worker [`crate::sched::Scheduler`], so its
-//! behaviour and event contract are exactly those of the historical
-//! sequential executor. That historical executor survives verbatim as
-//! [`execute_chain_reference`] — the differential oracle the plan property
-//! tests compare against.
+//! [`execute_chain`] is the public entry point: a thin wrapper over a
+//! 1-worker [`crate::sched::Scheduler`], whose behaviour and core event
+//! contract are exactly those of the historical sequential executor. That
+//! executor survives in the crate's test support as the differential oracle
+//! the plan and fault property tests compare against; it is not library
+//! API. This module also holds the [`ExecContext`] chains run against and
+//! the [`KernelState`] threaded through it.
 
 use crate::chain::{ApiChain, ChainError};
-use crate::monitor::{ChainEvent, Monitor};
+use crate::monitor::Monitor;
 use crate::registry::ApiRegistry;
-use crate::value::{Value, ValueType};
+use crate::value::Value;
 use chatgraph_graph::csr::{CsrBuild, CsrGraph};
 use chatgraph_graph::kernels::KernelPolicy;
 use chatgraph_graph::Graph;
@@ -183,85 +184,12 @@ pub fn execute_chain(
     crate::sched::Scheduler::new(1).execute(registry, chain, ctx, monitor)
 }
 
-/// The pre-plan sequential executor, kept as the differential oracle for
-/// the scheduler's determinism contract (see `tests/plan_properties.rs`).
-/// Event-for-event identical to the seed implementation; the only change is
-/// that graph inputs are shared via [`Arc`] instead of deep-cloned.
-pub fn execute_chain_reference(
-    registry: &ApiRegistry,
-    chain: &ApiChain,
-    ctx: &mut ExecContext,
-    monitor: &mut dyn Monitor,
-) -> Result<Value, ChainError> {
-    chain.validate(registry, true)?;
-    let diagnostics = crate::analysis::analyze(chain, registry, true);
-    if !diagnostics.is_empty() {
-        monitor.on_event(&ChainEvent::Diagnostics {
-            diagnostics: diagnostics.clone(),
-        });
-    }
-    if let Some(err) = diagnostics.first_error() {
-        return Err(ChainError::AnalysisRejected(err.render()));
-    }
-    monitor.on_event(&ChainEvent::ChainStarted {
-        total: chain.len(),
-    });
-    let mut prev = Value::Unit;
-    for (i, step) in chain.steps.iter().enumerate() {
-        // validate() plus the analysis gate above guarantee the API exists.
-        let Some(desc) = registry.descriptor(&step.api).cloned() else {
-            return Err(ChainError::UnknownApi(i, step.api.clone()));
-        };
-        monitor.on_event(&ChainEvent::StepStarted {
-            step: i,
-            api: step.api.clone(),
-        });
-        let input = if desc.input.accepts(prev.value_type()) {
-            prev.clone()
-        } else if desc.input == ValueType::Graph {
-            Value::Graph(Arc::clone(&ctx.graph))
-        } else {
-            Value::Unit
-        };
-        if desc.requires_confirmation {
-            monitor.on_event(&ChainEvent::ConfirmationRequested {
-                step: i,
-                api: step.api.clone(),
-            });
-            if !monitor.confirm(i, &step.api, &input.summary()) {
-                return Err(ChainError::Rejected(i, step.api.clone()));
-            }
-        }
-        match registry.call(&step.api, ctx, input, step) {
-            Ok(output) => {
-                ctx.push_finding(&step.api, &output);
-                monitor.on_event(&ChainEvent::StepFinished {
-                    step: i,
-                    api: step.api.clone(),
-                    output: output.value_type(),
-                    summary: output.summary(),
-                });
-                prev = output;
-            }
-            Err(msg) => {
-                monitor.on_event(&ChainEvent::StepFailed {
-                    step: i,
-                    api: step.api.clone(),
-                    error: msg.clone(),
-                });
-                return Err(ChainError::ExecutionFailed(i, msg));
-            }
-        }
-    }
-    monitor.on_event(&ChainEvent::ChainFinished);
-    Ok(prev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain::ApiChain;
-    use crate::monitor::CollectingMonitor;
+    use crate::monitor::{ChainEvent, CollectingMonitor};
+    use crate::value::ValueType;
     use crate::registry;
     use chatgraph_graph::generators::{social_network, SocialParams};
 

@@ -59,7 +59,7 @@ pub use analysis::{analyze, can_extend};
 pub use chain::{ApiCall, ApiChain, ChainError};
 pub use cost::{CostModel, PAR_KERNEL_MIN_WORK};
 pub use descriptor::{ApiCategory, ApiDescriptor, ParamKind, ParamSpec};
-pub use executor::{execute_chain, execute_chain_reference, ExecContext};
+pub use executor::{execute_chain, ExecContext};
 pub use monitor::{ChainEvent, CollectingMonitor, Monitor, SilentMonitor};
 pub use plan::{InputSource, Plan, PlanStep, Segment};
 pub use executor::KernelState;

@@ -10,17 +10,33 @@
 //! (`Arc<Graph>`, `Arc<Vec<Graph>>`, the seed) with **empty local
 //! findings** — sound because non-barrier steps never read findings.
 //!
+//! ## Step lifecycle
+//!
+//! Every step, barrier or pure, goes through one supervised attempt and
+//! one commit. The attempt (`Scheduler::attempt`) installs the cancel
+//! token, chunk delay and kernel worker count into a context's kernel
+//! policy and calls the handler: a barrier runs on the scheduler thread
+//! against the real context, after its `StepStarted` and any confirmation
+//! prompt; a pure step runs against a snapshot-local context, unless the
+//! memo serves it. The commit (`Scheduler::commit`) runs on the scheduler
+//! thread in step-index order and is the only place a step's effects
+//! become observable: retry notes and memo events, the durable
+//! [`CommitSink`] commit of a graph mutation, then the finding,
+//! `StepFinished` and `StepTimed` — or, on failure, the timeout/panic
+//! detail and a degraded result or `StepFailed`.
+//!
 //! ## Determinism contract
 //!
 //! For any chain and any worker count, the scheduler produces the same
 //! final value, the same `findings` in the same order, and the same *core*
 //! event sequence (the seed executor's seven [`ChainEvent`] variants, in
 //! the same order with the same payloads) as the sequential reference
-//! executor. Mechanism: workers only compute; all observable effects —
-//! events, findings, the failure index — are committed on the scheduler
-//! thread in step-index order, stopping at the smallest failing index. The
-//! extra plan events (`PlanBuilt`, `StepTimed`, `MemoLookup`) are
-//! non-core ([`ChainEvent::is_core`]) and may differ across worker counts.
+//! executor the differential tests keep as their oracle. Mechanism: workers
+//! only compute; all observable effects — events, findings, the failure
+//! index — are committed on the scheduler thread in step-index order,
+//! stopping at the smallest failing index. The extra plan events
+//! (`PlanBuilt`, `StepTimed`, `MemoLookup`) are non-core
+//! ([`ChainEvent::is_core`]) and may differ across worker counts.
 //!
 //! ## Memoization
 //!
@@ -50,11 +66,11 @@ use crate::chain::{ApiCall, ApiChain, ChainError};
 use crate::descriptor::ApiCategory;
 use crate::executor::ExecContext;
 use crate::monitor::{ChainEvent, Monitor};
-use crate::plan::{InputSource, Plan, Segment};
+use crate::plan::{InputSource, Plan, PlanStep, Segment};
 use crate::registry::ApiRegistry;
-use crate::executor::KernelState;
-use crate::supervisor::{self, FailurePolicy, FaultPlan, StepFailure, SupervisorConfig};
+use crate::supervisor::{self, Attempted, FailurePolicy, FaultPlan, StepFailure, SupervisorConfig};
 use crate::value::Value;
+use chatgraph_analyzer::diag::Diagnostics;
 use chatgraph_graph::Graph;
 use chatgraph_support::cancel::CancelToken;
 use chatgraph_support::hash::Fnv64;
@@ -468,6 +484,11 @@ impl Scheduler {
 
     /// Plans and executes `chain` — same contract as
     /// [`crate::execute_chain`], which is this with one worker.
+    ///
+    /// Building the plan validates the chain, so an invalid chain fails
+    /// with its typed error (`UnknownApi`, `TypeMismatch`, `Empty`) before
+    /// any event is emitted; the analysis gate then runs on a chain that
+    /// type-checks.
     pub fn execute(
         &self,
         registry: &ApiRegistry,
@@ -475,20 +496,11 @@ impl Scheduler {
         ctx: &mut ExecContext,
         monitor: &mut dyn Monitor,
     ) -> Result<Value, ChainError> {
-        chain.validate(registry, true)?;
-        let diagnostics = crate::analysis::analyze(chain, registry, true);
-        if !diagnostics.is_empty() {
-            monitor.on_event(&ChainEvent::Diagnostics {
-                diagnostics: diagnostics.clone(),
-            });
-        }
-        if let Some(err) = diagnostics.first_error() {
-            return Err(ChainError::AnalysisRejected(err.render()));
-        }
         // Price the plan against the graph's O(1) statistics counters:
         // per-step work estimates order sub-chain dispatch, and steps under
         // the parallelism bar run their CSR kernels sequentially.
         let plan = Plan::build_with_stats(chain, registry, Some(&ctx.graph))?;
+        gate(crate::analysis::analyze(chain, registry, true), monitor)?;
         self.run_plan(registry, chain, &plan, ctx, monitor)
     }
 
@@ -505,15 +517,7 @@ impl Scheduler {
         // parallel segment hides a conflicting effect before running any of
         // it. Plans from `Plan::build` are clean by construction, so this
         // only fires if planning and scheduling ever drift apart.
-        let audit = crate::analysis::audit_plan(plan);
-        if !audit.is_empty() {
-            monitor.on_event(&ChainEvent::Diagnostics {
-                diagnostics: audit.clone(),
-            });
-        }
-        if let Some(err) = audit.first_error() {
-            return Err(ChainError::AnalysisRejected(err.render()));
-        }
+        gate(crate::analysis::audit_plan(plan), monitor)?;
         monitor.on_event(&ChainEvent::ChainStarted { total: chain.len() });
         monitor.on_event(&ChainEvent::PlanBuilt {
             steps: plan.len(),
@@ -534,7 +538,7 @@ impl Scheduler {
                         step: i,
                         api: step.api.clone(),
                     });
-                    let input = resolve_input(pstep.input, &prev, ctx);
+                    let input = step_input(pstep.input, &prev, &ctx.graph);
                     if registry
                         .descriptor(&step.api)
                         .is_some_and(|d| d.requires_confirmation)
@@ -548,95 +552,10 @@ impl Scheduler {
                         }
                     }
                     let start = Instant::now();
-                    let retryable = registry
-                        .descriptor(&step.api)
-                        .is_some_and(|d| d.transient_retryable);
-                    // The cost model's call: a barrier under the parallelism
-                    // bar runs its CSR kernels sequentially — the pool costs
-                    // more than the kernel at that scale.
-                    ctx.kernels.policy.workers =
-                        if pstep.par_kernel { self.workers } else { 1 };
-                    // Barriers run on the scheduler thread against the real
-                    // context; the supervisor threads its per-attempt token
-                    // into the kernel policy so CSR kernels observe the
-                    // deadline at chunk boundaries.
-                    let attempted = supervisor::run_step(
-                        &self.supervisor,
-                        ctx.seed,
-                        i,
-                        retryable,
-                        |token, chunk_delay| {
-                            ctx.kernels.policy.cancel = token.clone();
-                            ctx.kernels.policy.chunk_delay = chunk_delay;
-                            registry.call(&step.api, ctx, input.clone(), step)
-                        },
-                    );
-                    ctx.kernels.policy.cancel = CancelToken::new();
-                    ctx.kernels.policy.chunk_delay = Duration::ZERO;
-                    for note in &attempted.retries {
-                        monitor.on_event(&ChainEvent::StepRetried {
-                            step: i,
-                            api: step.api.clone(),
-                            attempt: note.attempt,
-                            backoff_ms: note.backoff_ms,
-                            error: note.error.clone(),
-                        });
-                    }
-                    match attempted.result {
-                        Ok(output) => {
-                            // Durability point: the mutation barrier's epoch
-                            // goes to the WAL before any effect of the step
-                            // is published to the chain.
-                            if pstep.mutates_graph {
-                                if let Some(sink) = &self.commit_sink {
-                                    match sink.commit(&ctx.graph) {
-                                        Ok(ack) => {
-                                            monitor.on_event(&ChainEvent::WalAppended {
-                                                step: i,
-                                                epoch: ack.epoch,
-                                                records: ack.records,
-                                                bytes: ack.bytes,
-                                            });
-                                        }
-                                        Err(error) => {
-                                            monitor.on_event(&ChainEvent::StepFailed {
-                                                step: i,
-                                                api: step.api.clone(),
-                                                error: format!(
-                                                    "durable commit failed: {error}"
-                                                ),
-                                            });
-                                            return Err(ChainError::CommitFailed(i, error));
-                                        }
-                                    }
-                                }
-                            }
-                            ctx.push_finding(&step.api, &output);
-                            monitor.on_event(&ChainEvent::StepFinished {
-                                step: i,
-                                api: step.api.clone(),
-                                output: output.value_type(),
-                                summary: output.summary(),
-                            });
-                            monitor.on_event(&ChainEvent::StepTimed {
-                                step: i,
-                                api: step.api.clone(),
-                                micros: start.elapsed().as_micros() as u64,
-                                cached: false,
-                            });
-                            prev = output;
-                        }
-                        Err(failure) => {
-                            emit_failure_detail(monitor, i, &step.api, &failure);
-                            // Barriers are never dead-output (their effect
-                            // *is* the barrier), so no policy check: abort.
-                            monitor.on_event(&ChainEvent::StepFailed {
-                                step: i,
-                                api: step.api.clone(),
-                                error: failure.render(),
-                            });
-                            return Err(failure.into_chain_error(i));
-                        }
+                    let attempted = self.attempt(registry, step, pstep, &input, false, ctx);
+                    let outcome = StepOutcome::new(attempted, start, Served::Unkeyed);
+                    if let Some(output) = self.commit(plan, i, outcome, ctx, monitor)? {
+                        prev = output;
                     }
                     drain_kernel_events(ctx, monitor);
                 }
@@ -652,12 +571,15 @@ impl Scheduler {
                         registry,
                         chain,
                         plan,
-                        snapshot: Arc::clone(&ctx.graph),
-                        database: Arc::clone(&ctx.database),
-                        seed: ctx.seed,
+                        local: ExecContext {
+                            graph: Arc::clone(&ctx.graph),
+                            database: Arc::clone(&ctx.database),
+                            findings: Vec::new(),
+                            seed: ctx.seed,
+                            kernels: ctx.kernels.clone(),
+                        },
                         graph_fp: ctx.graph.fingerprint(),
                         db_fp: dfp,
-                        kernels: ctx.kernels.clone(),
                     };
                     let out = seg.run(chains, prev, ctx, monitor);
                     drain_kernel_events(ctx, monitor);
@@ -668,6 +590,161 @@ impl Scheduler {
         monitor.on_event(&ChainEvent::ChainFinished);
         Ok(prev)
     }
+
+    /// The one supervised attempt (module docs, "Step lifecycle"). CSR
+    /// kernels observe each attempt's deadline at chunk boundaries. Kernel
+    /// parallelism is off on a pool worker (`on_pool`: the workers *are*
+    /// the chunk workers then) and for steps the cost model deems too small.
+    fn attempt(
+        &self,
+        registry: &ApiRegistry,
+        call: &ApiCall,
+        pstep: &PlanStep,
+        input: &Value,
+        on_pool: bool,
+        ctx: &mut ExecContext,
+    ) -> Attempted {
+        let retryable = registry
+            .descriptor(&call.api)
+            .is_some_and(|d| d.transient_retryable);
+        ctx.kernels.policy.workers = if on_pool || !pstep.par_kernel { 1 } else { self.workers };
+        let attempted = supervisor::run_step(
+            &self.supervisor,
+            ctx.seed,
+            pstep.index,
+            retryable,
+            |token, chunk_delay| {
+                ctx.kernels.policy.cancel = token.clone();
+                ctx.kernels.policy.chunk_delay = chunk_delay;
+                registry.call(&call.api, ctx, input.clone(), call)
+            },
+        );
+        ctx.kernels.policy.cancel = CancelToken::new();
+        ctx.kernels.policy.chunk_delay = Duration::ZERO;
+        attempted
+    }
+
+    /// The one commit (module docs, "Step lifecycle"), on the scheduler
+    /// thread. A mutating step's `StepTimed` covers its durable commit.
+    /// Returns the step's value, or `None` when it degraded — only an
+    /// unconsumed output under `SkipDegraded` does, never a barrier's.
+    fn commit(
+        &self,
+        plan: &Plan,
+        j: usize,
+        outcome: StepOutcome,
+        ctx: &mut ExecContext,
+        monitor: &mut dyn Monitor,
+    ) -> Result<Option<Value>, ChainError> {
+        let api = &plan.steps[j].api;
+        for note in &outcome.retries {
+            monitor.on_event(&ChainEvent::StepRetried {
+                step: j,
+                api: api.clone(),
+                attempt: note.attempt,
+                backoff_ms: note.backoff_ms,
+                error: note.error.clone(),
+            });
+        }
+        if outcome.served != Served::Unkeyed {
+            monitor.on_event(&ChainEvent::MemoLookup {
+                step: j,
+                api: api.clone(),
+                hit: outcome.served == Served::MemoHit,
+            });
+        }
+        if outcome.served == Served::Coalesced {
+            monitor.on_event(&ChainEvent::StepCoalesced {
+                step: j,
+                api: api.clone(),
+            });
+        }
+        let failure = match outcome.result {
+            Ok(output) => {
+                let mut micros = outcome.micros;
+                if plan.steps[j].mutates_graph {
+                    if let Some(sink) = &self.commit_sink {
+                        let start = Instant::now();
+                        match sink.commit(&ctx.graph) {
+                            Ok(ack) => monitor.on_event(&ChainEvent::WalAppended {
+                                step: j,
+                                epoch: ack.epoch,
+                                records: ack.records,
+                                bytes: ack.bytes,
+                            }),
+                            Err(error) => {
+                                monitor.on_event(&ChainEvent::StepFailed {
+                                    step: j,
+                                    api: api.clone(),
+                                    error: format!("durable commit failed: {error}"),
+                                });
+                                return Err(ChainError::CommitFailed(j, error));
+                            }
+                        }
+                        micros += start.elapsed().as_micros() as u64;
+                    }
+                }
+                ctx.push_finding(api, &output);
+                monitor.on_event(&ChainEvent::StepFinished {
+                    step: j,
+                    api: api.clone(),
+                    output: output.value_type(),
+                    summary: output.summary(),
+                });
+                monitor.on_event(&ChainEvent::StepTimed {
+                    step: j,
+                    api: api.clone(),
+                    micros,
+                    cached: outcome.served == Served::MemoHit,
+                });
+                return Ok(Some(output));
+            }
+            Err(failure) => failure,
+        };
+        match &failure {
+            StepFailure::TimedOut(ms) => monitor.on_event(&ChainEvent::StepTimedOut {
+                step: j,
+                api: api.clone(),
+                deadline_ms: *ms,
+            }),
+            StepFailure::Panicked(msg) => monitor.on_event(&ChainEvent::StepPanicked {
+                step: j,
+                api: api.clone(),
+                message: msg.clone(),
+            }),
+            StepFailure::Error(_) => {}
+        }
+        let error = failure.render();
+        if self.supervisor.failure_policy == FailurePolicy::SkipDegraded && plan.dead_output(j) {
+            // The output is provably unconsumed downstream: record a
+            // degraded finding and keep the chain alive.
+            ctx.push_finding(api, &Value::Text(format!("degraded: {error}")));
+            monitor.on_event(&ChainEvent::DegradedResult {
+                step: j,
+                api: api.clone(),
+                error,
+            });
+            return Ok(None);
+        }
+        monitor.on_event(&ChainEvent::StepFailed {
+            step: j,
+            api: api.clone(),
+            error,
+        });
+        Err(failure.into_chain_error(j))
+    }
+}
+
+/// Emits `diagnostics` as one [`ChainEvent::Diagnostics`] when non-empty
+/// and refuses the chain on the first Error.
+fn gate(diagnostics: Diagnostics, monitor: &mut dyn Monitor) -> Result<(), ChainError> {
+    let refusal = diagnostics
+        .first_error()
+        .map(|d| ChainError::AnalysisRejected(d.render()));
+    if !diagnostics.is_empty() {
+        monitor.on_event(&ChainEvent::Diagnostics { diagnostics });
+    }
+    refusal.map_or(Ok(()), Err)
 }
 
 /// Flushes CSR build and kernel timing records accumulated in the context's
@@ -686,47 +763,52 @@ fn drain_kernel_events(ctx: &ExecContext, monitor: &mut dyn Monitor) {
     }
 }
 
-/// Emits the non-core detail event for a supervised failure (timeout /
-/// panic); plain errors carry no extra detail beyond `StepFailed`.
-fn emit_failure_detail(monitor: &mut dyn Monitor, step: usize, api: &str, failure: &StepFailure) {
-    match failure {
-        StepFailure::TimedOut(ms) => monitor.on_event(&ChainEvent::StepTimedOut {
-            step,
-            api: api.to_owned(),
-            deadline_ms: *ms,
-        }),
-        StepFailure::Panicked(msg) => monitor.on_event(&ChainEvent::StepPanicked {
-            step,
-            api: api.to_owned(),
-            message: msg.clone(),
-        }),
-        StepFailure::Error(_) => {}
-    }
-}
-
-/// Resolves a statically planned input against the live context.
-fn resolve_input(source: InputSource, prev: &Value, ctx: &ExecContext) -> Value {
+/// Resolves a statically planned input: the running value for
+/// `PrevOutput`, the given graph version for `SessionGraph`, or `Unit`.
+fn step_input(source: InputSource, prev: &Value, graph: &Arc<Graph>) -> Value {
     match source {
         InputSource::PrevOutput(_) => prev.clone(),
-        InputSource::SessionGraph => Value::Graph(Arc::clone(&ctx.graph)),
+        InputSource::SessionGraph => Value::Graph(Arc::clone(graph)),
         InputSource::Unit => Value::Unit,
     }
 }
 
-/// What happened when one pure step ran (or was served from cache).
+/// How a step's result was obtained: what its `MemoLookup`,
+/// `StepCoalesced` and `StepTimed.cached` report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// The memo missed and the handler ran.
+    Ran,
+    /// Served from the memo cache; nothing ran.
+    MemoHit,
+    /// Received from an identical in-flight execution; nothing ran.
+    Coalesced,
+    /// Ran without a memo key: a barrier, a step its fault plan afflicts,
+    /// a similarity step with no database fingerprint, or a step whose
+    /// worker died.
+    Unkeyed,
+}
+
+/// What happened when one step ran (or was served from the memo).
 struct StepOutcome {
     result: Result<Value, StepFailure>,
     /// Supervisor retries performed before the final result, in order.
     retries: Vec<supervisor::RetryNote>,
     micros: u64,
-    cached: bool,
-    /// Whether the result was received from a coalesced in-flight
-    /// execution instead of running the handler.
-    coalesced: bool,
-    memo_checked: bool,
+    served: Served,
 }
 
 impl StepOutcome {
+    /// The outcome of a supervised run (or memo service) begun at `start`.
+    fn new(attempted: Attempted, start: Instant, served: Served) -> StepOutcome {
+        StepOutcome {
+            result: attempted.result,
+            retries: attempted.retries,
+            micros: start.elapsed().as_micros() as u64,
+            served,
+        }
+    }
+
     /// The outcome recorded for a step whose worker thread died without
     /// reporting (a scheduler-internal panic caught at `join`).
     fn pool_panic(msg: String) -> StepOutcome {
@@ -734,9 +816,7 @@ impl StepOutcome {
             result: Err(StepFailure::Panicked(msg)),
             retries: Vec::new(),
             micros: 0,
-            cached: false,
-            coalesced: false,
-            memo_checked: false,
+            served: Served::Unkeyed,
         }
     }
 }
@@ -747,13 +827,13 @@ struct SegmentRun<'a> {
     registry: &'a ApiRegistry,
     chain: &'a ApiChain,
     plan: &'a Plan,
-    snapshot: Arc<Graph>,
-    database: Arc<Vec<Graph>>,
-    seed: u64,
+    /// The snapshot-local context each pure step runs against a copy of:
+    /// the segment's graph version, database and seed, empty findings, and
+    /// the chain's shared kernel logs.
+    local: ExecContext,
     graph_fp: u64,
     /// Set when the segment holds a similarity step.
     db_fp: Option<u64>,
-    kernels: KernelState,
 }
 
 impl SegmentRun<'_> {
@@ -823,7 +903,8 @@ impl SegmentRun<'_> {
                     };
                     for &j in &sub {
                         cur.store(j, Ordering::Relaxed);
-                        let input = self.worker_input(j, &local_prev);
+                        let source = self.plan.steps[j].input;
+                        let input = step_input(source, &local_prev, &self.local.graph);
                         let outcome = self.exec_pure(j, input, true);
                         let ok = outcome.result.as_ref().ok().cloned();
                         if let Some(slot) = slot_of(j) {
@@ -881,9 +962,7 @@ impl SegmentRun<'_> {
                 // first — so this is unreachable; skip defensively.
                 continue;
             };
-            if let Some(err) = self.commit(j, outcome, ctx, monitor, &mut last) {
-                return Err(err);
-            }
+            self.commit(j, outcome, ctx, monitor, &mut last)?;
         }
         Ok(last)
     }
@@ -902,30 +981,16 @@ impl SegmentRun<'_> {
         indices.sort_unstable();
         let mut last = prev;
         for j in indices {
-            let input = self.worker_input(j, &last);
+            let input = step_input(self.plan.steps[j].input, &last, &self.local.graph);
             let outcome = self.exec_pure(j, input, false);
-            if let Some(err) = self.commit(j, outcome, ctx, monitor, &mut last) {
-                return Err(err);
-            }
+            self.commit(j, outcome, ctx, monitor, &mut last)?;
         }
         Ok(last)
     }
 
-    /// Resolves step `j`'s input inside a worker: the running sub-chain
-    /// value for `PrevOutput`, a graph snapshot, or `Unit`.
-    fn worker_input(&self, j: usize, local_prev: &Value) -> Value {
-        match self.plan.steps[j].input {
-            InputSource::PrevOutput(_) => local_prev.clone(),
-            InputSource::SessionGraph => Value::Graph(Arc::clone(&self.snapshot)),
-            InputSource::Unit => Value::Unit,
-        }
-    }
-
     /// Runs one pure step against an isolated context through the memo.
-    /// When the segment itself is running across worker threads
-    /// (`parallel`), kernel-level parallelism is disabled so the pool is
-    /// never oversubscribed — the worker threads *are* the kernel chunk
-    /// workers in that regime.
+    /// `on_pool` says whether the segment itself is running across worker
+    /// threads (see [`Scheduler::attempt`]).
     ///
     /// Every keyed step claims: a hit or a coalesced flight skips the
     /// handler, and a leader publishes its outcome (value *or* failure) to
@@ -934,76 +999,34 @@ impl SegmentRun<'_> {
     /// step the fault plan afflicts: it gets no key, so its injected faults
     /// and clean retry stay private to this run, and the memo can neither
     /// mask them on a warm run nor leak them through a flight.
-    fn exec_pure(&self, j: usize, input: Value, parallel: bool) -> StepOutcome {
+    fn exec_pure(&self, j: usize, input: Value, on_pool: bool) -> StepOutcome {
         let call = &self.chain.steps[j];
-        let cfg = &self.scheduler.supervisor;
-        let afflicted = cfg.faults.as_ref().is_some_and(|f| f.fault_for(j, 0).is_some());
+        let faults = self.scheduler.supervisor.faults.as_ref();
+        let afflicted = faults.is_some_and(|f| f.fault_for(j, 0).is_some());
         let key = if afflicted { None } else { self.memo_key(call, &input) };
         let start = Instant::now();
-        let served = |result, cached, coalesced| StepOutcome {
-            result,
-            retries: Vec::new(),
-            micros: start.elapsed().as_micros() as u64,
-            cached,
-            coalesced,
-            memo_checked: true,
+        let served = |result, served| {
+            StepOutcome::new(Attempted { result, retries: Vec::new() }, start, served)
         };
-        let lease = match key.map(|k| self.scheduler.memo.claim(k)) {
-            Some(Claim::Hit(v)) => return served(Ok(v), true, false),
-            Some(Claim::Coalesced(shared)) => return served(shared, false, true),
-            Some(Claim::Run(lease)) => lease,
-            None => None,
+        let (lease, served_as) = match key.map(|k| self.scheduler.memo.claim(k)) {
+            Some(Claim::Hit(v)) => return served(Ok(v), Served::MemoHit),
+            Some(Claim::Coalesced(shared)) => return served(shared, Served::Coalesced),
+            Some(Claim::Run(lease)) => (lease, Served::Ran),
+            None => (None, Served::Unkeyed),
         };
-        let retryable = self
-            .registry
-            .descriptor(&call.api)
-            .is_some_and(|d| d.transient_retryable);
-        let attempted = supervisor::run_step(cfg, self.seed, j, retryable, |token, delay| {
-            self.attempt_once(j, &input, parallel, token, delay)
-        });
+        let mut local = self.local.clone();
+        let attempted = self.scheduler.attempt(
+            self.registry,
+            call,
+            &self.plan.steps[j],
+            &input,
+            on_pool,
+            &mut local,
+        );
         if let Some(lease) = lease {
             lease.publish(attempted.result.clone());
         }
-        StepOutcome {
-            result: attempted.result,
-            retries: attempted.retries,
-            micros: start.elapsed().as_micros() as u64,
-            cached: false,
-            coalesced: false,
-            memo_checked: key.is_some(),
-        }
-    }
-
-    /// A single attempt of step `j` against an isolated context. Kernel
-    /// parallelism is off when the segment itself spans worker threads
-    /// (the pool must not oversubscribe — the worker threads *are* the
-    /// kernel chunk workers in that regime) and when the cost model says
-    /// the step is too small to pay for the pool.
-    fn attempt_once(
-        &self,
-        j: usize,
-        input: &Value,
-        parallel: bool,
-        token: &CancelToken,
-        chunk_delay: Duration,
-    ) -> Result<Value, String> {
-        let call = &self.chain.steps[j];
-        let mut kernels = self.kernels.clone();
-        kernels.policy.cancel = token.clone();
-        kernels.policy.chunk_delay = chunk_delay;
-        kernels.policy.workers = if parallel || !self.plan.steps[j].par_kernel {
-            1
-        } else {
-            self.scheduler.workers
-        };
-        let mut local = ExecContext {
-            graph: Arc::clone(&self.snapshot),
-            database: Arc::clone(&self.database),
-            findings: Vec::new(),
-            seed: self.seed,
-            kernels,
-        };
-        self.registry.call(&call.api, &mut local, input.clone(), call)
+        StepOutcome::new(attempted, start, served_as)
     }
 
     /// The memo key for one call, or `None` for a similarity step whose
@@ -1015,7 +1038,7 @@ impl SegmentRun<'_> {
             h.write_str(k);
             h.write_str(v);
         }
-        h.write_u64(self.seed);
+        h.write_u64(self.local.seed);
         h.write_u64(self.graph_fp);
         h.write_u64(value_fingerprint(input));
         if self
@@ -1028,8 +1051,9 @@ impl SegmentRun<'_> {
         Some(h.finish())
     }
 
-    /// Emits step `j`'s events, records its finding, and advances the
-    /// running value — the only place segment effects become observable.
+    /// Publishes pure step `j`: its `StepStarted` — it ran before its turn
+    /// to be observed — then the scheduler's shared commit, advancing the
+    /// running value unless the step degraded.
     fn commit(
         &self,
         j: usize,
@@ -1037,78 +1061,15 @@ impl SegmentRun<'_> {
         ctx: &mut ExecContext,
         monitor: &mut dyn Monitor,
         last: &mut Value,
-    ) -> Option<ChainError> {
-        let api = &self.chain.steps[j].api;
+    ) -> Result<(), ChainError> {
         monitor.on_event(&ChainEvent::StepStarted {
             step: j,
-            api: api.clone(),
+            api: self.chain.steps[j].api.clone(),
         });
-        for note in &outcome.retries {
-            monitor.on_event(&ChainEvent::StepRetried {
-                step: j,
-                api: api.clone(),
-                attempt: note.attempt,
-                backoff_ms: note.backoff_ms,
-                error: note.error.clone(),
-            });
+        if let Some(output) = self.scheduler.commit(self.plan, j, outcome, ctx, monitor)? {
+            *last = output;
         }
-        if outcome.memo_checked {
-            monitor.on_event(&ChainEvent::MemoLookup {
-                step: j,
-                api: api.clone(),
-                hit: outcome.cached,
-            });
-        }
-        if outcome.coalesced {
-            monitor.on_event(&ChainEvent::StepCoalesced {
-                step: j,
-                api: api.clone(),
-            });
-        }
-        match outcome.result {
-            Ok(output) => {
-                ctx.push_finding(api, &output);
-                monitor.on_event(&ChainEvent::StepFinished {
-                    step: j,
-                    api: api.clone(),
-                    output: output.value_type(),
-                    summary: output.summary(),
-                });
-                monitor.on_event(&ChainEvent::StepTimed {
-                    step: j,
-                    api: api.clone(),
-                    micros: outcome.micros,
-                    cached: outcome.cached,
-                });
-                *last = output;
-                None
-            }
-            Err(failure) => {
-                emit_failure_detail(monitor, j, api, &failure);
-                if self.scheduler.supervisor.failure_policy == FailurePolicy::SkipDegraded
-                    && self.plan.dead_output(j)
-                {
-                    // The step's output is provably unconsumed downstream:
-                    // record a degraded finding and keep the chain alive.
-                    // `last` is untouched — a degraded value is never read.
-                    let error = failure.render();
-                    ctx.push_finding(api, &Value::Text(format!("degraded: {error}")));
-                    monitor.on_event(&ChainEvent::DegradedResult {
-                        step: j,
-                        api: api.clone(),
-                        error,
-                    });
-                    None
-                } else {
-                    monitor.on_event(&ChainEvent::StepFailed {
-                        step: j,
-                        api: api.clone(),
-                        error: failure.render(),
-                    });
-                    Some(failure.into_chain_error(j))
-                }
-            }
-        }
+        Ok(())
     }
 }
 
@@ -1202,36 +1163,6 @@ mod tests {
 
     fn social_ctx() -> ExecContext {
         ExecContext::new(social_network(&SocialParams::default(), 1))
-    }
-
-    fn core_events(events: &[ChainEvent]) -> Vec<ChainEvent> {
-        events.iter().filter(|e| e.is_core()).cloned().collect()
-    }
-
-    #[test]
-    fn four_workers_match_reference_on_branchy_chain() {
-        let reg = registry::standard();
-        let chain = ApiChain::from_names([
-            "node_count",
-            "edge_count",
-            "graph_density",
-            "largest_component",
-            "node_count",
-            "generate_report",
-        ]);
-        let mut ref_ctx = social_ctx();
-        let mut ref_mon = CollectingMonitor::new();
-        let ref_out =
-            crate::executor::execute_chain_reference(&reg, &chain, &mut ref_ctx, &mut ref_mon)
-                .unwrap();
-        let mut par_ctx = social_ctx();
-        let mut par_mon = CollectingMonitor::new();
-        let par_out = Scheduler::new(4)
-            .execute(&reg, &chain, &mut par_ctx, &mut par_mon)
-            .unwrap();
-        assert_eq!(par_out, ref_out);
-        assert_eq!(par_ctx.findings, ref_ctx.findings);
-        assert_eq!(core_events(&par_mon.events), core_events(&ref_mon.events));
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! the same failures at the same steps for every worker count, warm or
 //! cold memo, with panics isolated and deadlines enforced cooperatively.
 
+mod support;
+
 use chatgraph_apis::supervisor::{self, FailurePolicy, FaultPlan, SupervisorConfig};
 use chatgraph_apis::{
-    analysis, execute_chain_reference, registry, ApiCategory, ApiChain, ApiDescriptor, ChainError,
-    ChainEvent, CollectingMonitor, ExecContext, Plan, Scheduler, Value, ValueType,
+    analysis, registry, ApiCategory, ApiChain, ApiDescriptor, ChainError, ChainEvent,
+    CollectingMonitor, ExecContext, Plan, Scheduler, Value, ValueType,
 };
 use chatgraph_graph::generators::{knowledge_graph, molecule_database, KgParams, MoleculeParams};
 use chatgraph_graph::Graph;
@@ -16,6 +18,7 @@ use chatgraph_support::prop_assert_eq;
 use chatgraph_support::rng::{RngExt, SliceRandom, StdRng};
 use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
+use support::execute_chain_reference;
 
 /// Serialises panic-hook suppression across tests in this binary: injected
 /// panics fly on worker threads, and the default hook would spray their

@@ -4,15 +4,18 @@
 //! findings, same final graph, same core event sequence. Plus a golden test
 //! pinning the Plan JSON encoding.
 
+mod support;
+
 use chatgraph_apis::{
-    analysis, execute_chain_reference, registry, ApiChain, ChainError, ChainEvent,
-    CollectingMonitor, ExecContext, Plan, Scheduler, Value,
+    analysis, registry, ApiChain, ChainError, ChainEvent, CollectingMonitor, ExecContext, Plan,
+    Scheduler, Value,
 };
 use chatgraph_graph::generators::{knowledge_graph, molecule_database, KgParams, MoleculeParams};
 use chatgraph_graph::Graph;
 use chatgraph_support::prop::{check, Config};
 use chatgraph_support::prop_assert_eq;
 use chatgraph_support::rng::{RngExt, SliceRandom, StdRng};
+use support::execute_chain_reference;
 
 /// Generator: a chain of 1..=max_len steps where every extension
 /// type-checks (`can_extend`), so the whole chain is valid by construction.
@@ -142,6 +145,21 @@ fn parallel_reads_match_reference() {
         "edge_count",
         "graph_density",
         "detect_communities",
+        "generate_report",
+    ]);
+    check_plan_matches_reference(&chain).unwrap();
+}
+
+/// A branchy chain — reads of the session graph beside a component
+/// sub-chain, then a report — the fan-out shape four workers split up.
+#[test]
+fn branchy_chain_matches_reference() {
+    let chain = ApiChain::from_names([
+        "node_count",
+        "edge_count",
+        "graph_density",
+        "largest_component",
+        "node_count",
         "generate_report",
     ]);
     check_plan_matches_reference(&chain).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! Generation iteratively extends a partial chain (paper §II-C): at each
 //! step the graph-aware model scores the candidate APIs surfaced by the
-//! retrieval module (plus `[EOS]`), and the sampler picks one. Restricting
+//! retrieval module (plus `[EOS]`), and decoding emits the highest-scoring
+//! one (greedy decoding: the same prompt always yields the same chain). Restricting
 //! decoding to retrieved candidates is what keeps the prediction space small
 //! — the role §II-A assigns to API retrieval, "critical for performance".
 
@@ -10,7 +11,6 @@ use crate::graph_aware::GraphAwareLm;
 use crate::retrieval::ApiRetriever;
 use chatgraph_apis::{ApiCategory, ApiChain, ApiRegistry};
 use chatgraph_graph::Graph;
-use chatgraph_llm::{Sampler, SamplingConfig};
 
 /// Assembles the candidate API set for a prompt: the retrieval module's
 /// top-k hits, the APIs of the predicted graph-type category (scenario 1:
@@ -64,8 +64,13 @@ impl Default for ChainGenerator {
 }
 
 impl ChainGenerator {
-    /// Greedy decoding with per-step type-flow pruning (see
-    /// [`ChainGenerator::generate_checked`]).
+    /// Greedy decoding restricted to `candidates`, with static-analysis
+    /// pruning: before each step, the candidate set is filtered through
+    /// [`chatgraph_apis::analysis::can_extend`], so extensions that would
+    /// introduce a type-flow error (analyzer codes CG003/CG004) are never
+    /// scored, and the argmax over what remains is emitted. `[EOS]` always
+    /// remains available, so pruning can only end chains early, never
+    /// derail them.
     pub fn generate_greedy_checked(
         &self,
         lm: &GraphAwareLm,
@@ -73,31 +78,6 @@ impl ChainGenerator {
         prompt: &str,
         graph: Option<&Graph>,
         candidates: &[String],
-    ) -> ApiChain {
-        let mut sampler = Sampler::new(
-            SamplingConfig {
-                temperature: 0.0,
-                top_k: 1,
-            },
-            0,
-        );
-        self.generate_checked(lm, registry, prompt, graph, candidates, &mut sampler)
-    }
-
-    /// Sampled decoding restricted to `candidates`, with static-analysis
-    /// pruning: before each step, the candidate set is filtered through
-    /// [`chatgraph_apis::analysis::can_extend`], so extensions that would
-    /// introduce a type-flow error (analyzer codes CG003/CG004) are never
-    /// offered to the sampler. `[EOS]` always remains available, so pruning
-    /// can only end chains early, never derail them.
-    pub fn generate_checked(
-        &self,
-        lm: &GraphAwareLm,
-        registry: &ApiRegistry,
-        prompt: &str,
-        graph: Option<&Graph>,
-        candidates: &[String],
-        sampler: &mut Sampler,
     ) -> ApiChain {
         let context = lm.context(prompt, graph);
         let has_graph = graph.is_some();
@@ -110,11 +90,12 @@ impl ChainGenerator {
                 .collect();
             let allowed = lm.allowed_ids(&step_candidates);
             let x = lm.step_features(&context, &names);
-            let token = sampler.sample(&lm.model, &x, &allowed);
-            if token == lm.model.vocab().eos() || token == lm.model.vocab().bos() {
+            let vocab = lm.model.vocab();
+            let token = lm.model.top_k(&x, &allowed, 1).first().map_or(vocab.eos(), |&(t, _)| t);
+            if token == vocab.eos() || token == vocab.bos() {
                 break;
             }
-            let Some(name) = lm.model.vocab().token(token) else {
+            let Some(name) = vocab.token(token) else {
                 break;
             };
             names.push(name.to_owned());
@@ -130,18 +111,24 @@ mod tests {
     use chatgraph_apis::registry;
     use chatgraph_llm::SparseFeatures;
 
-    fn lm_preferring(api: &str) -> GraphAwareLm {
+    /// A model trained on the empty-ish context to emit `chain` step by
+    /// step, then `[EOS]`.
+    fn lm_trained(chain: &[&str]) -> GraphAwareLm {
         let reg = registry::standard();
         let mut lm = GraphAwareLm::new(&reg, &ChatGraphConfig::default());
-        // Train the bias feature set (empty-ish context) to emit `api` then EOS.
         let ctx = lm.context("question", None);
-        let target = lm.model.vocab().id(api).unwrap();
         let eos = lm.model.vocab().eos();
+        let targets: Vec<u32> = chain
+            .iter()
+            .map(|api| lm.model.vocab().id(api).unwrap())
+            .chain([eos])
+            .collect();
         for _ in 0..60 {
-            let x0 = lm.step_features(&ctx, &[]);
-            lm.model.train_step(&x0, target, 0.5, 1.0);
-            let x1 = lm.step_features(&ctx, &[api.to_owned()]);
-            lm.model.train_step(&x1, eos, 0.5, 1.0);
+            for (i, &target) in targets.iter().enumerate() {
+                let prefix: Vec<String> = chain[..i].iter().map(|s| s.to_string()).collect();
+                let x = lm.step_features(&ctx, &prefix);
+                lm.model.train_step(&x, target, 0.5, 1.0);
+            }
         }
         lm
     }
@@ -154,7 +141,7 @@ mod tests {
 
     #[test]
     fn greedy_decodes_trained_chain() {
-        let lm = lm_preferring("node_count");
+        let lm = lm_trained(&["node_count"]);
         let gen = ChainGenerator::default();
         let chain = gen.generate_greedy_checked(
             &lm,
@@ -168,7 +155,7 @@ mod tests {
 
     #[test]
     fn candidates_restrict_output() {
-        let lm = lm_preferring("node_count");
+        let lm = lm_trained(&["node_count"]);
         let gen = ChainGenerator::default();
         // node_count is not among the candidates, so it cannot be emitted.
         let chain = gen.generate_greedy_checked(
@@ -186,34 +173,51 @@ mod tests {
     #[test]
     fn max_len_bounds_untrained_decoding() {
         let reg = registry::standard();
-        let lm = GraphAwareLm::new(&reg, &ChatGraphConfig::default());
-        let gen = ChainGenerator { max_len: 3 };
+        // Trained never to stop: every prefix of the chain scores `node_count`
+        // above `[EOS]`, so only `max_len` ends decoding.
+        let lm = lm_trained(&["node_count"; 5]);
         let names: Vec<String> = reg.names().iter().map(|s| s.to_string()).collect();
-        let mut sampler = Sampler::new(SamplingConfig { temperature: 2.0, top_k: 0 }, 5);
-        let chain = gen.generate_checked(&lm, &reg, "anything", Some(&graph()), &names, &mut sampler);
-        assert!(chain.len() <= 3);
+        let gen = ChainGenerator { max_len: 3 };
+        let chain = gen.generate_greedy_checked(&lm, &reg, "question", Some(&graph()), &names);
+        assert_eq!(chain.api_names(), vec!["node_count"; 3]);
     }
 
     #[test]
     fn checked_decoding_only_emits_well_typed_chains() {
         let reg = registry::standard();
-        let lm = GraphAwareLm::new(&reg, &ChatGraphConfig::default());
         let gen = ChainGenerator { max_len: 4 };
         let names: Vec<String> = reg.names().iter().map(|s| s.to_string()).collect();
         let g = graph();
-        for seed in 0..10 {
-            // An untrained model at high temperature emits near-uniform noise;
-            // pruning must still keep every non-empty chain well-typed, both
-            // with and without a session graph.
-            let mut sampler = Sampler::new(SamplingConfig { temperature: 2.0, top_k: 0 }, seed);
-            let chain = gen.generate_checked(&lm, &reg, "anything", Some(&g), &names, &mut sampler);
-            if !chain.is_empty() {
-                assert!(chain.validate(&reg, true).is_ok(), "{chain}");
-            }
-            let mut sampler = Sampler::new(SamplingConfig { temperature: 2.0, top_k: 0 }, seed);
-            let chain = gen.generate_checked(&lm, &reg, "anything", None, &names, &mut sampler);
-            if !chain.is_empty() {
-                assert!(chain.validate(&reg, false).is_ok(), "{chain}");
+        // Models trained toward ill-typed chains: a first step nothing can
+        // feed (an edge list, or a graph without a session graph), and a
+        // continuation the previous output cannot feed. Pruning must keep
+        // every decoded chain well-typed, with and without a session graph.
+        let targets: [&[&str]; 3] = [
+            &["remove_edges"],
+            &["node_count", "remove_edges"],
+            &["node_count", "node_count", "add_edges", "generate_report"],
+        ];
+        for target in targets {
+            let lm = lm_trained(target);
+            for graph in [Some(&g), None] {
+                let has_graph = graph.is_some();
+                assert!(
+                    ApiChain::from_names(target.iter().copied()).validate(&reg, has_graph).is_err(),
+                    "{target:?} must be ill-typed for the test to prune anything"
+                );
+                // Unpruned, the argmax would follow the target all the way.
+                let ctx = lm.context("question", graph);
+                for (i, api) in target.iter().enumerate() {
+                    let prefix: Vec<String> = target[..i].iter().map(|s| s.to_string()).collect();
+                    let x = lm.step_features(&ctx, &prefix);
+                    let best = lm.model.top_k(&x, &lm.allowed_ids(&names), 1)[0].0;
+                    assert_eq!(lm.model.vocab().token(best), Some(*api), "{target:?}");
+                }
+                let chain = gen.generate_greedy_checked(&lm, &reg, "question", graph, &names);
+                assert_ne!(chain.api_names(), target.to_vec());
+                if !chain.is_empty() {
+                    assert!(chain.validate(&reg, has_graph).is_ok(), "{chain}");
+                }
             }
         }
     }

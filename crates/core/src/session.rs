@@ -336,8 +336,8 @@ impl ChatSession {
         self.graph.as_ref()
     }
 
-    /// Replaces the session graph, evicting the replaced graph's CSR
-    /// snapshot. With a store attached
+    /// Replaces the session graph; the replaced version's CSR snapshot goes
+    /// with it once nothing else holds that version. With a store attached
     /// the upload is durably committed as its own epoch (best-effort: a
     /// commit failure marks the store dead and surfaces as
     /// [`ChainError::CommitFailed`] on the next mutating chain).

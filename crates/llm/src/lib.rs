@@ -15,7 +15,6 @@
 //!   chain.
 //! * [`model`] — a multinomial logistic next-token model over that feature
 //!   space, trained by SGD (this is what "finetuning" updates).
-//! * [`sampler`] — greedy / temperature / top-k decoding.
 //! * [`mod@train`] — the SGD loop with shuffling, loss tracking, and
 //!   example-weighting hooks used by the node matching-based loss.
 //!
@@ -24,12 +23,10 @@
 
 pub mod features;
 pub mod model;
-pub mod sampler;
 pub mod train;
 pub mod vocab;
 
 pub use features::{FeatureConfig, FeatureExtractor, SparseFeatures};
 pub use model::ApiLm;
-pub use sampler::{Sampler, SamplingConfig};
 pub use train::{train, Example, TrainConfig, TrainReport};
 pub use vocab::{Vocab, BOS, EOS};
