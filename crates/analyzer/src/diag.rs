@@ -225,7 +225,7 @@ pub const CODES: &[CodeInfo] = &[
     CodeInfo { code: "CG013", severity: Severity::Info, title: "needless mid-chain barrier" },
     CodeInfo { code: "CG014", severity: Severity::Warning, title: "required parameter missing" },
     CodeInfo { code: "CG015", severity: Severity::Info, title: "interleaved edits thrash the CSR snapshot cache" },
-    CodeInfo { code: "CG016", severity: Severity::Error, title: "conflicting effects inside a parallel plan segment" },
+    CodeInfo { code: "CG016", severity: Severity::Error, title: "conflicting effects inside a barrier-free plan segment" },
     CodeInfo { code: "CG017", severity: Severity::Warning, title: "memoizable step reads findings (memo pollution hazard)" },
     CodeInfo { code: "CG101", severity: Severity::Error, title: "panic site in library code over allowlist" },
     CodeInfo { code: "CG102", severity: Severity::Error, title: "stale allowlist entry (ratchet must shrink)" },
@@ -233,6 +233,7 @@ pub const CODES: &[CodeInfo] = &[
     CodeInfo { code: "CG104", severity: Severity::Error, title: "non-hermetic dependency in manifest" },
     CodeInfo { code: "CG105", severity: Severity::Error, title: "workspace I/O failure during lint" },
     CodeInfo { code: "CG106", severity: Severity::Error, title: "catch_unwind outside the supervisor isolation boundary" },
+    CodeInfo { code: "CG107", severity: Severity::Error, title: "thread spawned outside the serving drain pool" },
     CodeInfo { code: "CG201", severity: Severity::Error, title: "lock acquisition cycle (potential deadlock)" },
     CodeInfo { code: "CG202", severity: Severity::Error, title: "guard held across a dispatch point (spawn/scope/send)" },
     CodeInfo { code: "CG203", severity: Severity::Error, title: "nested lock acquisition violates the declared order" },

@@ -19,6 +19,9 @@
 //! - **CG106** — `catch_unwind` outside the chain supervisor
 //!   (`crates/apis/src/supervisor.rs`): panic isolation has exactly one
 //!   boundary, so payloads are always classified and attributed there.
+//! - **CG107** — `thread::scope`/`thread::spawn` outside the serving layer's
+//!   drain pool (`crates/core/src/serve.rs`): requests run in parallel
+//!   across tenants there, and nothing inside a request starts threads.
 //! - **CG201–CG204** — the concurrency lints from [`crate::conc`]: lock
 //!   acquisition cycles, guards held across dispatch points, declared-order
 //!   violations, and unsanctioned poisoned-lock recovery.
@@ -55,6 +58,8 @@ pub struct SourceScan {
     pub unsafe_sites: Vec<Site>,
     /// `catch_unwind` mentions in non-test code (CG106).
     pub catch_unwind_sites: Vec<Site>,
+    /// `thread::scope`/`thread::spawn` paths in non-test code (CG107).
+    pub thread_sites: Vec<Site>,
 }
 
 /// Scans one file's source for panic and unsafe sites, skipping test-only
@@ -86,6 +91,11 @@ pub fn scan_source(source: &str) -> SourceScan {
             Some("unsafe") => out.unsafe_sites.push(Site { line: toks[i].line, what: "unsafe".into() }),
             Some("catch_unwind") => {
                 out.catch_unwind_sites.push(Site { line: toks[i].line, what: "catch_unwind".into() });
+            }
+            Some("thread") if is_punct(&toks, i + 1, ':') && is_punct(&toks, i + 2, ':') => {
+                if let Some(f @ ("scope" | "spawn")) = toks.get(i + 3).and_then(Token::ident) {
+                    out.thread_sites.push(Site { line: toks[i].line, what: format!("thread::{f}") });
+                }
             }
             Some("panic") if is_punct(&toks, i + 1, '!') => {
                 out.panic_sites.push(Site { line: toks[i].line, what: "panic!".into() });
@@ -343,6 +353,10 @@ pub fn render_allowlist(map: &BTreeMap<String, usize>) -> String {
 /// panic-isolation boundary.
 pub const SUPERVISOR_PATH: &str = "crates/apis/src/supervisor.rs";
 
+/// The one file allowed to start threads (CG107): the serving layer's drain
+/// pool, the only level of parallelism.
+pub const DRAIN_POOL_PATH: &str = "crates/core/src/serve.rs";
+
 /// Outcome of a repolint run.
 #[derive(Debug, Clone, Default)]
 pub struct RepolintReport {
@@ -489,6 +503,18 @@ pub fn run(root: &Path, update_allowlist: bool) -> RepolintReport {
                         format!("`catch_unwind` outside the supervisor ({SUPERVISOR_PATH})"),
                     )
                     .with_suggestion("let panics propagate to the supervisor's single isolation boundary"),
+                );
+            }
+        }
+        if label != DRAIN_POOL_PATH {
+            for site in &scan.thread_sites {
+                sink.push(
+                    Diagnostic::new(
+                        "CG107",
+                        Span::File { path: label.clone(), line: site.line },
+                        format!("`{}` outside the drain pool ({DRAIN_POOL_PATH})", site.what),
+                    )
+                    .with_suggestion("run the work on the calling thread; requests are parallel across tenants on the drain pool"),
                 );
             }
         }
@@ -689,6 +715,26 @@ mod tests {
         let scan = scan_source(src);
         assert_eq!(scan.catch_unwind_sites.len(), 2, "import + call, tests exempt");
         assert!(scan.panic_sites.is_empty());
+    }
+
+    #[test]
+    fn thread_spawns_are_scanned_outside_tests_only() {
+        let src = r#"
+            use std::thread::spawn;
+            pub fn f() { std::thread::scope(|s| { s.spawn(|| 1); }); }
+            pub fn g() { let _ = thread::spawn(|| 2); let _ = thread::current(); }
+
+            #[cfg(test)]
+            mod tests {
+                fn t() { std::thread::spawn(|| 3).join().ok(); }
+            }
+        "#;
+        let whats: Vec<String> = scan_source(src).thread_sites.into_iter().map(|s| s.what).collect();
+        assert_eq!(
+            whats,
+            ["thread::spawn", "thread::scope", "thread::spawn"],
+            "import + scope + call; a scope handle's `spawn`, `thread::current` and tests exempt"
+        );
     }
 
     #[test]

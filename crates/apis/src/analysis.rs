@@ -398,14 +398,17 @@ fn plan_pass(descs: &[Option<&ApiDescriptor>], sink: &mut Diagnostics) {
 }
 
 /// Re-proves the scheduler's barrier classification on a built plan before
-/// anything executes. Every `Parallel` segment's sub-chains run on a worker
-/// pool with *empty* local findings and a shared cross-tenant memo, which
-/// is only sound if the classification is right:
+/// anything executes. Every step of a `Parallel` (barrier-free) segment is
+/// a pure step: it runs against a snapshot-local context — the segment's
+/// graph version, with *empty* findings — and through the shared
+/// cross-tenant memo, which is only sound if the classification is right:
 ///
 /// - **CG016** (Error, refuses execution): a step inside a `Parallel`
-///   segment mutates the session graph, or a dependency edge crosses
+///   segment mutates the session graph (the edit would land on the
+///   snapshot-local copy and be lost), or a dependency edge crosses
 ///   sub-chains of the same segment or points at a step its own sub-chain
-///   schedules later (co-scheduled steps would race on ordering).
+///   schedules later (the step would read a value the plan never routes
+///   to it).
 /// - **CG017** (Warning): a memoizable step reads findings. Memo keys
 ///   fingerprint the API, params, seed, graph, input, and database — but
 ///   *not* findings — so a findings-reading step served from the shared

@@ -132,7 +132,7 @@ pub enum ChainError {
     Rejected(usize, String),
     /// A handler failed.
     ExecutionFailed(usize, String),
-    /// A step panicked; the supervisor caught the payload at the worker
+    /// A step panicked; the supervisor caught the payload at the attempt
     /// boundary instead of letting it unwind into the caller.
     StepPanicked(usize, String),
     /// A step exceeded the configured per-step deadline (milliseconds) and
@@ -178,9 +178,9 @@ impl fmt::Display for ChainError {
 impl std::error::Error for ChainError {
     /// Always `None`: every underlying cause (handler error strings, panic
     /// payloads, analyzer renderings) is carried pre-rendered inside the
-    /// variant, because errors must be `Clone + Send` to cross the
-    /// scheduler's worker boundary — there is no structured inner error to
-    /// expose.
+    /// variant, because errors must be `Clone + Send` to cross threads —
+    /// a coalesced memo flight hands one tenant's failure to another — so
+    /// there is no structured inner error to expose.
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         None
     }

@@ -1,7 +1,7 @@
 //! Chain execution.
 //!
-//! [`execute_chain`] is the public entry point: a thin wrapper over a
-//! 1-worker [`crate::sched::Scheduler`], whose behaviour and core event
+//! [`execute_chain`] is the public entry point: a thin wrapper over a fresh
+//! [`crate::sched::Scheduler`], whose behaviour and core event
 //! contract are exactly those of the historical sequential executor. That
 //! executor survives in the crate's test support as the differential oracle
 //! the plan and fault property tests compare against; it is not library
@@ -26,17 +26,16 @@ pub const MAX_FULL_FINDINGS: usize = 32;
 /// context caused.
 ///
 /// Snapshots themselves live on the graph versions they describe
-/// ([`Graph::csr`]), so every step, worker and tenant reading one version
-/// shares one snapshot. The logs are behind [`Arc`], so cloning the context
-/// for a worker-local execution (the parallel scheduler does this per step)
-/// shares them across every worker in the chain; the scheduler drains them
-/// into [`ChainEvent::CsrBuilt`] / [`ChainEvent::KernelTimed`] events after
-/// each segment.
+/// ([`Graph::csr`]), so every step and tenant reading one version shares
+/// one snapshot. The logs are behind [`Arc`], so the snapshot-local copy of
+/// the context a pure step runs against shares them with the chain's real
+/// context; the scheduler drains them into [`ChainEvent::CsrBuilt`] /
+/// [`ChainEvent::KernelTimed`] events after each segment.
 #[derive(Debug, Clone, Default)]
 pub struct KernelState {
-    /// Worker/chunk policy handed to every kernel invocation.
+    /// Chunk and cancellation policy handed to every kernel invocation.
     pub policy: KernelPolicy,
-    timings: Arc<Mutex<Vec<(String, u64, usize)>>>,
+    timings: Arc<Mutex<Vec<(String, u64)>>>,
     /// Build records for snapshots *this context* caused, even when the
     /// graph is shared across sessions — monitoring events must not leak
     /// between tenants.
@@ -58,8 +57,8 @@ impl KernelState {
         csr
     }
 
-    /// Runs `f`, recording its wall time and the worker count in force
-    /// under `kernel` for the next [`KernelState::drain_timings`].
+    /// Runs `f`, recording its wall time under `kernel` for the next
+    /// [`KernelState::drain_timings`].
     pub fn time<T>(&self, kernel: &str, f: impl FnOnce() -> T) -> T {
         let started = std::time::Instant::now();
         let out = f();
@@ -68,13 +67,12 @@ impl KernelState {
         self.timings
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push((kernel.to_owned(), micros, self.policy.workers));
+            .push((kernel.to_owned(), micros));
         out
     }
 
-    /// Drains `(kernel, micros, workers)` records accumulated since the
-    /// last drain.
-    pub fn drain_timings(&self) -> Vec<(String, u64, usize)> {
+    /// Drains `(kernel, micros)` records accumulated since the last drain.
+    pub fn drain_timings(&self) -> Vec<(String, u64)> {
         // lockdoc: recover(draining a possibly-short log after a panic loses only metrics, not results)
         std::mem::take(&mut *self.timings.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -89,8 +87,8 @@ impl KernelState {
 
 /// Mutable state a chain executes against.
 ///
-/// The session graph and database are behind [`Arc`] so read-only steps can
-/// share them across worker threads without deep copies; edit APIs go
+/// The session graph and database are behind [`Arc`] so read-only steps, the
+/// memo and other tenants can share them without deep copies; edit APIs go
 /// through [`ExecContext::graph_mut`], which copies-on-write only when the
 /// graph is actually shared at mutation time.
 #[derive(Debug, Clone)]
@@ -133,7 +131,7 @@ impl ExecContext {
     }
 
     /// Mutable access to the session graph. Copies-on-write: if the graph
-    /// is currently shared (a step input, a memo entry, a worker snapshot),
+    /// is currently shared (a step input, a memo entry, a segment snapshot),
     /// the clone happens here — exactly once per mutation barrier — instead
     /// of once per read as before the plan refactor.
     pub fn graph_mut(&mut self) -> &mut Graph {
@@ -171,17 +169,17 @@ impl ExecContext {
 /// * Every step's output is appended to [`ExecContext::findings`] so report
 ///   APIs can compose everything the chain discovered.
 ///
-/// Returns the final step's output. Execution runs through the plan
-/// scheduler with a single worker; multi-worker execution is available via
-/// [`crate::sched::Scheduler`] and is guaranteed to produce the same final
-/// value, findings order, and core event sequence.
+/// Returns the final step's output. Execution runs through a fresh plan
+/// scheduler; a long-lived [`crate::sched::Scheduler`] adds a memo that
+/// carries across chains and is guaranteed to produce the same final value,
+/// findings order, and core event sequence.
 pub fn execute_chain(
     registry: &ApiRegistry,
     chain: &ApiChain,
     ctx: &mut ExecContext,
     monitor: &mut dyn Monitor,
 ) -> Result<Value, ChainError> {
-    crate::sched::Scheduler::new(1).execute(registry, chain, ctx, monitor)
+    crate::sched::Scheduler::new().execute(registry, chain, ctx, monitor)
 }
 
 #[cfg(test)]

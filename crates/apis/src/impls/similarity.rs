@@ -14,65 +14,19 @@ use chatgraph_graph::{io, Graph};
 
 /// Scores the database against `query`, returning `(index, distance)`
 /// ascending. Distance is the bipartite GED upper bound normalised by the
-/// combined size, so different-sized molecules are comparable.
-///
-/// Standalone entry point: sizes the thread pool from the machine. API
-/// handlers go through [`rank_database_with`] so the worker count follows
-/// the scheduler's kernel policy and the query size comes from the
-/// graph version's CSR snapshot.
-pub fn rank_database(query: &Graph, database: &[Graph]) -> Vec<(usize, f64)> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    rank_database_with(query, query.node_count(), workers, database)
-}
-
-/// [`rank_database`] with the per-candidate loop invariants hoisted:
-/// `query_n` is the query's live node count (handlers read it from the
-/// cached CSR) and `workers` bounds the scoring threads (handlers pass the
-/// kernel policy's worker count, which the scheduler clamps to 1 inside
-/// parallel segments so the pool is never oversubscribed).
-///
-/// GED per candidate is independent work, so the database is scored on
-/// `std::thread::scope` threads; results are deterministic regardless of
-/// thread count.
-pub fn rank_database_with(
-    query: &Graph,
-    query_n: usize,
-    workers: usize,
-    database: &[Graph],
-) -> Vec<(usize, f64)> {
+/// combined size, so different-sized molecules are comparable. `query_n` is
+/// the query's live node count, hoisted out of the per-candidate loop (API
+/// handlers read it from the graph version's CSR snapshot).
+pub fn rank_database(query: &Graph, query_n: usize, database: &[Graph]) -> Vec<(usize, f64)> {
     let cost = CostModel::uniform();
-    let threads = workers.max(1).min(database.len().max(1));
-    let chunk = database.len().div_ceil(threads.max(1)).max(1);
-    let mut scored: Vec<(usize, f64)> = Vec::with_capacity(database.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = database
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, graphs)| {
-                let cost = &cost;
-                scope.spawn(move || {
-                    graphs
-                        .iter()
-                        .enumerate()
-                        .map(|(j, g)| {
-                            let i = ci * chunk + j;
-                            let ged = approx_ged(query, g, cost).upper_bound;
-                            let norm = (query_n + g.node_count()).max(1) as f64;
-                            (i, ged / norm)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => scored.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
+    let mut scored: Vec<(usize, f64)> = database
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            let ged = approx_ged(query, g, &cost).upper_bound;
+            (i, ged / (query_n + g.node_count()).max(1) as f64)
+        })
+        .collect();
     scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     scored
 }
@@ -96,10 +50,8 @@ pub fn register(reg: &mut ApiRegistry) {
             }
             let k = call.try_param_usize("k", 2)?;
             let csr = ctx.kernels.csr(&g);
-            let workers = ctx.kernels.policy.workers;
-            let ranked = ctx.kernels.time("ged_rank", || {
-                rank_database_with(&g, csr.n(), workers, &ctx.database)
-            });
+            let ranked =
+                ctx.kernels.time("ged_rank", || rank_database(&g, csr.n(), &ctx.database));
             let mut t = crate::value::Table::new(["rank", "graph", "nodes", "normalised GED"]);
             for (rank, (i, d)) in ranked.into_iter().take(k).enumerate() {
                 t.push_row([
@@ -125,11 +77,8 @@ pub fn register(reg: &mut ApiRegistry) {
                 return Err("most_similar_graph requires a graph database in the context".into());
             }
             let csr = ctx.kernels.csr(&g);
-            let workers = ctx.kernels.policy.workers;
-            let best = ctx.kernels.time("ged_rank", || {
-                rank_database_with(&g, csr.n(), workers, &ctx.database)
-            })[0]
-                .0;
+            let best =
+                ctx.kernels.time("ged_rank", || rank_database(&g, csr.n(), &ctx.database))[0].0;
             Ok(Value::Graph(std::sync::Arc::new(ctx.database[best].clone())))
         }),
     );
@@ -351,8 +300,9 @@ mod tests {
     fn parallel_ranking_matches_sequential_reference() {
         let db = molecule_database(23, &MoleculeParams::default(), 5);
         let q = molecule(&MoleculeParams::default(), 61);
-        let parallel = rank_database(&q, &db);
-        // Sequential reference computed inline.
+        // The handlers' query size comes from the CSR snapshot.
+        let ranked = rank_database(&q, q.csr().n(), &db);
+        // Reference computed inline, with the query size read per candidate.
         let cost = chatgraph_ged::CostModel::uniform();
         let mut reference: Vec<(usize, f64)> = db
             .iter()
@@ -363,7 +313,7 @@ mod tests {
             })
             .collect();
         reference.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        assert_eq!(parallel, reference);
+        assert_eq!(ranked, reference);
     }
 
     #[test]
@@ -372,7 +322,7 @@ mod tests {
         // raw GED alone; normalisation keeps scores in [0, 1]-ish range.
         let db = molecule_database(10, &MoleculeParams::default(), 3);
         let q = molecule(&MoleculeParams { atoms: 8, rings: 1, double_bond_prob: 0.1 }, 99);
-        for (_, d) in rank_database(&q, &db) {
+        for (_, d) in rank_database(&q, q.node_count(), &db) {
             // Nodes are normalised away; edges can push the ratio above 1,
             // but it stays bounded by the max edges-per-node of molecules.
             assert!((0.0..=3.0).contains(&d), "normalised distance out of range: {d}");

@@ -31,20 +31,16 @@
 //! * [`plan`] — the execution-plan IR: a validated chain lowered to a DAG
 //!   of [`PlanStep`]s whose edges are real data dependencies (prev-output,
 //!   session graph, barriers).
-//! * [`cost`] — the statistics-driven cost model: per-step work estimates
-//!   from the graph's O(1) node, edge and `Σ deg²` counters, driving
-//!   sub-chain dispatch order and the sequential-vs-parallel kernel
-//!   decision.
-//! * [`sched`] — the plan [`Scheduler`]: a scoped-thread worker pool over
-//!   `Arc` graph snapshots with a bounded step-memo cache, deterministic
-//!   w.r.t. the sequential executor.
+//! * [`sched`] — the plan [`Scheduler`]: runs a plan's steps in index order
+//!   on the caller's thread, pure steps against `Arc` graph snapshots
+//!   through a bounded step-memo cache, deterministic w.r.t. the sequential
+//!   executor.
 //! * [`supervisor`] — fault-tolerant step execution: per-step deadlines via
 //!   cooperative cancellation, bounded deterministic retries, panic
 //!   isolation, and a seeded fault-injection harness ([`FaultPlan`]).
 
 pub mod analysis;
 pub mod chain;
-pub mod cost;
 pub mod descriptor;
 pub mod executor;
 pub mod impls;
@@ -57,7 +53,6 @@ pub mod value;
 
 pub use analysis::{analyze, can_extend};
 pub use chain::{ApiCall, ApiChain, ChainError};
-pub use cost::{CostModel, PAR_KERNEL_MIN_WORK};
 pub use descriptor::{ApiCategory, ApiDescriptor, ParamKind, ParamSpec};
 pub use executor::{execute_chain, ExecContext};
 pub use monitor::{ChainEvent, CollectingMonitor, Monitor, SilentMonitor};

@@ -68,11 +68,6 @@ pub enum ChainEvent {
         deps: usize,
         /// Number of barrier steps.
         barriers: usize,
-        /// Steps whose CSR kernels run with the full worker pool (equals
-        /// `steps` when the plan was built without statistics).
-        par_kernels: usize,
-        /// The cost model's total work estimate (0 without statistics).
-        est_cost: u64,
     },
     /// Wall time of one step (after its `StepFinished`). Non-core.
     StepTimed {
@@ -123,8 +118,6 @@ pub enum ChainEvent {
         kernel: String,
         /// Wall-clock microseconds.
         micros: u64,
-        /// Worker count the kernel policy was running with.
-        workers: usize,
     },
     /// The supervisor retried a step after a transient failure. Non-core.
     StepRetried {
@@ -205,7 +198,7 @@ pub enum ChainEvent {
 impl ChainEvent {
     /// Whether this is one of the seed executor's seven event kinds. The
     /// scheduler's determinism contract is stated over core events only —
-    /// plan/timing/cache events may differ across worker counts.
+    /// plan/timing/cache events may differ between cold and warm runs.
     pub fn is_core(&self) -> bool {
         !matches!(
             self,
@@ -235,12 +228,12 @@ chatgraph_support::impl_json_enum!(ChainEvent {
     StepFailed { step, api, error },
     ConfirmationRequested { step, api },
     ChainFinished,
-    PlanBuilt { steps, deps, barriers, par_kernels, est_cost },
+    PlanBuilt { steps, deps, barriers },
     StepTimed { step, api, micros, cached },
     MemoLookup { step, api, hit },
     StepCoalesced { step, api },
     CsrBuilt { nodes, edges, micros, delta },
-    KernelTimed { kernel, micros, workers },
+    KernelTimed { kernel, micros },
     StepRetried { step, api, attempt, backoff_ms, error },
     StepTimedOut { step, api, deadline_ms },
     StepPanicked { step, api, message },
@@ -371,12 +364,12 @@ mod tests {
     #[test]
     fn plan_events_json_roundtrip_and_are_non_core() {
         let events = [
-            ChainEvent::PlanBuilt { steps: 4, deps: 3, barriers: 1, par_kernels: 2, est_cost: 9000 },
+            ChainEvent::PlanBuilt { steps: 4, deps: 3, barriers: 1 },
             ChainEvent::StepTimed { step: 2, api: "node_count".into(), micros: 17, cached: true },
             ChainEvent::MemoLookup { step: 2, api: "node_count".into(), hit: false },
             ChainEvent::StepCoalesced { step: 2, api: "triangle_count".into() },
             ChainEvent::CsrBuilt { nodes: 120, edges: 640, micros: 85, delta: true },
-            ChainEvent::KernelTimed { kernel: "pagerank".into(), micros: 412, workers: 4 },
+            ChainEvent::KernelTimed { kernel: "pagerank".into(), micros: 412 },
             ChainEvent::StepRetried {
                 step: 1,
                 api: "top_pagerank".into(),

@@ -15,21 +15,21 @@
 //!   shared state, so everything before them must have committed and
 //!   nothing after them may start early;
 //! * between barriers, steps form independent sub-chains (linked only by
-//!   consecutive `PrevOutput` edges) that a scheduler may run in parallel;
+//!   consecutive `PrevOutput` edges): none reads another's output or the
+//!   findings, so each runs against a snapshot of the graph version the
+//!   segment started on;
 //! * pure, confirmation-free steps are flagged `memoizable` for the
 //!   scheduler's step-result cache.
 //!
 //! The plan is a *description*; execution lives in [`crate::sched`]. The
-//! determinism contract — N-worker execution produces the same final value,
-//! findings order and core events as the sequential executor — is stated
-//! there and enforced by `tests/plan_properties.rs`.
+//! determinism contract — the scheduler produces the same final value,
+//! findings order and core events as the sequential executor, cold or from
+//! a warm memo — is stated there and enforced by `tests/plan_properties.rs`.
 
 use crate::chain::{ApiChain, ChainError};
-use crate::cost::CostModel;
 use crate::descriptor::ApiCategory;
 use crate::registry::ApiRegistry;
 use crate::value::ValueType;
-use chatgraph_graph::Graph;
 use chatgraph_support::json::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
 
@@ -100,12 +100,6 @@ pub struct PlanStep {
     pub reads_findings: bool,
     /// Whether the scheduler may serve this step from its memo cache.
     pub memoizable: bool,
-    /// Estimated work units from the cost model (0 when the plan was built
-    /// without statistics). Orders sub-chain dispatch within a segment.
-    pub est_cost: u64,
-    /// Whether this step's CSR kernels should use the full worker pool.
-    /// `true` without statistics — the historical always-parallel policy.
-    pub par_kernel: bool,
 }
 
 chatgraph_support::impl_json_struct!(PlanStep {
@@ -119,8 +113,6 @@ chatgraph_support::impl_json_struct!(PlanStep {
     mutates_graph,
     reads_findings,
     memoizable,
-    est_cost,
-    par_kernel,
 });
 
 /// A validated chain lowered to its dependency DAG.
@@ -133,30 +125,11 @@ pub struct Plan {
 chatgraph_support::impl_json_struct!(Plan { steps });
 
 impl Plan {
-    /// Lowers `chain` into a plan without statistics: every step estimates
-    /// zero cost and keeps kernel parallelism on — the behaviour before the
-    /// cost model existed. Validates the chain first (the plan's
+    /// Lowers `chain` into a plan. Validates the chain first (the plan's
     /// input-resolution rule is only meaningful for chains the validator
     /// accepts, with a session graph present).
     pub fn build(chain: &ApiChain, registry: &ApiRegistry) -> Result<Plan, ChainError> {
-        Plan::build_with_stats(chain, registry, None)
-    }
-
-    /// Lowers `chain` into a plan, pricing each step against `graph`'s
-    /// statistics when given (its O(1) node, edge and `Σ deg²` counters, see
-    /// [`CostModel`]): `est_cost` carries the cost model's work estimate
-    /// (the scheduler dispatches a segment's sub-chains most-expensive-first)
-    /// and `par_kernel` records whether the step's estimated work clears
-    /// [`crate::cost::PAR_KERNEL_MIN_WORK`] — below it the step's CSR
-    /// kernels run sequentially. The DAG itself (inputs, deps, barriers) is
-    /// independent of statistics; only the two scheduling hints change.
-    pub fn build_with_stats(
-        chain: &ApiChain,
-        registry: &ApiRegistry,
-        graph: Option<&Graph>,
-    ) -> Result<Plan, ChainError> {
         chain.validate(registry, true)?;
-        let model = graph.map(CostModel::new);
         let mut steps: Vec<PlanStep> = Vec::with_capacity(chain.len());
         let mut last_barrier: Option<usize> = None;
         let mut prev_out = ValueType::Unit;
@@ -213,8 +186,6 @@ impl Plan {
                 mutates_graph: desc.mutates_graph,
                 reads_findings,
                 memoizable: !barrier,
-                est_cost: model.as_ref().map_or(0, |m| m.estimate(desc)),
-                par_kernel: model.as_ref().is_none_or(|m| m.par_kernel(desc)),
             });
             if barrier {
                 last_barrier = Some(i);
@@ -244,17 +215,6 @@ impl Plan {
         self.steps.iter().filter(|s| s.barrier).count()
     }
 
-    /// Sum of the cost model's per-step work estimates (0 when the plan was
-    /// built without statistics).
-    pub fn total_cost(&self) -> u64 {
-        self.steps.iter().map(|s| s.est_cost).sum()
-    }
-
-    /// Number of steps whose CSR kernels run with the full worker pool.
-    pub fn par_kernel_count(&self) -> usize {
-        self.steps.iter().filter(|s| s.par_kernel).count()
-    }
-
     /// Whether step `i`'s *output value* is provably dead downstream: no
     /// later step consumes it via `PrevOutput` and it is not the chain's
     /// final value. Barriers are never dead — their observable effect is
@@ -266,8 +226,8 @@ impl Plan {
     /// *finding* is still visible to report sinks — exactly the "mark it
     /// degraded, complete the chain" contract. Because `PrevOutput` edges
     /// only ever point at the immediate predecessor, dead-output steps are
-    /// always sub-chain tails, so skipping them never unblocks or starves
-    /// a worker's sub-chain either.
+    /// always sub-chain tails, so skipping one never changes a later
+    /// step's input.
     pub fn dead_output(&self, i: usize) -> bool {
         let Some(step) = self.steps.get(i) else { return false };
         if step.barrier || i + 1 >= self.steps.len() {
@@ -333,26 +293,17 @@ impl Plan {
             if s.memoizable {
                 flags.push("memo");
             }
-            if !s.par_kernel {
-                flags.push("seq-kernel");
-            }
-            let cost = if s.est_cost > 0 {
-                format!(" cost={}", s.est_cost)
-            } else {
-                String::new()
-            };
             let input = match s.input {
                 InputSource::PrevOutput(j) => format!("prev({j})"),
                 InputSource::SessionGraph => "graph".to_owned(),
                 InputSource::Unit => "unit".to_owned(),
             };
             out.push_str(&format!(
-                "#{:<2} {:<28} in={:<9} deps=[{}]{} {}\n",
+                "#{:<2} {:<28} in={:<9} deps=[{}] {}\n",
                 s.index,
                 s.api,
                 input,
                 deps,
-                cost,
                 flags.join(" ")
             ));
         }
@@ -360,14 +311,15 @@ impl Plan {
     }
 }
 
-/// One scheduling unit: either a single barrier step or a set of
-/// independent sub-chains that may run concurrently.
+/// One scheduling unit: either a single barrier step or a barrier-free run
+/// of independent sub-chains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Segment {
-    /// A barrier step, run alone on the scheduler thread.
+    /// A barrier step, run against the real context.
     Barrier(usize),
     /// Independent sub-chains of step indices; each sub-chain is sequential
-    /// internally, distinct sub-chains may run in parallel.
+    /// internally, and no sub-chain reads another's output, the findings or
+    /// a graph version other than the segment's snapshot.
     Parallel(Vec<Vec<usize>>),
 }
 
@@ -376,8 +328,6 @@ mod tests {
     use super::*;
     use crate::chain::{ApiCall, ApiChain};
     use crate::registry;
-    use chatgraph_graph::generators::{social_network, SocialParams};
-    use chatgraph_graph::NodeId;
 
     #[test]
     fn independent_reads_have_no_mutual_deps() {
@@ -488,88 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_build_prices_steps_without_changing_the_dag() {
-        let reg = registry::standard();
-        let chain = ApiChain::from_names(["node_count", "top_pagerank", "generate_report"]);
-        let bare = Plan::build(&chain, &reg).unwrap();
-        for s in &bare.steps {
-            assert_eq!(s.est_cost, 0, "no stats, no estimate");
-            assert!(s.par_kernel, "no stats keeps kernels parallel");
-        }
-        // A 10^5-node graph: cheap steps drop to sequential kernels, the
-        // iterative kernel clears the parallelism bar.
-        let g = social_network(&SocialParams::sized(100_000), 7);
-        let priced = Plan::build_with_stats(&chain, &reg, Some(&g)).unwrap();
-        assert!(priced.steps[0].est_cost > 0);
-        assert!(!priced.steps[0].par_kernel, "one sweep stays sequential");
-        assert!(priced.steps[1].par_kernel, "pagerank fans out at 10^5 nodes");
-        assert!(priced.steps[1].est_cost > priced.steps[0].est_cost);
-        assert!(priced.total_cost() > 0);
-        assert_eq!(priced.par_kernel_count(), 1);
-        // Statistics only change the two scheduling hints, never the DAG.
-        let strip = |p: &Plan| {
-            p.steps
-                .iter()
-                .map(|s| PlanStep { est_cost: 0, par_kernel: true, ..s.clone() })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&bare), strip(&priced));
-    }
-
-    /// A 10^3- or 10^5-node social graph with tombstones: three nodes and
-    /// one further edge removed after generation.
-    fn pinned_graph(n: usize) -> Graph {
-        let mut g = social_network(&SocialParams::sized(n), 7);
-        for v in [3, 17, 101] {
-            g.remove_node(NodeId(v)).unwrap();
-        }
-        let e = g.edge_ids().nth(5).unwrap();
-        g.remove_edge(e).unwrap();
-        g
-    }
-
-    /// `(par_kernels, est_cost)` of two fixed chains on fixed graphs, pinned:
-    /// how the graph keeps its statistics must never move a plan.
-    #[test]
-    fn pinned_plans_price_identically() {
-        let reg = registry::standard();
-        let chains = [
-            ApiChain::from_names([
-                "top_pagerank",
-                "triangle_count",
-                "graph_diameter",
-                "generate_report",
-            ]),
-            ApiChain::from_names(["node_count", "detect_communities", "clustering_coefficient"]),
-        ];
-        let pinned = [
-            (1_000, [(1, 6_225_387), (0, 236_375)]),
-            (100_000, [(3, 59_982_843_860), (2, 23_442_268)]),
-        ];
-        for (n, expected) in pinned {
-            let g = std::sync::Arc::new(pinned_graph(n));
-            for (chain, want) in chains.iter().zip(expected) {
-                let plan = Plan::build_with_stats(chain, &reg, Some(g.as_ref())).unwrap();
-                assert_eq!((plan.par_kernel_count(), plan.total_cost()), want, "n = {n}");
-                if n > 1_000 {
-                    continue; // executing at 10^5 nodes is a bench's job
-                }
-                // The scheduler prices the plan it reports the same way.
-                let mut ctx = crate::ExecContext::new(std::sync::Arc::clone(&g));
-                let mut monitor = crate::CollectingMonitor::new();
-                crate::Scheduler::new(1).execute(&reg, chain, &mut ctx, &mut monitor).unwrap();
-                let reported = monitor.events.iter().find_map(|e| match e {
-                    crate::ChainEvent::PlanBuilt { par_kernels, est_cost, .. } => {
-                        Some((*par_kernels, *est_cost))
-                    }
-                    _ => None,
-                });
-                assert_eq!(reported, Some(want), "n = {n}");
-            }
-        }
-    }
-
-    #[test]
     fn invalid_chain_does_not_lower() {
         let reg = registry::standard();
         let chain = ApiChain::from_names(["node_count", "remove_edges"]);
@@ -613,8 +481,6 @@ mod tests {
             mutates_graph: false,
             reads_findings: false,
             memoizable: true,
-            est_cost: 0,
-            par_kernel: true,
         }
     }
 

@@ -1,42 +1,42 @@
-//! The plan scheduler: executes a [`Plan`] with a scoped-thread worker
-//! pool, shared `Arc` graph snapshots, and a bounded step-memo cache.
+//! The plan scheduler: executes a [`Plan`] on the caller's thread, pure
+//! steps against shared `Arc` graph snapshots and through a bounded
+//! step-memo cache.
 //!
 //! ## Execution model
 //!
-//! The plan decomposes into [`Segment`]s: barrier steps run alone on the
-//! scheduler thread against the real [`ExecContext`] (mutations,
-//! confirmations, findings reads); barrier-free segments split into
-//! independent sub-chains that workers execute against immutable snapshots
-//! (`Arc<Graph>`, `Arc<Vec<Graph>>`, the seed) with **empty local
-//! findings** — sound because non-barrier steps never read findings.
+//! The plan decomposes into [`Segment`]s: barrier steps run against the
+//! real [`ExecContext`] (mutations, confirmations, findings reads); the
+//! steps of a barrier-free segment run in step-index order, each against a
+//! copy of one snapshot-local context — the segment's graph version
+//! (`Arc<Graph>`), the database and the seed, with **empty findings**,
+//! which is sound because non-barrier steps never read findings. Requests
+//! run in parallel across tenants on the serving layer's drain pool; inside
+//! one request there are no further threads.
 //!
 //! ## Step lifecycle
 //!
 //! Every step, barrier or pure, goes through one supervised attempt and
 //! one commit. The attempt (`Scheduler::attempt`) installs the cancel
-//! token, chunk delay and kernel worker count into a context's kernel
-//! policy and calls the handler: a barrier runs on the scheduler thread
-//! against the real context, after its `StepStarted` and any confirmation
-//! prompt; a pure step runs against a snapshot-local context, unless the
-//! memo serves it. The commit (`Scheduler::commit`) runs on the scheduler
-//! thread in step-index order and is the only place a step's effects
-//! become observable: retry notes and memo events, the durable
-//! [`CommitSink`] commit of a graph mutation, then the finding,
+//! token and chunk delay into a context's kernel policy and calls the
+//! handler: a barrier runs against the real context, after its
+//! `StepStarted` and any confirmation prompt; a pure step runs against the
+//! snapshot-local context, unless the memo serves it. The commit
+//! (`Scheduler::commit`) runs in step-index order and is the only place a
+//! step's effects become observable: retry notes and memo events, the
+//! durable [`CommitSink`] commit of a graph mutation, then the finding,
 //! `StepFinished` and `StepTimed` — or, on failure, the timeout/panic
 //! detail and a degraded result or `StepFailed`.
 //!
 //! ## Determinism contract
 //!
-//! For any chain and any worker count, the scheduler produces the same
+//! For any chain, cold or from a warm memo, the scheduler produces the same
 //! final value, the same `findings` in the same order, and the same *core*
 //! event sequence (the seed executor's seven [`ChainEvent`] variants, in
 //! the same order with the same payloads) as the sequential reference
-//! executor the differential tests keep as their oracle. Mechanism: workers
-//! only compute; all observable effects — events, findings, the failure
-//! index — are committed on the scheduler thread in step-index order,
-//! stopping at the smallest failing index. The extra plan events
-//! (`PlanBuilt`, `StepTimed`, `MemoLookup`) are non-core
-//! ([`ChainEvent::is_core`]) and may differ across worker counts.
+//! executor the differential tests keep as their oracle, stopping at the
+//! smallest failing index. The extra plan events (`PlanBuilt`, `StepTimed`,
+//! `MemoLookup`) are non-core ([`ChainEvent::is_core`]) and may differ
+//! between a cold and a warm run.
 //!
 //! ## Memoization
 //!
@@ -66,7 +66,7 @@ use crate::chain::{ApiCall, ApiChain, ChainError};
 use crate::descriptor::ApiCategory;
 use crate::executor::ExecContext;
 use crate::monitor::{ChainEvent, Monitor};
-use crate::plan::{InputSource, Plan, PlanStep, Segment};
+use crate::plan::{InputSource, Plan, Segment};
 use crate::registry::ApiRegistry;
 use crate::supervisor::{self, Attempted, FailurePolicy, FaultPlan, StepFailure, SupervisorConfig};
 use crate::value::Value;
@@ -75,8 +75,8 @@ use chatgraph_graph::Graph;
 use chatgraph_support::cancel::CancelToken;
 use chatgraph_support::hash::Fnv64;
 use chatgraph_support::lru::Lru;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -347,8 +347,6 @@ impl StepMemo {
 /// ([`Scheduler::from_exec_config`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecProfile {
-    /// Worker threads for parallel plan segments (clamped to ≥ 1).
-    pub workers: usize,
     /// Capacity of the pure-step memo cache (0 disables caching).
     pub memo_capacity: usize,
     /// Deadline / retry / failure-policy configuration.
@@ -358,7 +356,6 @@ pub struct ExecProfile {
 impl Default for ExecProfile {
     fn default() -> Self {
         ExecProfile {
-            workers: 1,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
             supervisor: SupervisorConfig::default(),
         }
@@ -391,29 +388,22 @@ pub trait CommitSink: Send + Sync + std::fmt::Debug {
     fn commit(&self, graph: &Arc<Graph>) -> Result<CommitAck, String>;
 }
 
-/// Executes plans with a fixed worker count and a step-memo cache.
+/// Executes plans through a step-memo cache.
 ///
 /// The scheduler is long-lived: a session keeps one and the memo cache
 /// carries across chains, so re-running an edited chain re-executes only
 /// the steps whose inputs changed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Scheduler {
-    workers: usize,
     supervisor: SupervisorConfig,
     memo: Arc<StepMemo>,
     commit_sink: Option<Arc<dyn CommitSink>>,
 }
 
 impl Scheduler {
-    /// A scheduler with `workers` worker threads (clamped to ≥ 1) and the
-    /// default memo capacity.
-    pub fn new(workers: usize) -> Self {
-        Scheduler {
-            workers: workers.max(1),
-            supervisor: SupervisorConfig::default(),
-            memo: Arc::new(StepMemo::default()),
-            commit_sink: None,
-        }
+    /// A scheduler with the default supervisor and memo capacity.
+    pub fn new() -> Self {
+        Scheduler::default()
     }
 
     /// Builds a scheduler from an execution profile — the one construction
@@ -421,7 +411,6 @@ impl Scheduler {
     /// picked up everywhere at once.
     pub fn from_exec_config(profile: &ExecProfile) -> Self {
         Scheduler {
-            workers: profile.workers.max(1),
             supervisor: profile.supervisor.clone(),
             memo: Arc::new(StepMemo::new(profile.memo_capacity)),
             commit_sink: None,
@@ -477,13 +466,8 @@ impl Scheduler {
         self.commit_sink = sink;
     }
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Plans and executes `chain` — same contract as
-    /// [`crate::execute_chain`], which is this with one worker.
+    /// [`crate::execute_chain`], which is this on a fresh scheduler.
     ///
     /// Building the plan validates the chain, so an invalid chain fails
     /// with its typed error (`UnknownApi`, `TypeMismatch`, `Empty`) before
@@ -496,10 +480,7 @@ impl Scheduler {
         ctx: &mut ExecContext,
         monitor: &mut dyn Monitor,
     ) -> Result<Value, ChainError> {
-        // Price the plan against the graph's O(1) statistics counters:
-        // per-step work estimates order sub-chain dispatch, and steps under
-        // the parallelism bar run their CSR kernels sequentially.
-        let plan = Plan::build_with_stats(chain, registry, Some(&ctx.graph))?;
+        let plan = Plan::build(chain, registry)?;
         gate(crate::analysis::analyze(chain, registry, true), monitor)?;
         self.run_plan(registry, chain, &plan, ctx, monitor)
     }
@@ -514,8 +495,8 @@ impl Scheduler {
         monitor: &mut dyn Monitor,
     ) -> Result<Value, ChainError> {
         // Interference audit (CG016/CG017): independently re-prove that no
-        // parallel segment hides a conflicting effect before running any of
-        // it. Plans from `Plan::build` are clean by construction, so this
+        // barrier-free segment hides a conflicting effect before running any
+        // of it. Plans from `Plan::build` are clean by construction, so this
         // only fires if planning and scheduling ever drift apart.
         gate(crate::analysis::audit_plan(plan), monitor)?;
         monitor.on_event(&ChainEvent::ChainStarted { total: chain.len() });
@@ -523,11 +504,8 @@ impl Scheduler {
             steps: plan.len(),
             deps: plan.dep_count(),
             barriers: plan.barrier_count(),
-            par_kernels: plan.par_kernel_count(),
-            est_cost: plan.total_cost(),
         });
 
-        ctx.kernels.policy.workers = self.workers;
         let mut prev = Value::Unit;
         for segment in plan.segments() {
             match segment {
@@ -552,7 +530,7 @@ impl Scheduler {
                         }
                     }
                     let start = Instant::now();
-                    let attempted = self.attempt(registry, step, pstep, &input, false, ctx);
+                    let attempted = self.attempt(registry, step, i, &input, ctx);
                     let outcome = StepOutcome::new(attempted, start, Served::Unkeyed);
                     if let Some(output) = self.commit(plan, i, outcome, ctx, monitor)? {
                         prev = output;
@@ -581,7 +559,7 @@ impl Scheduler {
                         graph_fp: ctx.graph.fingerprint(),
                         db_fp: dfp,
                     };
-                    let out = seg.run(chains, prev, ctx, monitor);
+                    let out = seg.run(&chains, prev, ctx, monitor);
                     drain_kernel_events(ctx, monitor);
                     prev = out?;
                 }
@@ -591,27 +569,24 @@ impl Scheduler {
         Ok(prev)
     }
 
-    /// The one supervised attempt (module docs, "Step lifecycle"). CSR
-    /// kernels observe each attempt's deadline at chunk boundaries. Kernel
-    /// parallelism is off on a pool worker (`on_pool`: the workers *are*
-    /// the chunk workers then) and for steps the cost model deems too small.
+    /// The one supervised attempt of step `j` (module docs, "Step
+    /// lifecycle"). CSR kernels observe each attempt's deadline at chunk
+    /// boundaries.
     fn attempt(
         &self,
         registry: &ApiRegistry,
         call: &ApiCall,
-        pstep: &PlanStep,
+        j: usize,
         input: &Value,
-        on_pool: bool,
         ctx: &mut ExecContext,
     ) -> Attempted {
         let retryable = registry
             .descriptor(&call.api)
             .is_some_and(|d| d.transient_retryable);
-        ctx.kernels.policy.workers = if on_pool || !pstep.par_kernel { 1 } else { self.workers };
         let attempted = supervisor::run_step(
             &self.supervisor,
             ctx.seed,
-            pstep.index,
+            j,
             retryable,
             |token, chunk_delay| {
                 ctx.kernels.policy.cancel = token.clone();
@@ -624,8 +599,8 @@ impl Scheduler {
         attempted
     }
 
-    /// The one commit (module docs, "Step lifecycle"), on the scheduler
-    /// thread. A mutating step's `StepTimed` covers its durable commit.
+    /// The one commit (module docs, "Step lifecycle"). A mutating step's
+    /// `StepTimed` covers its durable commit.
     /// Returns the step's value, or `None` when it degraded — only an
     /// unconsumed output under `SkipDegraded` does, never a barrier's.
     fn commit(
@@ -758,8 +733,8 @@ fn drain_kernel_events(ctx: &ExecContext, monitor: &mut dyn Monitor) {
             delta: b.delta,
         });
     }
-    for (kernel, micros, workers) in ctx.kernels.drain_timings() {
-        monitor.on_event(&ChainEvent::KernelTimed { kernel, micros, workers });
+    for (kernel, micros) in ctx.kernels.drain_timings() {
+        monitor.on_event(&ChainEvent::KernelTimed { kernel, micros });
     }
 }
 
@@ -784,8 +759,7 @@ enum Served {
     /// Received from an identical in-flight execution; nothing ran.
     Coalesced,
     /// Ran without a memo key: a barrier, a step its fault plan afflicts,
-    /// a similarity step with no database fingerprint, or a step whose
-    /// worker died.
+    /// or a similarity step with no database fingerprint.
     Unkeyed,
 }
 
@@ -808,20 +782,9 @@ impl StepOutcome {
             served,
         }
     }
-
-    /// The outcome recorded for a step whose worker thread died without
-    /// reporting (a scheduler-internal panic caught at `join`).
-    fn pool_panic(msg: String) -> StepOutcome {
-        StepOutcome {
-            result: Err(StepFailure::Panicked(msg)),
-            retries: Vec::new(),
-            micros: 0,
-            served: Served::Unkeyed,
-        }
-    }
 }
 
-/// Everything a barrier-free segment needs, shareable across workers.
+/// Everything a barrier-free segment needs.
 struct SegmentRun<'a> {
     scheduler: &'a Scheduler,
     registry: &'a ApiRegistry,
@@ -837,160 +800,29 @@ struct SegmentRun<'a> {
 }
 
 impl SegmentRun<'_> {
-    /// Executes the segment's sub-chains and commits results in step-index
-    /// order. Returns the output of the segment's last step.
+    /// Executes the segment's steps in step-index order, committing each
+    /// before the next runs — byte-for-byte the sequential executor's
+    /// behaviour, plus memoization. Returns the output of the segment's last
+    /// step. `Plan::segments` cuts a segment's sub-chains from one run of
+    /// consecutive steps, in order, so flattening them yields index order.
     fn run(
-        &self,
-        chains: Vec<Vec<usize>>,
-        prev: Value,
-        ctx: &mut ExecContext,
-        monitor: &mut dyn Monitor,
-    ) -> Result<Value, ChainError> {
-        let threads = self.scheduler.workers.min(chains.len());
-        if threads <= 1 {
-            return self.run_inline(&chains, prev, ctx, monitor);
-        }
-        let indices: Vec<usize> = chains.iter().flatten().copied().collect();
-        // Pool-internal locks: a worker takes the job queue, drops it, and
-        // only then writes an outcome slot — never both at once.
-        // lockdoc: order(jobs < outcomes)
-        // Handler panics are caught inside `exec_pure`, so these locks can
-        // only be poisoned by a scheduler-internal bug; the slots hold
-        // plain `Option<StepOutcome>` data that a panic cannot tear.
-        // lockdoc: recover(job queue and outcome slots hold plain data; commit re-validates per step)
-        // One slot per step in the segment, filled by whichever worker runs
-        // that step's sub-chain.
-        let outcomes: Vec<Mutex<Option<StepOutcome>>> = indices
-            .iter()
-            .map(|_| Mutex::new(None))
-            .collect();
-        let slot_of = |j: usize| indices.iter().position(|&k| k == j);
-        // Dispatch sub-chains most-expensive-first (LPT): with estimates in
-        // hand, the long analysis starts immediately instead of queueing
-        // behind cheap counts. Stable sort, so without statistics (all
-        // zero) the historical first-index order is preserved; commit order
-        // below is by step index either way, so observable behaviour is
-        // identical.
-        let mut ordered: Vec<Vec<usize>> = chains.clone();
-        ordered.sort_by_key(|sub| {
-            std::cmp::Reverse(sub.iter().map(|&j| self.plan.steps[j].est_cost).sum::<u64>())
-        });
-        let jobs: Mutex<VecDeque<Vec<usize>>> = Mutex::new(ordered.into_iter().collect());
-        // Which step each worker is currently executing, for panic
-        // attribution at `join`. Handler panics are already caught inside
-        // `exec_pure` by the supervisor, so a worker can only die from a
-        // scheduler-internal bug — but even then the payload must not be
-        // lost or resumed into the caller.
-        let current: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let mut pool_panics: Vec<(usize, String)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let cur = &current[w];
-                let prev = &prev;
-                let jobs = &jobs;
-                let outcomes = &outcomes;
-                let slot_of = &slot_of;
-                handles.push(scope.spawn(move || loop {
-                    let job = {
-                        let mut q = jobs.lock().unwrap_or_else(|e| e.into_inner());
-                        q.pop_front()
-                    };
-                    let Some(sub) = job else { break };
-                    let mut local_prev = match self.plan.steps[sub[0]].input {
-                        InputSource::PrevOutput(_) => prev.clone(),
-                        _ => Value::Unit,
-                    };
-                    for &j in &sub {
-                        cur.store(j, Ordering::Relaxed);
-                        let source = self.plan.steps[j].input;
-                        let input = step_input(source, &local_prev, &self.local.graph);
-                        let outcome = self.exec_pure(j, input, true);
-                        let ok = outcome.result.as_ref().ok().cloned();
-                        if let Some(slot) = slot_of(j) {
-                            let mut guard =
-                                outcomes[slot].lock().unwrap_or_else(|e| e.into_inner());
-                            *guard = Some(outcome);
-                        }
-                        cur.store(usize::MAX, Ordering::Relaxed);
-                        // A failure ends this sub-chain; later steps in it
-                        // would never have run sequentially either.
-                        match ok {
-                            Some(v) => local_prev = v,
-                            None => break,
-                        }
-                    }
-                }));
-            }
-            for (w, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join() {
-                    // Attribute the payload to the step the worker was on
-                    // (fall back to the segment's first step if it died
-                    // between steps) instead of unwinding into the caller.
-                    let at = current[w].load(Ordering::Relaxed);
-                    let step = if at == usize::MAX {
-                        indices.iter().copied().min().unwrap_or(0)
-                    } else {
-                        at
-                    };
-                    pool_panics.push((step, supervisor::panic_message(payload)));
-                }
-            }
-        });
-        // Route pool panics through the normal commit path: fill the dead
-        // step's slot so the smallest failing index still wins.
-        for (step, msg) in pool_panics {
-            if let Some(slot) = slot_of(step) {
-                let mut guard = outcomes[slot].lock().unwrap_or_else(|e| e.into_inner());
-                if guard.is_none() {
-                    *guard = Some(StepOutcome::pool_panic(msg));
-                }
-            }
-        }
-        // Commit on the scheduler thread in step-index order; the smallest
-        // failing index wins, exactly as in sequential execution.
-        let mut sorted = indices.clone();
-        sorted.sort_unstable();
-        let mut last = prev;
-        for j in sorted {
-            let outcome = slot_of(j).and_then(|s| {
-                outcomes[s].lock().unwrap_or_else(|e| e.into_inner()).take()
-            });
-            let Some(outcome) = outcome else {
-                // An empty slot means the step's sub-chain aborted at a
-                // smaller failing index, and commit returns at that index
-                // first — so this is unreachable; skip defensively.
-                continue;
-            };
-            self.commit(j, outcome, ctx, monitor, &mut last)?;
-        }
-        Ok(last)
-    }
-
-    /// Single-threaded segment execution: interleaved execute-and-commit in
-    /// step-index order — byte-for-byte the sequential executor's behaviour
-    /// (plus memoization).
-    fn run_inline(
         &self,
         chains: &[Vec<usize>],
         prev: Value,
         ctx: &mut ExecContext,
         monitor: &mut dyn Monitor,
     ) -> Result<Value, ChainError> {
-        let mut indices: Vec<usize> = chains.iter().flatten().copied().collect();
-        indices.sort_unstable();
         let mut last = prev;
-        for j in indices {
+        for &j in chains.iter().flatten() {
             let input = step_input(self.plan.steps[j].input, &last, &self.local.graph);
-            let outcome = self.exec_pure(j, input, false);
+            let outcome = self.exec_pure(j, input);
             self.commit(j, outcome, ctx, monitor, &mut last)?;
         }
         Ok(last)
     }
 
-    /// Runs one pure step against an isolated context through the memo.
-    /// `on_pool` says whether the segment itself is running across worker
-    /// threads (see [`Scheduler::attempt`]).
+    /// Runs one pure step against a copy of the snapshot-local context
+    /// through the memo.
     ///
     /// Every keyed step claims: a hit or a coalesced flight skips the
     /// handler, and a leader publishes its outcome (value *or* failure) to
@@ -999,7 +831,7 @@ impl SegmentRun<'_> {
     /// step the fault plan afflicts: it gets no key, so its injected faults
     /// and clean retry stay private to this run, and the memo can neither
     /// mask them on a warm run nor leak them through a flight.
-    fn exec_pure(&self, j: usize, input: Value, on_pool: bool) -> StepOutcome {
+    fn exec_pure(&self, j: usize, input: Value) -> StepOutcome {
         let call = &self.chain.steps[j];
         let faults = self.scheduler.supervisor.faults.as_ref();
         let afflicted = faults.is_some_and(|f| f.fault_for(j, 0).is_some());
@@ -1015,14 +847,7 @@ impl SegmentRun<'_> {
             None => (None, Served::Unkeyed),
         };
         let mut local = self.local.clone();
-        let attempted = self.scheduler.attempt(
-            self.registry,
-            call,
-            &self.plan.steps[j],
-            &input,
-            on_pool,
-            &mut local,
-        );
+        let attempted = self.scheduler.attempt(self.registry, call, j, &input, &mut local);
         if let Some(lease) = lease {
             lease.publish(attempted.result.clone());
         }
@@ -1171,12 +996,12 @@ mod tests {
         let mut chain = ApiChain::from_names(["relabel_nodes", "node_count"]);
         chain.steps[0] = ApiCall::new("relabel_nodes").with_param("from", "A").with_param("to", "B");
         let mut plan = Plan::build(&chain, &reg).unwrap();
-        // Misclassify the edit: it now shares a parallel segment with the read.
+        // Misclassify the edit: it now shares a pure segment with the read.
         plan.steps[0].barrier = false;
         let mut ctx = social_ctx();
         let before = ctx.graph.fingerprint();
         let mut mon = CollectingMonitor::new();
-        let err = Scheduler::new(2)
+        let err = Scheduler::new()
             .run_plan(&reg, &chain, &plan, &mut ctx, &mut mon)
             .unwrap_err();
         assert!(
@@ -1193,7 +1018,7 @@ mod tests {
         let chain = ApiChain::from_names(["node_count", "edge_count"]);
         let mut ctx = social_ctx();
         let mut mon = CollectingMonitor::new();
-        Scheduler::new(2).execute(&reg, &chain, &mut ctx, &mut mon).unwrap();
+        Scheduler::new().execute(&reg, &chain, &mut ctx, &mut mon).unwrap();
         let started = mon
             .events
             .iter()
@@ -1213,7 +1038,7 @@ mod tests {
     fn memo_serves_repeated_steps() {
         let reg = registry::standard();
         let chain = ApiChain::from_names(["node_count", "edge_count"]);
-        let sched = Scheduler::new(1);
+        let sched = Scheduler::new();
         let mut ctx = social_ctx();
         sched
             .execute(&reg, &chain, &mut ctx, &mut crate::monitor::SilentMonitor)
@@ -1248,17 +1073,17 @@ mod tests {
                 .execute(&reg, &chain, &mut ctx, &mut crate::monitor::SilentMonitor)
                 .unwrap()
         };
-        let sched = Scheduler::new(1);
+        let sched = Scheduler::new();
         let tombstoned = run(&sched, &g);
         let served = run(&sched, &compacted);
-        assert_eq!(served, run(&Scheduler::new(1), &compacted));
+        assert_eq!(served, run(&Scheduler::new(), &compacted));
         assert_ne!(served, tombstoned, "the ids differ, so the answers must");
     }
 
     #[test]
     fn mutation_invalidates_memoized_graph_reads() {
         let reg = registry::standard();
-        let sched = Scheduler::new(1);
+        let sched = Scheduler::new();
         let mut g = knowledge_graph(&KgParams::default(), 7);
         chatgraph_graph::generators::corrupt_kg(&mut g, 0.1, 0.0, 7);
         let chain = ApiChain::from_names([
@@ -1284,15 +1109,11 @@ mod tests {
     fn rejection_and_failure_indices_match_reference() {
         let reg = registry::standard();
         let chain = ApiChain::from_names(["detect_incorrect_edges", "remove_edges"]);
-        for workers in [1, 4] {
-            let mut ctx = ExecContext::new(knowledge_graph(&KgParams::default(), 3));
-            let mut mon = CollectingMonitor::with_answers([false]);
-            let err = Scheduler::new(workers)
-                .execute(&reg, &chain, &mut ctx, &mut mon)
-                .unwrap_err();
-            assert_eq!(err, ChainError::Rejected(1, "remove_edges".to_owned()));
-            assert_eq!(mon.confirm_log.len(), 1);
-        }
+        let mut ctx = ExecContext::new(knowledge_graph(&KgParams::default(), 3));
+        let mut mon = CollectingMonitor::with_answers([false]);
+        let err = Scheduler::new().execute(&reg, &chain, &mut ctx, &mut mon).unwrap_err();
+        assert_eq!(err, ChainError::Rejected(1, "remove_edges".to_owned()));
+        assert_eq!(mon.confirm_log.len(), 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * **Panic isolation** — `catch_unwind` at the attempt boundary (the only
 //!   place in the workspace, enforced by repolint CG106) converts panic
 //!   payloads into [`StepFailure::Panicked`] instead of unwinding through
-//!   the worker pool.
+//!   the scheduler and the serving layer's drain pool.
 //! * **Retries** — only failures of *transient origin* (timeouts and
 //!   injected faults) are retried, and only for APIs whose descriptor is
 //!   marked `transient_retryable` (pure analytics; mutating and
@@ -73,8 +73,8 @@ impl FailurePolicy {
 }
 
 /// Deterministic fault injection: which `(step, attempt)` sites fail, and
-/// how, is a pure function of this plan — independent of worker count,
-/// memo warmth, and wall clock.
+/// how, is a pure function of this plan — independent of memo warmth and
+/// wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the per-step fault draw.
@@ -289,7 +289,7 @@ pub fn backoff_ms(cfg: &SupervisorConfig, seed: u64, step: usize, attempt: usize
 
 /// Renders a caught panic payload (the `&str` / `String` payloads `panic!`
 /// produces; anything else gets a fixed description).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -338,7 +338,7 @@ where
             };
             // The ONLY catch_unwind in the workspace (repolint CG106):
             // panic payloads become StepFailure::Panicked here instead of
-            // unwinding into the worker pool.
+            // unwinding into the scheduler.
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(InjectedFault::Panic) = fault {
                     panic!("injected panic (step {step}, attempt {attempt})");

@@ -20,7 +20,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 /// Serialises panic-hook suppression across tests in this binary (the
-/// panicking-leader test panics on a worker thread).
+/// panicking-leader test panics on a tenant thread).
 static PANIC_HOOK: Mutex<()> = Mutex::new(());
 
 fn quiet<T>(f: impl FnOnce() -> T) -> T {
@@ -75,7 +75,6 @@ fn concurrent_runs(
     reg: &chatgraph_apis::ApiRegistry,
     chain: &ApiChain,
     memo: &Arc<StepMemo>,
-    workers: usize,
     threads: usize,
     supervisor: &SupervisorConfig,
 ) -> Vec<Observed> {
@@ -84,7 +83,7 @@ fn concurrent_runs(
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let sched = Scheduler::new(workers)
+                    let sched = Scheduler::new()
                         .with_shared_memo(Arc::clone(memo))
                         .with_supervisor(supervisor.clone());
                     barrier.wait();
@@ -124,9 +123,9 @@ fn probe_registry(
     reg
 }
 
-/// (c) Differential: at pool widths 1, 2 and 4, cold and warm, a chain
-/// executed by concurrent coalescing tenants is bit-identical to the same
-/// chain run solo — results, findings, and core events.
+/// (c) Differential: cold and warm, a chain executed by concurrent
+/// coalescing tenants is bit-identical to the same chain run solo —
+/// results, findings, and core events.
 #[test]
 fn coalesced_runs_match_solo_bit_identically_at_all_widths() {
     let reg = registry::standard();
@@ -136,33 +135,22 @@ fn coalesced_runs_match_solo_bit_identically_at_all_widths() {
         ApiChain::from_names(["node_count", "triangle_count"]),
     ];
     for chain in &chains {
-        for workers in [1, 2, 4] {
-            let solo = observe(|ctx, mon| {
-                Scheduler::new(workers).execute(&reg, chain, ctx, mon)
-            });
-            let memo = Arc::new(StepMemo::new(256));
-            // Cold: every tenant races the same fresh shared memo.
-            let cold =
-                concurrent_runs(&reg, chain, &memo, workers, 4, &SupervisorConfig::default());
-            for got in &cold {
-                assert_eq!(got.result, solo.result, "cold result ({workers} workers)");
-                assert_eq!(got.findings, solo.findings, "cold findings ({workers} workers)");
-                assert_eq!(
-                    got.core_events, solo.core_events,
-                    "cold core events ({workers} workers)"
-                );
-            }
-            // Warm: one more tenant over the now-populated memo.
-            let sched = Scheduler::new(workers).with_shared_memo(Arc::clone(&memo));
-            let warm = observe(|ctx, mon| sched.execute(&reg, chain, ctx, mon));
-            assert_eq!(warm.result, solo.result, "warm result ({workers} workers)");
-            assert_eq!(warm.findings, solo.findings, "warm findings ({workers} workers)");
-            assert_eq!(
-                warm.core_events, solo.core_events,
-                "warm core events ({workers} workers)"
-            );
-            assert_eq!(warm.coalesced_events, 0, "a warm run hits, it never waits");
+        let solo = observe(|ctx, mon| Scheduler::new().execute(&reg, chain, ctx, mon));
+        let memo = Arc::new(StepMemo::new(256));
+        // Cold: every tenant races the same fresh shared memo.
+        let cold = concurrent_runs(&reg, chain, &memo, 4, &SupervisorConfig::default());
+        for got in &cold {
+            assert_eq!(got.result, solo.result, "cold result");
+            assert_eq!(got.findings, solo.findings, "cold findings");
+            assert_eq!(got.core_events, solo.core_events, "cold core events");
         }
+        // Warm: one more tenant over the now-populated memo.
+        let sched = Scheduler::new().with_shared_memo(Arc::clone(&memo));
+        let warm = observe(|ctx, mon| sched.execute(&reg, chain, ctx, mon));
+        assert_eq!(warm.result, solo.result, "warm result");
+        assert_eq!(warm.findings, solo.findings, "warm findings");
+        assert_eq!(warm.core_events, solo.core_events, "warm core events");
+        assert_eq!(warm.coalesced_events, 0, "a warm run hits, it never waits");
     }
 }
 
@@ -176,7 +164,7 @@ fn concurrent_duplicates_execute_exactly_once() {
     let reg = probe_registry(Arc::clone(&counter), Duration::from_millis(150), false);
     let chain = ApiChain::from_names(["probe"]);
     let memo = Arc::new(StepMemo::new(64));
-    let runs = concurrent_runs(&reg, &chain, &memo, 2, TENANTS, &SupervisorConfig::default());
+    let runs = concurrent_runs(&reg, &chain, &memo, TENANTS, &SupervisorConfig::default());
 
     assert_eq!(counter.load(Ordering::SeqCst), 1, "the probe ran exactly once");
     for got in &runs {
@@ -204,7 +192,7 @@ fn panicking_leader_fails_all_waiters_with_step_attribution() {
         let chain = ApiChain::from_names(["probe"]);
         let memo = Arc::new(StepMemo::new(64));
         let cfg = SupervisorConfig { max_retries: 0, ..Default::default() };
-        let runs = concurrent_runs(&reg, &chain, &memo, 2, TENANTS, &cfg);
+        let runs = concurrent_runs(&reg, &chain, &memo, TENANTS, &cfg);
 
         assert_eq!(counter.load(Ordering::SeqCst), 1, "the panicking probe ran exactly once");
         for got in &runs {
@@ -220,7 +208,7 @@ fn panicking_leader_fails_all_waiters_with_step_attribution() {
         assert_eq!(memo.len(), 0, "a failed flight must not populate the LRU");
         let stats = memo.stats();
         assert_eq!(stats.executed(), 1, "{stats:?}");
-        let again = concurrent_runs(&reg, &chain, &memo, 2, 1, &cfg);
+        let again = concurrent_runs(&reg, &chain, &memo, 1, &cfg);
         assert_eq!(counter.load(Ordering::SeqCst), 2, "failures are not memoized");
         assert!(matches!(&again[0].result, Err(ChainError::StepPanicked(0, _))));
     });
@@ -288,8 +276,8 @@ fn only_afflicted_steps_bypass_the_shared_memo() {
     };
 
     // Solo references, each over a private memo.
-    let (clean_solo, _) = run(&Scheduler::new(1));
-    let armed_sched = Scheduler::new(1).with_supervisor(armed.clone());
+    let (clean_solo, _) = run(&Scheduler::new());
+    let armed_sched = Scheduler::new().with_supervisor(armed.clone());
     let (armed_solo, _) = run(&armed_sched);
     assert_eq!(armed_solo.result, clean_solo.result, "one retry recovers each afflicted step");
     assert_eq!(
@@ -305,7 +293,7 @@ fn only_afflicted_steps_bypass_the_shared_memo() {
     let memo = Arc::new(StepMemo::new(64));
     let barrier = Barrier::new(2);
     let tenant = |cfg: &SupervisorConfig| {
-        let sched = Scheduler::new(1)
+        let sched = Scheduler::new()
             .with_shared_memo(Arc::clone(&memo))
             .with_supervisor(cfg.clone());
         barrier.wait();

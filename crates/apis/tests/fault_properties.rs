@@ -1,8 +1,7 @@
 //! Differential properties for the chain supervisor (DESIGN.md §11): a
 //! passive or fault-free supervisor never changes what a chain produces,
 //! and an armed [`FaultPlan`] degrades execution *exactly* as modelled —
-//! the same failures at the same steps for every worker count, warm or
-//! cold memo, with panics isolated and deadlines enforced cooperatively.
+//! the same failures at the same steps on a warm or cold memo, with panics isolated and deadlines enforced cooperatively.
 
 mod support;
 
@@ -20,9 +19,10 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 use support::execute_chain_reference;
 
-/// Serialises panic-hook suppression across tests in this binary: injected
-/// panics fly on worker threads, and the default hook would spray their
-/// backtraces over the test output.
+/// Serialises panic-hook suppression across tests in this binary: the
+/// default hook would spray injected panics' backtraces over the test
+/// output, and the hook is process-wide while tests run on parallel
+/// threads.
 static PANIC_HOOK: Mutex<()> = Mutex::new(());
 
 fn quiet<T>(f: impl FnOnce() -> T) -> T {
@@ -119,52 +119,28 @@ fn error_step(e: &ChainError) -> Option<usize> {
     }
 }
 
-/// Runs `chain` under `cfg` at workers 1, 2 and 4 plus a warm-memo re-run,
-/// asserting all four observations are identical, and returns the first.
+/// Runs `chain` under `cfg` cold and then on a warm memo, asserting both
+/// observations are identical, and returns the cold one.
 fn supervised_runs_agree(chain: &ApiChain, cfg: &SupervisorConfig) -> Result<Observed, String> {
     let reg = registry::standard();
-    let sched4 = Scheduler::new(4).with_supervisor(cfg.clone());
-    let mut runs = vec![
-        (
-            "1 worker",
-            observe(|ctx, mon| {
-                Scheduler::new(1).with_supervisor(cfg.clone()).execute(&reg, chain, ctx, mon)
-            }),
-        ),
-        (
-            "2 workers",
-            observe(|ctx, mon| {
-                Scheduler::new(2).with_supervisor(cfg.clone()).execute(&reg, chain, ctx, mon)
-            }),
-        ),
-        ("4 workers", observe(|ctx, mon| sched4.execute(&reg, chain, ctx, mon))),
-        (
-            "4 workers, warm memo",
-            observe(|ctx, mon| sched4.execute(&reg, chain, ctx, mon)),
-        ),
-    ];
-    let first = runs.remove(0).1;
-    for (label, got) in &runs {
-        prop_assert_eq!(&got.result, &first.result, "result differs ({label})");
-        prop_assert_eq!(&got.findings, &first.findings, "findings differ ({label})");
-        prop_assert_eq!(
-            &got.core_events,
-            &first.core_events,
-            "core events differ ({label})"
-        );
-        prop_assert_eq!(
-            &got.degraded_steps,
-            &first.degraded_steps,
-            "degraded steps differ ({label})"
-        );
-        prop_assert_eq!(&got.graph, &first.graph, "final graph differs ({label})");
-    }
+    let sched = Scheduler::new().with_supervisor(cfg.clone());
+    let first = observe(|ctx, mon| sched.execute(&reg, chain, ctx, mon));
+    let warm = observe(|ctx, mon| sched.execute(&reg, chain, ctx, mon));
+    prop_assert_eq!(&warm.result, &first.result, "result differs (warm memo)");
+    prop_assert_eq!(&warm.findings, &first.findings, "findings differ (warm memo)");
+    prop_assert_eq!(&warm.core_events, &first.core_events, "core events differ (warm memo)");
+    prop_assert_eq!(
+        &warm.degraded_steps,
+        &first.degraded_steps,
+        "degraded steps differ (warm memo)"
+    );
+    prop_assert_eq!(&warm.graph, &first.graph, "final graph differs (warm memo)");
     Ok(first)
 }
 
 /// (a) A fault-free armed supervisor (deadline that never fires, retries
 /// configured, SkipDegraded policy) is invisible: execution matches the
-/// sequential reference executor bit-for-bit at every worker count.
+/// sequential reference executor bit-for-bit, cold and warm.
 #[test]
 fn fault_free_supervision_matches_reference_executor() {
     let cfg = SupervisorConfig {
@@ -192,8 +168,7 @@ fn fault_free_supervision_matches_reference_executor() {
 }
 
 /// (b) Abort policy: injected faults fail the chain at the *smallest*
-/// afflicted step, with the same error for every worker count and memo
-/// warmth — and chains with no afflicted step are untouched.
+/// afflicted step, with the same error whatever the memo warmth — and chains with no afflicted step are untouched.
 #[test]
 fn abort_policy_fails_at_first_afflicted_step_deterministically() {
     quiet(|| {
@@ -404,11 +379,11 @@ fn deadline_cancels_stalled_steps_and_retries_reproducibly() {
         faults: Some(faults),
         ..Default::default()
     };
-    let run = |workers: usize| {
+    let run = || {
         let mut retried: Vec<(usize, usize, u64)> = Vec::new();
         let mut timed_out = Vec::new();
         let obs = observe(|ctx, mon| {
-            let r = Scheduler::new(workers)
+            let r = Scheduler::new()
                 .with_supervisor(cfg.clone())
                 .execute(&reg, &chain, ctx, mon);
             for e in &mon.events {
@@ -426,25 +401,23 @@ fn deadline_cancels_stalled_steps_and_retries_reproducibly() {
         });
         (obs, retried, timed_out)
     };
-    for workers in [1, 2] {
-        let (obs, retried, timed_out) = run(workers);
-        assert_eq!(
-            obs.result,
-            Err(ChainError::StepTimedOut(0, 8)),
-            "the first stalled step must abort the chain ({workers} workers)"
-        );
-        assert_eq!(timed_out, vec![(0, 8)]);
-        // 2 retries, each preceded by the deterministic seeded backoff
-        // (ctx seed is 11; backoff keys on (seed, step, completed attempts)).
-        assert_eq!(retried.len(), 2, "retried: {retried:?}");
-        for (k, &(step, attempt, backoff)) in retried.iter().enumerate() {
-            assert_eq!((step, attempt), (0, k + 1));
-            assert_eq!(backoff, supervisor::backoff_ms(&cfg, 11, 0, k));
-        }
+    let (obs, retried, timed_out) = run();
+    assert_eq!(
+        obs.result,
+        Err(ChainError::StepTimedOut(0, 8)),
+        "the first stalled step must abort the chain"
+    );
+    assert_eq!(timed_out, vec![(0, 8)]);
+    // 2 retries, each preceded by the deterministic seeded backoff
+    // (ctx seed is 11; backoff keys on (seed, step, completed attempts)).
+    assert_eq!(retried.len(), 2, "retried: {retried:?}");
+    for (k, &(step, attempt, backoff)) in retried.iter().enumerate() {
+        assert_eq!((step, attempt), (0, k + 1));
+        assert_eq!(backoff, supervisor::backoff_ms(&cfg, 11, 0, k));
     }
     // Repeat runs are bit-identical (determinism under faults).
-    let (a, ra, ta) = run(2);
-    let (b, rb, tb) = run(2);
+    let (a, ra, ta) = run();
+    let (b, rb, tb) = run();
     assert_eq!(a.result, b.result);
     assert_eq!(a.core_events, b.core_events);
     assert_eq!((ra, ta), (rb, tb));
@@ -452,7 +425,7 @@ fn deadline_cancels_stalled_steps_and_retries_reproducibly() {
 
 /// Satellite (a) regression: a handler that panics is isolated at the
 /// supervisor boundary with correct step attribution — the panic payload is
-/// neither lost nor resumed through the worker pool — at any worker count.
+/// neither lost nor resumed into the caller.
 #[test]
 fn panicking_handler_is_isolated_with_step_attribution() {
     let mut reg = registry::standard();
@@ -468,18 +441,14 @@ fn panicking_handler_is_isolated_with_step_attribution() {
     );
     let chain = ApiChain::from_names(["edge_count", "explode", "graph_density"]);
     quiet(|| {
-        for workers in [1, 4] {
-            let obs = observe(|ctx, mon| {
-                Scheduler::new(workers).execute(&reg, &chain, ctx, mon)
-            });
-            match &obs.result {
-                Err(ChainError::StepPanicked(1, msg)) => {
-                    assert!(msg.contains("handler exploded"), "payload kept: {msg}");
-                }
-                other => panic!("expected StepPanicked(1, _) at {workers} workers, got {other:?}"),
+        let obs = observe(|ctx, mon| Scheduler::new().execute(&reg, &chain, ctx, mon));
+        match &obs.result {
+            Err(ChainError::StepPanicked(1, msg)) => {
+                assert!(msg.contains("handler exploded"), "payload kept: {msg}");
             }
-            // Steps before the panic committed; the chain stopped at it.
-            assert_eq!(obs.findings.len(), 1, "only edge_count committed");
+            other => panic!("expected StepPanicked(1, _), got {other:?}"),
         }
+        // Steps before the panic committed; the chain stopped at it.
+        assert_eq!(obs.findings.len(), 1, "only edge_count committed");
     });
 }

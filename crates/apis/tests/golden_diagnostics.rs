@@ -65,8 +65,6 @@ fn step(index: usize, api: &str, input: InputSource) -> PlanStep {
         mutates_graph: false,
         reads_findings: false,
         memoizable: true,
-        est_cost: 0,
-        par_kernel: true,
     }
 }
 

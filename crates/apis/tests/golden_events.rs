@@ -4,10 +4,11 @@
 //! The differential suites compare only core events, so this is what pins
 //! the order and payloads of `StepRetried`, `MemoLookup`, `WalAppended`,
 //! `StepPanicked`, `DegradedResult` and the timing events around the step
-//! lifecycle, for pure steps and barriers alike. Every case runs at 1 and 2
-//! workers. Wall-clock fields (`micros`) are zeroed, and each run of
-//! consecutive `KernelTimed` events is sorted, since a parallel segment logs
-//! those in thread order. `CHATGRAPH_UPDATE_GOLDEN=1` rewrites
+//! lifecycle, for pure steps and barriers alike. Wall-clock fields
+//! (`micros`) are zeroed, and each run of consecutive `KernelTimed` events
+//! is sorted: a segment's kernel timings are drained together after it, so
+//! the file pins which kernels each segment ran, not the order handlers
+//! happen to call them in. `CHATGRAPH_UPDATE_GOLDEN=1` rewrites
 //! `tests/golden_events.json`.
 
 use chatgraph_apis::supervisor::{FailurePolicy, FaultPlan, SupervisorConfig};
@@ -69,7 +70,6 @@ fn fault(panics: bool, len: usize, step: usize, faults_per_step: usize) -> Super
 fn record(
     lines: &mut Vec<String>,
     name: &str,
-    workers: usize,
     sched: &Scheduler,
     mut ctx: ExecContext,
     chain: &[&str],
@@ -99,7 +99,7 @@ fn record(
         run.sort();
     }
     lines.push(format!(
-        "{{\"case\":{},\"workers\":{workers},\"result\":{},\"events\":[\n  {}\n]}}",
+        "{{\"case\":{},\"result\":{},\"events\":[\n  {}\n]}}",
         json::to_string(name),
         json::to_string(&result),
         events.join(",\n  ")
@@ -120,52 +120,49 @@ fn render() -> String {
     let edit = ["detect_missing_edges", "add_edges", "edge_count"];
     let clean = ["edge_count", "detect_incorrect_edges", "remove_edges", "edge_count"];
     let similarity = ["node_count", "similarity_search", "edge_count"];
-    let mut lines = Vec::new();
-    for w in [1, 2] {
-        let lines = &mut lines;
-        // Cold, then warm on the same scheduler's memo.
-        let sched = Scheduler::new(w);
-        record(lines, "branchy_cold", w, &sched, social(), BRANCHY, true);
-        record(lines, "branchy_warm", w, &sched, social(), BRANCHY, true);
+    let lines = &mut Vec::new();
+    // Cold, then warm on the same scheduler's memo.
+    let sched = Scheduler::new();
+    record(lines, "branchy_cold", &sched, social(), BRANCHY, true);
+    record(lines, "branchy_warm", &sched, social(), BRANCHY, true);
 
-        for (name, fails) in [("commit_acked", false), ("commit_failed", true)] {
-            let mut sched = Scheduler::new(w);
-            sched.set_commit_sink(Some(Arc::new(Sink { fails })));
-            record(lines, name, w, &sched, kg(), &edit, true);
-        }
+    for (name, fails) in [("commit_acked", false), ("commit_failed", true)] {
+        let mut sched = Scheduler::new();
+        sched.set_commit_sink(Some(Arc::new(Sink { fails })));
+        record(lines, name, &sched, kg(), &edit, true);
+    }
 
-        for (name, confirm) in [("confirm_accepted", true), ("confirm_rejected", false)] {
-            record(lines, name, w, &Scheduler::new(w), kg(), &clean, confirm);
-        }
+    for (name, confirm) in [("confirm_accepted", true), ("confirm_rejected", false)] {
+        record(lines, name, &Scheduler::new(), kg(), &clean, confirm);
+    }
 
-        // `similarity_search` fails without a database.
-        for (name, failure_policy) in [
-            ("handler_error_abort", FailurePolicy::Abort),
-            ("handler_error_skip_degraded", FailurePolicy::SkipDegraded),
-        ] {
-            let cfg = SupervisorConfig { failure_policy, ..Default::default() };
-            let sched = Scheduler::new(w).with_supervisor(cfg);
-            let mol = ExecContext::new(molecule(&MoleculeParams::default(), 1));
-            record(lines, name, w, &sched, mol, &similarity, true);
-        }
+    // `similarity_search` fails without a database.
+    for (name, failure_policy) in [
+        ("handler_error_abort", FailurePolicy::Abort),
+        ("handler_error_skip_degraded", FailurePolicy::SkipDegraded),
+    ] {
+        let cfg = SupervisorConfig { failure_policy, ..Default::default() };
+        let sched = Scheduler::new().with_supervisor(cfg);
+        let mol = ExecContext::new(molecule(&MoleculeParams::default(), 1));
+        record(lines, name, &sched, mol, &similarity, true);
+    }
 
-        // One fault recovers on retry; `usize::MAX` faults exhaust the retries.
-        for (kind, panics) in [("error", false), ("panic", true)] {
-            for (target, at) in [("pure", 1), ("barrier", 2)] {
-                for (outcome, per_step) in [("retried", 1), ("exhausted", usize::MAX)] {
-                    let cfg = fault(panics, FAULTY.len(), at, per_step);
-                    let sched = Scheduler::new(w).with_supervisor(cfg);
-                    let name = format!("fault_{kind}_{target}_{outcome}");
-                    record(lines, &name, w, &sched, social(), FAULTY, true);
-                }
+    // One fault recovers on retry; `usize::MAX` faults exhaust the retries.
+    for (kind, panics) in [("error", false), ("panic", true)] {
+        for (target, at) in [("pure", 1), ("barrier", 2)] {
+            for (outcome, per_step) in [("retried", 1), ("exhausted", usize::MAX)] {
+                let cfg = fault(panics, FAULTY.len(), at, per_step);
+                let sched = Scheduler::new().with_supervisor(cfg);
+                let name = format!("fault_{kind}_{target}_{outcome}");
+                record(lines, &name, &sched, social(), FAULTY, true);
             }
         }
-        // Step 0's output is unconsumed, so its failure degrades.
-        let mut cfg = fault(false, FAULTY.len(), 0, usize::MAX);
-        cfg.failure_policy = FailurePolicy::SkipDegraded;
-        let sched = Scheduler::new(w).with_supervisor(cfg);
-        record(lines, "fault_error_pure_skip_degraded", w, &sched, social(), FAULTY, true);
     }
+    // Step 0's output is unconsumed, so its failure degrades.
+    let mut cfg = fault(false, FAULTY.len(), 0, usize::MAX);
+    cfg.failure_policy = FailurePolicy::SkipDegraded;
+    let sched = Scheduler::new().with_supervisor(cfg);
+    record(lines, "fault_error_pure_skip_degraded", &sched, social(), FAULTY, true);
     format!("[\n{}\n]", lines.join(",\n"))
 }
 

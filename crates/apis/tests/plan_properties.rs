@@ -1,6 +1,6 @@
 //! Differential properties for the plan scheduler (see DESIGN.md §9): for
-//! every valid chain, executing the lowered plan with 1 or N workers is
-//! observably identical to the seed sequential executor — same result, same
+//! every valid chain, executing the lowered plan, cold or from a warm memo,
+//! is observably identical to the seed sequential executor — same result, same
 //! findings, same final graph, same core event sequence. Plus a golden test
 //! pinning the Plan JSON encoding.
 
@@ -64,7 +64,7 @@ fn observe(
         7,
     );
     // Tiny molecules: `graph_edit_distance_exact` is exponential in graph
-    // size, and the differential check runs every chain four times.
+    // size, and the differential check runs every chain three times.
     let db = molecule_database(
         3,
         &MoleculeParams { atoms: 8, rings: 1, double_bond_prob: 0.15 },
@@ -82,22 +82,15 @@ fn observe(
     }
 }
 
-/// The shared differential check: reference executor vs the scheduler at
-/// 1 and 4 workers, plus a warm-memo re-run at 4 workers.
+/// The shared differential check: reference executor vs the scheduler,
+/// cold and then on a warm memo.
 fn check_plan_matches_reference(chain: &ApiChain) -> Result<(), String> {
     let reg = registry::standard();
     let reference = observe(|ctx, mon| execute_chain_reference(&reg, chain, ctx, mon));
-    let sched4 = Scheduler::new(4);
+    let sched = Scheduler::new();
     let runs = [
-        ("1 worker", observe(|ctx, mon| {
-            Scheduler::new(1).execute(&reg, chain, ctx, mon)
-        })),
-        ("4 workers", observe(|ctx, mon| {
-            sched4.execute(&reg, chain, ctx, mon)
-        })),
-        ("4 workers, warm memo", observe(|ctx, mon| {
-            sched4.execute(&reg, chain, ctx, mon)
-        })),
+        ("cold", observe(|ctx, mon| sched.execute(&reg, chain, ctx, mon))),
+        ("warm memo", observe(|ctx, mon| sched.execute(&reg, chain, ctx, mon))),
     ];
     for (label, got) in runs {
         prop_assert_eq!(&got.result, &reference.result, "result differs ({label})");
@@ -112,8 +105,9 @@ fn check_plan_matches_reference(chain: &ApiChain) -> Result<(), String> {
     Ok(())
 }
 
-/// Determinism contract: N-worker plan execution is observation-equivalent
-/// to the sequential seed executor on random valid chains.
+/// Determinism contract: plan execution, cold or warm, is
+/// observation-equivalent to the sequential seed executor on random valid
+/// chains.
 #[test]
 fn plan_execution_matches_reference_executor() {
     check(
@@ -137,7 +131,8 @@ fn cleaning_pipeline_matches_reference() {
     check_plan_matches_reference(&chain).unwrap();
 }
 
-/// A wide read-only chain — the maximally parallel shape.
+/// A wide read-only chain — one barrier-free segment of independent
+/// sub-chains, then a report.
 #[test]
 fn parallel_reads_match_reference() {
     let chain = ApiChain::from_names([
@@ -151,7 +146,7 @@ fn parallel_reads_match_reference() {
 }
 
 /// A branchy chain — reads of the session graph beside a component
-/// sub-chain, then a report — the fan-out shape four workers split up.
+/// sub-chain, then a report.
 #[test]
 fn branchy_chain_matches_reference() {
     let chain = ApiChain::from_names([

@@ -1,13 +1,13 @@
-//! Plan-scheduler bench: the same branch-parallel chain executed
-//! sequentially (1 worker) and with a 4-worker pool, plus a warm-memo run.
-//! Writes `results/BENCH_plan_exec.json` including the measured speedup.
+//! Plan-scheduler bench: the same chain executed cold (memo off) and from a
+//! warm memo. Writes `results/BENCH_plan_exec.json` including the measured
+//! memo speedup.
 //!
-//! The chain is eight independent whole-graph analyses — after plan
-//! lowering they form one `Segment::Parallel` of eight singleton
-//! sub-chains, the shape the scheduler exists for.
+//! The chain is eleven independent whole-graph analyses — after plan
+//! lowering they form one barrier-free segment of singleton sub-chains,
+//! every step of it memoizable.
 
 use chatgraph_apis::{registry, ApiCall, ApiChain, ExecContext, Scheduler, SilentMonitor};
-use chatgraph_bench::{available_cpus, env_json, record_stats as record};
+use chatgraph_bench::{env_json, record_stats as record};
 use chatgraph_graph::generators::{social_network, SocialParams};
 use chatgraph_support::bench::Bench;
 use chatgraph_support::json::Json;
@@ -16,9 +16,8 @@ use std::sync::Arc;
 
 fn main() {
     let reg = registry::standard();
-    // Heavy steps first so the FIFO job queue hands them to distinct
-    // workers; the cheap tail fills in behind them. The betweenness steps
-    // use distinct `k` so memoization (when on) treats them as distinct.
+    // The betweenness steps use distinct `k` so memoization (when on)
+    // treats them as distinct.
     let mut chain = ApiChain::new();
     for (api, k) in [
         ("top_betweenness", "3"),
@@ -38,7 +37,7 @@ fn main() {
     assert!(chain.validate(&reg, true).is_ok(), "bench chain must validate");
 
     // A scenario-scale social network, big enough that the path-based
-    // analyses dominate the scheduler's thread overhead.
+    // analyses dominate the scheduler's own bookkeeping.
     let graph = Arc::new(social_network(
         &SocialParams {
             communities: 6,
@@ -49,12 +48,11 @@ fn main() {
         42,
     ));
 
-    // Memoization off for the timed comparison: with the cache on, every
-    // iteration after the first is a pure memo hit and the comparison would
-    // measure the cache, not the executor.
-    let seq = Scheduler::new(1).with_memo_capacity(0);
-    let par = Scheduler::new(4).with_memo_capacity(0);
-    let memo = Scheduler::new(4);
+    // Memoization off for the cold run: with the cache on, every iteration
+    // after the first is a pure memo hit. The warm run keeps it on, so it
+    // measures the memo serving all eleven steps.
+    let seq = Scheduler::new().with_memo_capacity(0);
+    let memo = Scheduler::new();
 
     let run = |sched: &Scheduler| {
         let mut ctx = ExecContext::new(Arc::clone(&graph));
@@ -65,28 +63,20 @@ fn main() {
     let mut results: Vec<(String, Json)> = Vec::new();
     let mut bench = Bench::new("plan_exec");
     let mut group = bench.group("plan_exec");
-    let seq_stats = group.bench("sequential_1_worker", || run(&seq));
-    record(&mut results, "sequential_1_worker", seq_stats);
-    let par_stats = group.bench("parallel_4_workers", || run(&par));
-    record(&mut results, "parallel_4_workers", par_stats);
-    let memo_stats = group.bench("parallel_4_workers_warm_memo", || run(&memo));
-    record(&mut results, "parallel_4_workers_warm_memo", memo_stats);
+    let seq_stats = group.bench("sequential", || run(&seq));
+    record(&mut results, "sequential", seq_stats);
+    let memo_stats = group.bench("warm_memo", || run(&memo));
+    record(&mut results, "warm_memo", memo_stats);
 
-    let speedup = seq_stats.median.as_nanos() as f64 / par_stats.median.as_nanos().max(1) as f64;
     let memo_speedup =
         seq_stats.median.as_nanos() as f64 / memo_stats.median.as_nanos().max(1) as f64;
-    // On a single-CPU runner the 4-worker pool cannot beat sequential;
-    // record the machine's parallelism so the numbers read correctly.
-    let cpus = available_cpus();
-    println!("\nspeedup (sequential / 4-worker, median): {speedup:.2}x on {cpus} cpu(s)");
-    println!("speedup (sequential / warm memo, median): {memo_speedup:.2}x");
+    println!("\nspeedup (sequential / warm memo, median): {memo_speedup:.2}x");
 
     let doc = Json::Object(vec![
         ("bench".to_owned(), Json::Str("plan_exec".to_owned())),
         ("chain_len".to_owned(), Json::UInt(chain.len() as u64)),
         ("graph_nodes".to_owned(), Json::UInt(graph.node_count() as u64)),
-        ("env".to_owned(), env_json(4)),
-        ("speedup_median".to_owned(), Json::Float(speedup)),
+        ("env".to_owned(), env_json(1)),
         ("memo_speedup_median".to_owned(), Json::Float(memo_speedup)),
         ("results".to_owned(), Json::Object(results)),
     ]);

@@ -1,8 +1,8 @@
 //! CSR graph-kernel bench: for each kernel, the adjacency-walking reference
-//! vs the CSR kernel sequentially vs the CSR kernel on 4 workers, plus
-//! rebuilding the CSR snapshot per call vs reading the one the graph
-//! version already carries (`Graph::csr`). Writes
-//! `results/BENCH_graph_kernels.json`.
+//! vs the CSR kernel, plus rebuilding the CSR snapshot per call vs reading
+//! the one the graph version already carries (`Graph::csr`). Writes
+//! `results/BENCH_graph_kernels.json`, whose `csr_slower_than_reference`
+//! lists every kernel whose CSR median exceeds its reference's.
 
 use chatgraph_bench::{env_json, record_stats as record};
 use chatgraph_graph::csr::CsrGraph;
@@ -13,11 +13,8 @@ use chatgraph_support::json::Json;
 use std::hint::black_box;
 use std::sync::Arc;
 
-const WORKERS: usize = 4;
-
 fn main() {
-    // The plan-exec scenario graph: large enough that the path-based
-    // kernels dominate thread-pool overhead.
+    // The plan-exec scenario graph (300 nodes).
     let graph = Arc::new(social_network(
         &SocialParams {
             communities: 6,
@@ -28,8 +25,8 @@ fn main() {
         42,
     ));
     let csr = CsrGraph::build(&graph);
-    let seq = KernelPolicy::new(1, 1024);
-    let par = KernelPolicy::new(WORKERS, 1024);
+    let policy = KernelPolicy::default();
+    let mut slower: Vec<Json> = Vec::new();
 
     let mut results: Vec<(String, Json)> = Vec::new();
     let mut bench = Bench::new("graph_kernels");
@@ -38,28 +35,18 @@ fn main() {
     macro_rules! kernel {
         ($name:literal, $reference:expr, $kernel:expr) => {{
             let reference = $reference;
-            record(
-                &mut results,
-                concat!($name, "_reference"),
-                group.bench(concat!($name, "_reference"), || {
-                    black_box(reference(&graph));
-                }),
-            );
+            let ref_stats = group.bench(concat!($name, "_reference"), || {
+                black_box(reference(&graph));
+            });
+            record(&mut results, concat!($name, "_reference"), ref_stats);
             let kernel = $kernel;
-            record(
-                &mut results,
-                concat!($name, "_csr_seq"),
-                group.bench(concat!($name, "_csr_seq"), || {
-                    black_box(kernel(&csr, &seq));
-                }),
-            );
-            record(
-                &mut results,
-                concat!($name, "_csr_par"),
-                group.bench(concat!($name, "_csr_par"), || {
-                    black_box(kernel(&csr, &par));
-                }),
-            );
+            let csr_stats = group.bench(concat!($name, "_csr"), || {
+                black_box(kernel(&csr, &policy));
+            });
+            record(&mut results, concat!($name, "_csr"), csr_stats);
+            if csr_stats.median > ref_stats.median {
+                slower.push(Json::Str($name.to_owned()));
+            }
         }};
     }
 
@@ -105,17 +92,20 @@ fn main() {
     let cached_speedup =
         build_stats.median.as_nanos() as f64 / cached_stats.median.as_nanos().max(1) as f64;
     println!("\ngraph-held CSR vs per-call rebuild (median): {cached_speedup:.1}x");
+    let slower = Json::Array(slower);
+    println!("CSR kernels slower than their reference (median): {}", slower.render());
 
     let doc = Json::Object(vec![
         ("bench".to_owned(), Json::Str("graph_kernels".to_owned())),
         ("graph_nodes".to_owned(), Json::UInt(graph.node_count() as u64)),
         ("graph_edges".to_owned(), Json::UInt(graph.edge_count() as u64)),
-        ("env".to_owned(), env_json(WORKERS)),
+        ("env".to_owned(), env_json(1)),
         ("cached_csr_speedup_median".to_owned(), Json::Float(cached_speedup)),
         (
             "cached_beats_rebuild".to_owned(),
             Json::Bool(cached_stats.median < build_stats.median),
         ),
+        ("csr_slower_than_reference".to_owned(), slower),
         ("results".to_owned(), Json::Object(results)),
     ]);
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

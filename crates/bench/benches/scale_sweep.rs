@@ -1,12 +1,9 @@
-//! Scale sweep: 10^3 / 10^4 / 10^5 / 10^6-node graphs × 1 / 2 / 4 workers.
+//! Scale sweep: 10^3 / 10^4 / 10^5 / 10^6-node graphs.
 //!
 //! For every tier this records, in `results/BENCH_scale.json`:
 //!
-//! * the **parallel-vs-sequential crossover** of an iterated CSR kernel
-//!   (pagerank under degree-weighted chunking) — on an oversubscribed
-//!   machine (workers > cpus, see the `env` block) parallel timings
-//!   measure scheduling overhead and the crossover legitimately never
-//!   happens; the artifact says so instead of pretending;
+//! * the median of an iterated CSR kernel (pagerank, default chunking) on
+//!   the caller's thread — kernels spawn no threads;
 //! * the **delta-CSR vs rebuild ratio** for a single-edit mutation epoch —
 //!   the row-splice patch must beat the from-scratch rebuild by an order
 //!   of magnitude from the 10^5 tier up.
@@ -24,9 +21,8 @@ use chatgraph_graph::NodeId;
 use chatgraph_support::bench::{format_duration, Bench, Stats};
 use chatgraph_support::json::Json;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const WORKER_SWEEP: [usize; 3] = [1, 2, 4];
 const PAGERANK_ITERS: usize = 10;
 const TIERS: [(usize, &str, u32); 4] = [
     (1_000, "n1000", 20),
@@ -55,23 +51,11 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
     let mut bench = Bench::new("scale_sweep").with_iters(iters);
     let mut group = bench.group(label);
 
-    // Parallel-vs-sequential: the iterated pull kernel under the chunking
-    // the scheduler uses (degree-weighted above one worker).
-    let mut pagerank_ns: Vec<(String, Json)> = Vec::new();
-    let mut medians: Vec<(usize, u64)> = Vec::new();
-    for workers in WORKER_SWEEP {
-        let policy = KernelPolicy::new(workers, 1024);
-        let stats = group.bench(&format!("pagerank_{workers}w"), || {
-            black_box(kernels::pagerank(&csr, 0.85, PAGERANK_ITERS, &policy));
-        });
-        pagerank_ns.push((workers.to_string(), Json::UInt(median_ns(&stats))));
-        medians.push((workers, median_ns(&stats)));
-    }
-    let seq_ns = medians[0].1;
-    let crossover = medians
-        .iter()
-        .find(|&&(w, ns)| w > 1 && ns < seq_ns)
-        .map_or(0, |&(w, _)| w);
+    // The iterated pull kernel under the policy chains run with.
+    let policy = KernelPolicy::default();
+    let pagerank_stats = group.bench("pagerank", || {
+        black_box(kernels::pagerank(&csr, 0.85, PAGERANK_ITERS, &policy));
+    });
 
     // Delta-CSR vs rebuild: one added edge, then patch vs from-scratch.
     let mut edited = graph.clone();
@@ -95,9 +79,7 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
         ("nodes".to_owned(), Json::UInt(graph.node_count() as u64)),
         ("edges".to_owned(), Json::UInt(graph.edge_count() as u64)),
         ("gen_micros".to_owned(), Json::UInt(gen_elapsed.as_micros() as u64)),
-        ("pagerank_median_ns_by_workers".to_owned(), Json::Object(pagerank_ns)),
-        ("crossover_workers".to_owned(), Json::UInt(crossover as u64)),
-        ("parallel_beats_sequential".to_owned(), Json::Bool(crossover > 0)),
+        ("pagerank_median_ns".to_owned(), Json::UInt(median_ns(&pagerank_stats))),
         ("csr_rebuild_median_ns".to_owned(), Json::UInt(median_ns(&rebuild_stats))),
         ("csr_delta_median_ns".to_owned(), Json::UInt(median_ns(&delta_stats))),
         ("delta_vs_rebuild_ratio".to_owned(), Json::Float(delta_ratio)),
@@ -107,10 +89,9 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
         label.to_owned(),
         graph.node_count().to_string(),
         graph.edge_count().to_string(),
-        format_duration(Duration::from_nanos(medians[0].1)),
-        format_duration(Duration::from_nanos(medians[1].1)),
-        format_duration(Duration::from_nanos(medians[2].1)),
-        if crossover > 0 { format!("{crossover}w") } else { "never".to_owned() },
+        format_duration(pagerank_stats.median),
+        format_duration(rebuild_stats.median),
+        format_duration(delta_stats.median),
         format!("{delta_ratio:.1}x"),
     ];
     (tier, row)
@@ -135,8 +116,9 @@ fn validate_committed_artifact(path: &std::path::Path) {
             .unwrap_or_else(|| panic!("committed artifact is missing tier {name}"));
         for field in [
             "nodes",
-            "pagerank_median_ns_by_workers",
-            "parallel_beats_sequential",
+            "pagerank_median_ns",
+            "csr_rebuild_median_ns",
+            "csr_delta_median_ns",
             "delta_vs_rebuild_ratio",
         ] {
             assert!(tier.get(field).is_some(), "tier {name} is missing `{field}`");
@@ -151,8 +133,7 @@ fn validate_committed_artifact(path: &std::path::Path) {
 
 fn main() {
     let quick = quick_mode();
-    let max_workers = *WORKER_SWEEP.iter().max().unwrap();
-    let env = env_json(max_workers);
+    let env = env_json(1);
 
     let mut tiers: Vec<(String, Json)> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -167,8 +148,8 @@ fn main() {
     }
 
     print_table(
-        "scale sweep (pagerank median by workers; delta vs rebuild)",
-        &["tier", "nodes", "edges", "1w", "2w", "4w", "crossover", "delta"],
+        "scale sweep (pagerank median; delta vs rebuild)",
+        &["tier", "nodes", "edges", "pagerank", "rebuild", "delta", "ratio"],
         &rows,
     );
 

@@ -95,13 +95,13 @@ impl Default for FinetuneConfig {
 }
 
 /// Plan-execution settings: how [`chatgraph_apis::Scheduler`] runs a
-/// confirmed chain (DESIGN.md §9, §11).
+/// confirmed chain (DESIGN.md §9, §11). A chain runs on the thread serving
+/// its request; requests run in parallel across tenants on the serving
+/// layer's drain pool ([`crate::ServeConfig::pool_workers`]). The decoder
+/// ignores keys it does not know, so saved configs that still carry
+/// `workers` load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads for parallel plan segments. 1 reproduces the
-    /// sequential executor exactly; more workers never change the result
-    /// (the determinism contract), only the wall-clock time.
-    pub workers: usize,
     /// Capacity of the bounded pure-step memo cache (0 disables caching).
     pub memo_capacity: usize,
     /// Per-step deadline in milliseconds (DESIGN.md §11); 0 disables
@@ -115,7 +115,6 @@ pub struct ExecConfig {
 }
 
 chatgraph_support::impl_json_struct!(ExecConfig {
-    workers,
     memo_capacity,
     step_deadline_ms,
     max_retries,
@@ -125,7 +124,6 @@ chatgraph_support::impl_json_struct!(ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            workers: 1,
             memo_capacity: 64,
             step_deadline_ms: 0,
             max_retries: 2,
@@ -153,7 +151,6 @@ impl ExecConfig {
     /// alike.
     pub fn profile(&self) -> chatgraph_apis::ExecProfile {
         chatgraph_apis::ExecProfile {
-            workers: self.workers,
             memo_capacity: self.memo_capacity,
             supervisor: self.supervisor_config(),
         }
@@ -291,9 +288,6 @@ impl ChatGraphConfig {
         if self.finetune.train.learning_rate <= 0.0 || self.finetune.train.learning_rate.is_nan() {
             problems.push("finetune.train.learning_rate must be > 0".to_owned());
         }
-        if self.exec.workers == 0 {
-            problems.push("exec.workers must be >= 1".to_owned());
-        }
         if self.exec.max_retries > 16 {
             problems.push("exec.max_retries must be <= 16 (bounded retry storms)".to_owned());
         }
@@ -335,11 +329,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_is_rejected() {
-        let mut c = ChatGraphConfig::default();
-        c.exec.workers = 0;
-        let problems = c.validate().unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("exec.workers")), "{problems:?}");
+    fn saved_config_with_workers_still_loads() {
+        // A config saved while `exec.workers` existed carries the key; the
+        // decoder skips it and reads every other field.
+        let saved = r#"{"memo_capacity":7,"workers":4,"step_deadline_ms":0,"max_retries":2,"failure_policy":"Abort"}"#;
+        let exec: ExecConfig = chatgraph_support::json::from_str(saved).unwrap();
+        assert_eq!(exec, ExecConfig { memo_capacity: 7, ..ExecConfig::default() });
         // memo_capacity 0 is legal: it just disables the cache.
         let mut c = ChatGraphConfig::default();
         c.exec.memo_capacity = 0;

@@ -55,9 +55,8 @@ pub fn run(session: &mut ChatSession, graph: Graph) -> (ScenarioOutput, Vec<Chai
             ChainEvent::ConfirmationRequested { step, api } => {
                 format!("Monitor: step {} '{api}' awaits confirmation", step + 1)
             }
-            ChainEvent::PlanBuilt { steps, deps, barriers, par_kernels, est_cost } => format!(
-                "Monitor: plan built ({steps} steps, {deps} dependencies, {barriers} barriers, \
-                 {par_kernels} parallel-kernel steps, ~{est_cost} work units)"
+            ChainEvent::PlanBuilt { steps, deps, barriers } => format!(
+                "Monitor: plan built ({steps} steps, {deps} dependencies, {barriers} barriers)"
             ),
             ChainEvent::StepTimed { step, api, micros, cached } => format!(
                 "Monitor: step {} '{api}' took {micros}us{}",
@@ -77,8 +76,8 @@ pub fn run(session: &mut ChatSession, graph: Graph) -> (ScenarioOutput, Vec<Chai
                 "Monitor: CSR snapshot {} ({nodes} nodes, {edges} edges, {micros}us)",
                 if *delta { "patched incrementally" } else { "built" }
             ),
-            ChainEvent::KernelTimed { kernel, micros, workers } => {
-                format!("Monitor: kernel '{kernel}' took {micros}us ({workers} worker(s))")
+            ChainEvent::KernelTimed { kernel, micros } => {
+                format!("Monitor: kernel '{kernel}' took {micros}us")
             }
             ChainEvent::StepRetried { step, api, attempt, backoff_ms, error } => format!(
                 "Monitor: step {} '{api}' retry #{attempt} after {backoff_ms}ms backoff ({error})",

@@ -550,10 +550,9 @@ impl ChatSession {
     /// graph is updated in place by edit APIs.
     ///
     /// Execution goes through the plan [`Scheduler`] configured by
-    /// [`crate::config::ExecConfig`]: with `workers: 1` this is exactly the
-    /// sequential executor; with more workers, independent read-only steps
-    /// run concurrently over a shared graph snapshot, with identical
-    /// results.
+    /// [`crate::config::ExecConfig`]: the sequential executor's results and
+    /// core events, with read-only steps served from the step memo when an
+    /// identical step already ran.
     pub fn run_chain(
         &mut self,
         chain: &ApiChain,

@@ -282,9 +282,6 @@ pub struct Graph {
     in_adj: Vec<Vec<(NodeId, EdgeId)>>,
     live_nodes: usize,
     live_edges: usize,
-    /// `Σ total_degree²` over all nodes, maintained by every edge insertion
-    /// and removal (see [`Graph::degree_sum_sq`]).
-    degree_sum_sq: u64,
     /// Wrapping sum of the per-slot hashes, maintained by every mutation
     /// (see [`Graph::fingerprint`]).
     slot_sum: u64,
@@ -297,9 +294,8 @@ pub struct Graph {
 }
 
 /// Equality is over graph *content*; the journal is lineage metadata and
-/// two equal graphs may well have disjoint histories. (`slot_sum`,
-/// `degree_sum_sq` and the CSR snapshot are functions of the slots, so they
-/// need no comparison.)
+/// two equal graphs may well have disjoint histories. (`slot_sum` and the
+/// CSR snapshot are functions of the slots, so they need no comparison.)
 impl PartialEq for Graph {
     fn eq(&self, other: &Graph) -> bool {
         self.direction == other.direction
@@ -384,7 +380,6 @@ impl Graph {
             in_adj: Vec::new(),
             live_nodes: 0,
             live_edges: 0,
-            degree_sum_sq: 0,
             slot_sum: 0,
             journal: Journal::fresh(),
             csr: Snapshot::default(),
@@ -485,15 +480,9 @@ impl Graph {
             live_edges += 1;
         }
         let live_nodes = nodes.iter().filter(|n| !n.removed).count();
-        let degree_sum_sq = out_adj
-            .iter()
-            .zip(&in_adj)
-            .map(|(out, inc)| ((out.len() + inc.len()) as u64).pow(2))
-            .sum();
         Graph {
             direction,
             name,
-            degree_sum_sq,
             slot_sum: slot_sum(&nodes, &edges),
             nodes,
             edges,
@@ -548,14 +537,6 @@ impl Graph {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.live_edges
-    }
-
-    /// `Σ total_degree²` over the live nodes: the second degree moment the
-    /// planner's cost model prices pair-enumerating kernels with. O(1) — a
-    /// counter every edge insertion and removal updates in place.
-    #[inline]
-    pub fn degree_sum_sq(&self) -> u64 {
-        self.degree_sum_sq
     }
 
     /// Upper bound (exclusive) on node ids ever allocated, including removed
@@ -678,8 +659,6 @@ impl Graph {
             removed: false,
         };
         self.slot_sum = self.slot_sum.wrapping_add(slot.hash(id.index()));
-        // Each endpoint's total degree grows by one: (d + 1)² − d² = 2d + 1.
-        self.degree_sum_sq += 2 * (self.total_degree(src) + self.total_degree(dst)) as u64 + 2;
         self.edges.push(slot);
         self.out_adj[src.index()].push((dst, id));
         if self.is_directed() {
@@ -719,8 +698,6 @@ impl Graph {
         } else {
             self.out_adj[dst.index()].retain(|&(_, e)| e != id);
         }
-        // Each endpoint's total degree shrank by one to d: (d + 1)² − d² = 2d + 1.
-        self.degree_sum_sq -= 2 * (self.total_degree(src) + self.total_degree(dst)) as u64 + 2;
         self.live_edges -= 1;
         Ok(())
     }

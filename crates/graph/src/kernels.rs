@@ -1,4 +1,4 @@
-//! Parallel frontier kernels over [`CsrGraph`] snapshots.
+//! Chunked frontier kernels over [`CsrGraph`] snapshots.
 //!
 //! Each kernel is a flat-array, level-synchronous reimplementation of one
 //! of the adjacency-walking algorithms in [`crate::algo`], with the
@@ -12,22 +12,16 @@
 //!   addition sequence as the reference's push loop; components renumber
 //!   min-labels by first occurrence so the numbering matches BFS discovery
 //!   order; the traversal kernels only combine integers.
-//! * **Worker-count independence** — work is split into contiguous
-//!   in-order chunks, workers claim whole chunks, and results are combined
-//!   in chunk order, so the bytes never depend on where the cuts fall.
-//!   Adjacency-bound kernels cut equal-*edge*-weight chunks when
-//!   [`KernelPolicy::workers`] is above one — a hub-heavy chunk no longer
-//!   serialises the whole kernel behind one worker — and fixed-size chunks
-//!   on one worker, where load balance is moot and the weight pass would be
-//!   pure overhead. 1 worker and N workers produce identical bytes. Threads
-//!   are scoped to each call — the kernels add no background pool beyond
-//!   the scheduler's own workers.
-
+//! * **Chunk-size independence** — work is split into contiguous in-order
+//!   chunks of [`KernelPolicy::chunk`] items, run one after another on the
+//!   caller's thread, and results are combined in chunk order, so the bytes
+//!   never depend on where the cuts fall. Kernels spawn no threads: a
+//!   request's only parallelism is the serving layer's drain pool.
 //! * **Cooperative cancellation** — every chunked kernel polls
 //!   [`KernelPolicy::cancel`] at chunk boundaries. Once the token fires the
-//!   kernel stops claiming work and returns a *neutral* value (empty / zero
-//!   / `None`); the supervisor that armed the token discards the result, so
-//!   partial output is never observed by callers.
+//!   kernel stops computing chunks and returns a *neutral* value (empty /
+//!   zero / `None`); the supervisor that armed the token discards the
+//!   result, so partial output is never observed by callers.
 
 use crate::algo::components::Components;
 use crate::algo::stats::GraphStats;
@@ -35,7 +29,6 @@ use crate::csr::CsrGraph;
 use crate::graph::{EdgeId, Graph, NodeId};
 use chatgraph_support::cancel::CancelToken;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -61,7 +54,7 @@ pub mod reference {
     };
 }
 
-/// Default work-chunk size (nodes or edges per unit of claimed work).
+/// Default work-chunk size (nodes or edges per cancellation check).
 pub const DEFAULT_KERNEL_CHUNK: usize = 1024;
 
 /// Sources per cache block in the blocked PageRank pull: the corresponding
@@ -77,7 +70,7 @@ const SCRATCH_SHRINK_FACTOR: usize = 4;
 
 /// Reusable kernel working memory: the frontier queues, value/next vectors
 /// and pair buffers the kernels used to allocate per invocation. One
-/// `Scratch` is checked out of the policy's [`ScratchPool`] per worker (or
+/// `Scratch` is checked out of the policy's [`ScratchPool`] per kernel (or
 /// per chunk, for per-chunk buffers like the BFS sweep's distance array)
 /// and checked back in when done, so the capacity survives across the
 /// chunks, kernels and steps that share the pool. Buffers carry arbitrary stale contents at checkout —
@@ -129,10 +122,11 @@ impl Scratch {
     }
 }
 
-/// A shared pool of [`Scratch`] arenas, cloned by `Arc` into every worker's
-/// [`KernelPolicy`]. Checkouts are exclusive, so the pool never grows past
-/// the peak number of concurrent checkouts (≈ the worker count); a
-/// checked-in arena keeps its capacity for the next chunk, kernel or step.
+/// A shared pool of [`Scratch`] arenas, cloned by `Arc` into every copy of
+/// a [`KernelPolicy`]. Checkouts are exclusive, so the pool never grows past
+/// the peak number of simultaneous checkouts (a kernel's arena plus a
+/// per-chunk one); a checked-in arena keeps its capacity for the next
+/// chunk, kernel or step.
 /// The pool lives as long as the policy's owner: an `ExecContext` holds one
 /// per chain execution.
 #[derive(Debug, Clone, Default)]
@@ -176,43 +170,34 @@ const PAGERANK_BLOCK_MIN_DEG: usize = 8;
 /// How a kernel invocation splits its work.
 #[derive(Debug, Clone)]
 pub struct KernelPolicy {
-    /// Scoped worker threads to use; `<= 1` runs fully sequentially.
-    pub workers: usize,
-    /// Chunk size: work items per fixed chunk, and the chunk *count* of
-    /// the equal-weight cuts taken above one worker. Boundaries never
-    /// affect results, only load balance.
+    /// Chunk size: work items per chunk, i.e. between two cancellation
+    /// checks. Boundaries never affect results.
     pub chunk: usize,
     /// Cooperative cancellation, polled at every chunk boundary. The
     /// default token never fires; the chain supervisor swaps in a
     /// deadline-armed clone per supervised step.
     pub cancel: CancelToken,
-    /// Fault-injection stall applied before each chunk is claimed. Zero in
+    /// Fault-injection stall applied before each chunk runs. Zero in
     /// production; the deterministic fault harness uses it to force a
     /// deadline to expire *inside* a kernel, proving chunk-boundary
     /// cancellation is observed.
     pub chunk_delay: Duration,
     /// Reusable working memory shared (via `Arc`) by every clone of this
-    /// policy. Kernels check arenas out per worker/chunk and back in when
+    /// policy. Kernels check arenas out per kernel/chunk and back in when
     /// done; contents never leak between uses (each kernel re-initialises
     /// what it reads), so scratch reuse cannot affect results.
     pub scratch: ScratchPool,
 }
 
 impl KernelPolicy {
-    /// A policy with explicit worker and chunk counts.
-    pub fn new(workers: usize, chunk: usize) -> KernelPolicy {
+    /// A policy with an explicit chunk size.
+    pub fn new(chunk: usize) -> KernelPolicy {
         KernelPolicy {
-            workers: workers.max(1),
             chunk: chunk.max(1),
             cancel: CancelToken::new(),
             chunk_delay: Duration::ZERO,
             scratch: ScratchPool::new(),
         }
-    }
-
-    /// Fully sequential execution with the default chunk size.
-    pub fn sequential() -> KernelPolicy {
-        KernelPolicy::new(1, DEFAULT_KERNEL_CHUNK)
     }
 
     /// The same policy watching `cancel` instead of its current token.
@@ -228,145 +213,38 @@ impl KernelPolicy {
     }
 }
 
+/// The default chunk size, [`DEFAULT_KERNEL_CHUNK`].
 impl Default for KernelPolicy {
     fn default() -> Self {
-        KernelPolicy::sequential()
+        KernelPolicy::new(DEFAULT_KERNEL_CHUNK)
     }
 }
 
-/// Fixed-size chunk boundaries: `[0, chunk, 2·chunk, …, len]`.
-fn fixed_bounds(chunk: usize, len: usize) -> Vec<usize> {
-    let chunk = chunk.max(1);
-    let mut bounds: Vec<usize> = (0..len.div_ceil(chunk)).map(|c| c * chunk).collect();
-    bounds.push(len);
-    bounds
-}
-
-/// Equal-weight chunk boundaries: the same chunk *count* as
-/// [`fixed_bounds`], but each cut is placed greedily once the running
-/// per-item weight reaches `Σ weight / chunks`. Depends only on `chunk`,
-/// `len` and the weights — never on the worker count.
-fn weighted_bounds(chunk: usize, len: usize, weight: impl Fn(usize) -> u64) -> Vec<usize> {
-    let chunks = len.div_ceil(chunk.max(1));
-    if chunks <= 1 {
-        return fixed_bounds(chunk, len);
-    }
-    let total: u64 = (0..len).map(&weight).sum();
-    let target = total.div_ceil(chunks as u64).max(1);
-    let mut bounds = Vec::with_capacity(chunks + 1);
-    bounds.push(0);
-    let mut acc = 0u64;
-    for i in 0..len {
-        acc += weight(i);
-        if acc >= target && bounds.len() < chunks && i + 1 < len {
-            bounds.push(i + 1);
-            acc = 0;
-        }
-    }
-    bounds.push(len);
-    bounds
-}
-
-/// Applies `f` to each fixed-size chunk of `0..len` and returns the
-/// per-chunk results **in chunk order** — the uniform-cost entry point;
-/// degree-aware kernels go through [`map_weighted`]. See [`map_parts`] for
-/// the claiming and cancellation contract.
-fn map_chunks<T, F>(policy: &KernelPolicy, len: usize, f: F) -> Option<Vec<T>>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    map_parts(policy, &fixed_bounds(policy.chunk, len), f)
-}
-
-/// Like [`map_chunks`], but above one worker the boundaries equalise the
-/// per-item `weight` (adjacency-bound kernels pass `1 + degree`). Results
-/// are bit-identical to [`map_chunks`] for any weight function: chunks are
-/// contiguous in-order ranges combined in chunk order.
-fn map_weighted<T, F>(
+/// Applies `f` to each [`KernelPolicy::chunk`]-sized range of `0..len`, one
+/// after another, and returns the per-chunk results **in chunk order**.
+///
+/// Before each chunk the caller's [`CancelToken`] is polled (after the
+/// injected `chunk_delay`, if any, so a fault-harness stall can push the
+/// deadline over); once it fires, no further chunks are computed and the
+/// call returns `None`. Kernels translate `None` into a neutral result —
+/// the supervisor that armed the token never looks at it.
+fn map_chunks<T>(
     policy: &KernelPolicy,
     len: usize,
-    weight: impl Fn(usize) -> u64,
-    f: F,
-) -> Option<Vec<T>>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    let bounds = if policy.workers > 1 {
-        weighted_bounds(policy.chunk, len, weight)
-    } else {
-        fixed_bounds(policy.chunk, len)
-    };
-    map_parts(policy, &bounds, f)
-}
-
-/// Applies `f` to each `bounds[c]..bounds[c+1]` range and returns the
-/// per-chunk results **in chunk order**. With `workers <= 1` (or a single
-/// chunk) this is a plain sequential loop; otherwise scoped threads claim
-/// chunks from an atomic counter, but each chunk's result lands in its own
-/// fixed slot, so the combined output never depends on claim order.
-///
-/// Before claiming each chunk the caller's [`CancelToken`] is polled (after
-/// the injected `chunk_delay`, if any); once it fires, no further chunks are
-/// computed and the call returns `None`. Kernels translate `None` into a
-/// neutral result — the supervisor that armed the token never looks at it.
-fn map_parts<T, F>(policy: &KernelPolicy, bounds: &[usize], f: F) -> Option<Vec<T>>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    let chunks = bounds.len().saturating_sub(1);
-    let range = |c: usize| bounds[c]..bounds[c + 1];
-    // One boundary check per claimed chunk: injected stall first (so a
-    // fault-harness delay can push the deadline over), then the poll.
-    let boundary = || {
+    mut f: impl FnMut(std::ops::Range<usize>) -> T,
+) -> Option<Vec<T>> {
+    let chunk = policy.chunk.max(1);
+    let mut out = Vec::with_capacity(len.div_ceil(chunk));
+    for start in (0..len).step_by(chunk) {
         if !policy.chunk_delay.is_zero() {
             std::thread::sleep(policy.chunk_delay);
         }
-        policy.cancel.is_cancelled()
-    };
-    if policy.workers <= 1 || chunks <= 1 {
-        let mut out = Vec::with_capacity(chunks);
-        for c in 0..chunks {
-            if boundary() {
-                return None;
-            }
-            out.push(f(range(c)));
+        if policy.cancel.is_cancelled() {
+            return None;
         }
-        return Some(out);
+        out.push(f(start..(start + chunk).min(len)));
     }
-    let next = AtomicUsize::new(0);
-    // Each slot is written exactly once, whole; kernel panics are isolated
-    // upstream by the supervisor, and a poisoned slot still holds either
-    // None or a complete chunk result.
-    // lockdoc: recover(slots are write-once whole chunk results; poison cannot tear them)
-    let slots: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..policy.workers.min(chunks) {
-            s.spawn(|| loop {
-                if boundary() {
-                    break;
-                }
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
-                    break;
-                }
-                let out = f(range(c));
-                *slots[c].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
-    });
-    // The token latches, so if any worker bailed this final poll sees it.
-    if policy.cancel.is_cancelled() {
-        return None;
-    }
-    Some(
-        slots
-            .into_iter()
-            .filter_map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect(),
-    )
+    Some(out)
 }
 
 const UNSEEN: usize = usize::MAX;
@@ -392,13 +270,12 @@ pub fn bfs_distances(
     frontier.push(s);
     let mut depth = 0usize;
     while !frontier.is_empty() && depth < max_hops {
-        // Expand the frontier in parallel (read-only over `dist`), then
-        // claim discoveries sequentially in chunk order: duplicates across
-        // chunks collapse and the result is worker-count independent. All
-        // candidates sit at the same level, so any claim order yields the
-        // same distances.
-        let weight = |i: usize| 1 + csr.und(frontier[i]).len() as u64;
-        let Some(candidates) = map_weighted(policy, frontier.len(), weight, |r| {
+        // Expand the frontier chunk by chunk (read-only over `dist`), then
+        // claim discoveries in chunk order: duplicates across chunks
+        // collapse and the result is chunk-size independent. All candidates
+        // sit at the same level, so any claim order yields the same
+        // distances.
+        let Some(candidates) = map_chunks(policy, frontier.len(), |r| {
             let mut cand: Vec<u32> = Vec::new();
             for &v in &frontier[r] {
                 for &w in csr.und(v) {
@@ -497,7 +374,7 @@ pub fn dijkstra(csr: &CsrGraph, weights: &[f64], start: NodeId) -> Vec<Option<f6
     out
 }
 
-/// PageRank, edge-parallel *pull* over ascending-sorted in-adjacency.
+/// PageRank, chunked *pull* over ascending-sorted in-adjacency.
 /// Bit-identical to [`reference::pagerank_reference`]: per-target
 /// contributions are summed in ascending source order (the same sequence
 /// the reference's push loop produces), the dangling sum is accumulated
@@ -548,7 +425,6 @@ fn pagerank_impl(
     rank.resize(n, 1.0 / n as f64);
     share.clear();
     share.resize(n, 0.0);
-    let weight = |w: usize| 1 + csr.pull_sources(w as u32).len() as u64;
     for _ in 0..iterations {
         let mut dangling = 0.0;
         for d in 0..n {
@@ -561,7 +437,7 @@ fn pagerank_impl(
             }
         }
         let teleport = (1.0 - damping) / n as f64 + damping * dangling / n as f64;
-        let Some(next) = map_weighted(policy, n, weight, |r| {
+        let Some(next) = map_chunks(policy, n, |r| {
             if blocked {
                 return pull_blocked(csr, share, r, &policy.scratch);
             }
@@ -622,7 +498,7 @@ fn pull_blocked(csr: &CsrGraph, share: &[f64], r: std::ops::Range<usize>, pool: 
     vals
 }
 
-/// Connected components by parallel min-label propagation (Jacobi rounds
+/// Connected components by chunked min-label propagation (Jacobi rounds
 /// with pointer shortcutting), renumbered by first occurrence in ascending
 /// node order — exactly the numbering the reference's repeated-BFS
 /// produces. Matches [`reference::connected_components_reference`].
@@ -632,9 +508,8 @@ pub fn connected_components(csr: &CsrGraph, policy: &KernelPolicy) -> Components
     let Scratch { u32a: labels, u32b: next, cursors: comp_of_label, .. } = &mut scratch;
     labels.clear();
     labels.extend(0..n as u32);
-    let weight = |v: usize| 1 + csr.und(v as u32).len() as u64;
     loop {
-        let Some(rounds) = map_weighted(policy, n, weight, |r| {
+        let Some(rounds) = map_chunks(policy, n, |r| {
             let mut round = Vec::with_capacity(r.len());
             let mut changed = false;
             for v in r {
@@ -721,15 +596,13 @@ fn edge_pairs(csr: &CsrGraph, pairs: &mut Vec<(u32, u32)>) {
     }
 }
 
-/// Edge-parallel triangle count over sorted undirected-view adjacency.
+/// Edge-chunked triangle count over sorted undirected-view adjacency.
 /// Matches [`reference::triangle_count_reference`].
 pub fn triangle_count(csr: &CsrGraph, policy: &KernelPolicy) -> usize {
     let mut scratch = policy.scratch.checkout();
     let pairs = &mut scratch.pairs;
     edge_pairs(csr, pairs);
-    let weight =
-        |i: usize| (csr.und(pairs[i].0).len() + csr.und(pairs[i].1).len()) as u64;
-    let count = map_weighted(policy, pairs.len(), weight, |r| {
+    let count = map_chunks(policy, pairs.len(), |r| {
         let mut c = 0usize;
         for &(a, b) in &pairs[r] {
             c += count_common_gt(csr.und(a), csr.und(b), a.max(b));
@@ -790,7 +663,7 @@ fn bfs_scan(csr: &CsrGraph, s: u32, dist: &mut [usize], queue: &mut VecDeque<u32
     (ecc, total, pairs)
 }
 
-/// Per-source BFS sweep, parallel over sources. Each chunk checks one
+/// Per-source BFS sweep, chunked over sources. Each chunk checks one
 /// scratch arena out of the policy's pool and reuses its distance buffer
 /// and queue across the chunk's sources (and, via the pool, across chunks,
 /// kernels and steps). Returns per-source `(ecc, Σ d, pairs)` in ascending
@@ -846,7 +719,7 @@ pub fn average_path_length(csr: &CsrGraph, policy: &KernelPolicy) -> Option<f64>
 }
 
 /// Closeness centrality (Wasserman–Faust), slot-indexed. Each score is an
-/// independent per-source computation, so the parallel sweep is bit-exact
+/// independent per-source computation, so the chunked sweep is bit-exact
 /// against [`reference::closeness_reference`].
 pub fn closeness(csr: &CsrGraph, policy: &KernelPolicy) -> Vec<f64> {
     let n = csr.n();
@@ -933,8 +806,8 @@ mod tests {
     use crate::GraphBuilder;
 
     fn par() -> KernelPolicy {
-        // Tiny chunks force real multi-chunk scheduling in tests.
-        KernelPolicy::new(4, 8)
+        // Tiny chunks force many chunk boundaries in tests.
+        KernelPolicy::new(8)
     }
 
     fn social() -> Graph {
@@ -964,10 +837,10 @@ mod tests {
         let g = social();
         let csr = CsrGraph::build(&g);
         let oracle = pagerank_reference(&g, 0.85, 50);
-        let seq = pagerank(&csr, 0.85, 50, &KernelPolicy::sequential());
+        let seq = pagerank(&csr, 0.85, 50, &KernelPolicy::default());
         let p = pagerank(&csr, 0.85, 50, &par());
-        assert_eq!(seq, oracle, "sequential kernel must be bit-exact");
-        assert_eq!(p, oracle, "parallel kernel must be bit-exact");
+        assert_eq!(seq, oracle, "default chunks must be bit-exact");
+        assert_eq!(p, oracle, "tiny chunks must be bit-exact");
     }
 
     #[test]
@@ -1044,74 +917,14 @@ mod tests {
         assert_eq!(got[3], Some(2.0), "a→b→d beats the direct weight-10 edge");
     }
 
-    /// Degree-weighted boundaries (taken above one worker) change the
-    /// cuts, never the bytes: every kernel output matches the fixed-chunk
-    /// result of one worker.
-    #[test]
-    fn degree_weighted_strategy_is_bit_identical() {
-        let g = social();
-        let csr = CsrGraph::build(&g);
-        let fixed = KernelPolicy::new(1, 8);
-        for workers in [2, 4] {
-            let dw = KernelPolicy::new(workers, 8);
-            assert_eq!(pagerank(&csr, 0.85, 50, &dw), pagerank(&csr, 0.85, 50, &fixed));
-            let (a, b) = (connected_components(&csr, &dw), connected_components(&csr, &fixed));
-            assert_eq!(a.assignment, b.assignment);
-            assert_eq!(triangle_count(&csr, &dw), triangle_count(&csr, &fixed));
-            assert_eq!(
-                bfs_distances(&csr, NodeId(0), usize::MAX, &dw),
-                bfs_distances(&csr, NodeId(0), usize::MAX, &fixed),
-            );
-        }
-    }
-
     /// The cache-blocked pull changes the access pattern, not the bytes.
     #[test]
     fn blocked_pagerank_is_bit_exact() {
         let g = social();
         let csr = CsrGraph::build(&g);
         let oracle = pagerank_reference(&g, 0.85, 50);
-        assert_eq!(pagerank_blocked(&csr, 0.85, 50, &KernelPolicy::sequential()), oracle);
+        assert_eq!(pagerank_blocked(&csr, 0.85, 50, &KernelPolicy::default()), oracle);
         assert_eq!(pagerank_blocked(&csr, 0.85, 50, &par()), oracle);
-    }
-
-    /// Weighted bounds cover `0..len` contiguously with at most the fixed
-    /// chunk count, whatever the weights.
-    #[test]
-    fn weighted_bounds_are_well_formed() {
-        let cases: [(usize, usize, fn(usize) -> u64); 4] = [
-            (8, 100, |_| 1),
-            (8, 100, |i| (i as u64 % 7) * 100),
-            (1, 5, |_| 0),
-            (64, 3, |i| i as u64),
-        ];
-        for (chunk, len, w) in cases {
-            let bounds = weighted_bounds(chunk, len, w);
-            assert_eq!(bounds[0], 0);
-            assert_eq!(*bounds.last().expect("non-empty"), len);
-            assert!(bounds.windows(2).all(|p| p[0] < p[1]), "strictly increasing: {bounds:?}");
-            assert!(bounds.len() <= fixed_bounds(chunk, len).len());
-        }
-    }
-
-    /// The boundary rule follows the worker count: one worker cuts fixed
-    /// chunks without evaluating a single weight; more workers cut
-    /// equal-weight chunks.
-    #[test]
-    fn boundary_rule_follows_the_worker_count() {
-        let weighed = AtomicUsize::new(0);
-        // Item 0 carries most of the weight, so the two rules cut apart.
-        let weight = |i: usize| {
-            weighed.fetch_add(1, Ordering::SeqCst);
-            if i == 0 { 100 } else { 1 }
-        };
-        let ranges = |workers| {
-            map_weighted(&KernelPolicy::new(workers, 4), 16, weight, |r| r).expect("never cancelled")
-        };
-        assert_eq!(ranges(1), vec![0..4, 4..8, 8..12, 12..16]);
-        assert_eq!(weighed.load(Ordering::SeqCst), 0, "one worker skips the weight pass");
-        assert_eq!(ranges(2), vec![0..1, 1..16], "the heavy item gets a chunk of its own");
-        assert!(weighed.load(Ordering::SeqCst) > 0);
     }
 
     #[test]
@@ -1120,7 +933,7 @@ mod tests {
         let csr = CsrGraph::build(&g);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let p = KernelPolicy::new(4, 8).with_cancel(cancel.clone());
+        let p = KernelPolicy::new(8).with_cancel(cancel.clone());
         let polls = cancel.polls();
         assert_eq!(pagerank(&csr, 0.85, 50, &p), vec![0.0; csr.node_bound()]);
         assert_eq!(triangle_count(&csr, &p), 0);
@@ -1134,7 +947,7 @@ mod tests {
         let g = social();
         let csr = CsrGraph::build(&g);
         let cancel = CancelToken::with_deadline(Duration::from_millis(5));
-        let p = KernelPolicy::new(1, 1)
+        let p = KernelPolicy::new(1)
             .with_cancel(cancel.clone())
             .with_chunk_delay(Duration::from_millis(2));
         // 45 sources at one per chunk would stall ~90ms; the 5ms deadline

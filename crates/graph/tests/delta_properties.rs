@@ -4,9 +4,9 @@
 //! `Graph::csr` after an edit) must be *indistinguishable* from a
 //! from-scratch rebuild: after any sequence of random adds, deletes and relabels the
 //! patched snapshot is logically equal to `CsrGraph::build`, and every
-//! kernel returns bit-identical results on both at any worker count (and so
-//! under either chunk-boundary rule). Edits the delta path declines (node removal,
-//! too many touched rows) must fall back to a rebuild transparently.
+//! kernel returns bit-identical results on both. Edits the delta path
+//! declines (node removal, too many touched rows) must fall back to a
+//! rebuild transparently.
 
 use chatgraph_graph::csr::CsrGraph;
 use chatgraph_graph::generators::{knowledge_graph, social_network, KgParams, SocialParams};
@@ -72,31 +72,28 @@ fn mutate_epoch(g: &mut Graph, rng: &mut StdRng, epoch: usize, node_removal_peri
 }
 
 /// Asserts that the kernels see no difference between `patched` and a
-/// rebuilt snapshot, bit-for-bit, across worker counts (1 worker cuts
-/// fixed chunks, more cut degree-weighted ones).
+/// rebuilt snapshot, bit-for-bit.
 fn assert_kernels_agree(patched: &CsrGraph, rebuilt: &CsrGraph, seed_node: NodeId) {
-    for workers in [1usize, 2, 4] {
-        let policy = KernelPolicy::new(workers, 64);
-        let pr_a = kernels::pagerank(patched, 0.85, 12, &policy);
-        let pr_b = kernels::pagerank(rebuilt, 0.85, 12, &policy);
-        assert_eq!(pr_a, pr_b, "pagerank differs at {workers}w");
+    let policy = KernelPolicy::new(64);
+    let pr_a = kernels::pagerank(patched, 0.85, 12, &policy);
+    let pr_b = kernels::pagerank(rebuilt, 0.85, 12, &policy);
+    assert_eq!(pr_a, pr_b, "pagerank differs");
+    assert_eq!(
+        kernels::connected_components(patched, &policy).assignment,
+        kernels::connected_components(rebuilt, &policy).assignment,
+        "components differ"
+    );
+    assert_eq!(
+        kernels::triangle_count(patched, &policy),
+        kernels::triangle_count(rebuilt, &policy),
+        "triangles differ"
+    );
+    if patched.dense_of(seed_node).is_some() {
         assert_eq!(
-            kernels::connected_components(patched, &policy).assignment,
-            kernels::connected_components(rebuilt, &policy).assignment,
-            "components differ at {workers}w"
+            kernels::bfs_distances(patched, seed_node, usize::MAX, &policy),
+            kernels::bfs_distances(rebuilt, seed_node, usize::MAX, &policy),
+            "bfs differs"
         );
-        assert_eq!(
-            kernels::triangle_count(patched, &policy),
-            kernels::triangle_count(rebuilt, &policy),
-            "triangles differ at {workers}w"
-        );
-        if patched.dense_of(seed_node).is_some() {
-            assert_eq!(
-                kernels::bfs_distances(patched, seed_node, usize::MAX, &policy),
-                kernels::bfs_distances(rebuilt, seed_node, usize::MAX, &policy),
-                "bfs differs at {workers}w"
-            );
-        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Differential properties for the CSR kernels: on random directed and
 //! undirected graphs with deletions, every kernel must be element-wise
 //! equal (bit-for-bit for floats) to its adjacency-walking `*_reference`
-//! oracle, with 1 worker and with 4 workers (tiny chunks force real
-//! multi-chunk scheduling).
+//! oracle, with tiny chunks (many chunk boundaries) and with the default
+//! chunk size (one chunk at these sizes).
 
 use chatgraph_graph::csr::CsrGraph;
 use chatgraph_graph::kernels::{self, reference, KernelPolicy};
@@ -50,7 +50,7 @@ fn random_case(rng: &mut StdRng, size: usize) -> Case {
 fn check_case(case: &Case) -> Result<(), String> {
     let g = &case.g;
     let csr = CsrGraph::build(g);
-    for policy in [KernelPolicy::new(1, 7), KernelPolicy::new(4, 7)] {
+    for policy in [KernelPolicy::new(7), KernelPolicy::default()] {
         prop_assert_eq!(
             kernels::pagerank(&csr, 0.85, 30, &policy),
             reference::pagerank_reference(g, 0.85, 30)

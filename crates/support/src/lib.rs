@@ -18,7 +18,7 @@
 //! * [`lru`] — a bounded least-recently-used map replacing the `lru` crate,
 //!   backing the plan scheduler's step-memo cache.
 //! * [`cancel`] — a cooperative cancellation token (shared flag + optional
-//!   deadline) the chain supervisor threads through workers and kernels.
+//!   deadline) the chain supervisor threads through steps and kernels.
 //!
 //! Design rule: **no external crates, ever** — `tests/hermetic.rs` at the
 //! workspace root fails the build if any manifest regresses to a registry

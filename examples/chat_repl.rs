@@ -193,8 +193,8 @@ fn main() {
                                 ChainEvent::StepFinished { api, summary, .. } => {
                                     println!("  [{api}] {summary}");
                                 }
-                                ChainEvent::KernelTimed { kernel, micros, workers } => {
-                                    println!("  (kernel {kernel}: {micros}us, {workers} worker(s))");
+                                ChainEvent::KernelTimed { kernel, micros } => {
+                                    println!("  (kernel {kernel}: {micros}us)");
                                 }
                                 ChainEvent::StepRetried { api, attempt, backoff_ms, error, .. } => {
                                     println!(

@@ -42,33 +42,36 @@ cargo build --release && cargo test -q
 # Everything else must also compile offline: benches, examples, all targets.
 cargo build --offline --workspace --benches --examples
 
-# Plan scheduler determinism: 1- and 4-worker execution must match the
-# sequential reference executor on random valid chains (DESIGN.md §9).
+# Plan scheduler determinism: execution, cold and from a warm memo, must
+# match the sequential reference executor on random valid chains
+# (DESIGN.md §9).
 cargo test -q --offline -p chatgraph-apis --test plan_properties
 
-# Plan execution baseline: sequential vs 4-worker vs warm-memo timings,
-# written to results/BENCH_plan_exec.json with the measured speedup.
+# Plan execution baseline: cold (memo off) vs warm-memo timings, written
+# to results/BENCH_plan_exec.json with the measured memo speedup.
 cargo bench --offline -p chatgraph-bench --bench chain_plan_exec
 
 # CSR kernel differential properties: every kernel must equal its
-# adjacency-walking reference oracle, at 1 and 4 workers (DESIGN.md §10).
+# adjacency-walking reference oracle, at a tiny and the default chunk size
+# (DESIGN.md §10).
 cargo test -q --offline -p chatgraph-graph --test kernel_properties
 
-# CSR kernel baseline: per-kernel reference vs sequential vs parallel CSR
-# medians, plus a per-call CSR rebuild vs reading the snapshot the graph
-# version already holds, written to results/BENCH_graph_kernels.json.
+# CSR kernel baseline: per-kernel reference vs CSR medians (and the CSR
+# kernels slower than their reference), plus a per-call CSR rebuild vs
+# reading the snapshot the graph version already holds, written to
+# results/BENCH_graph_kernels.json.
 cargo bench --offline -p chatgraph-bench --bench graph_kernels
 
 # Supervisor fault differentials: a fault-free supervisor is invisible,
-# injected faults degrade/abort exactly as modelled at every worker count,
+# injected faults degrade/abort exactly as modelled, cold and warm,
 # deadlines cancel cooperatively and retries replay deterministically
 # (DESIGN.md §11).
 cargo test -q --offline -p chatgraph-apis --test fault_properties
 
 # Supervisor overhead baseline: passive vs armed-fault-free vs all-faulted
-# medians, written to results/BENCH_fault_exec.json. The committed artifact
-# records a 19.7% median armed-fault-free overhead (8-step chain on a
-# 300-node graph, 4 scheduler workers on a 1-CPU machine).
+# medians, plus the armed-vs-passive overhead over interleaved pairs (median,
+# quartiles, and whether the quartiles exclude zero), written to
+# results/BENCH_fault_exec.json; read the overhead there.
 cargo bench --offline -p chatgraph-bench --bench chain_fault_exec
 
 # Serving differentials: N tenants on the shared pool must reply
@@ -78,7 +81,7 @@ cargo bench --offline -p chatgraph-bench --bench chain_fault_exec
 cargo test -q --offline -p chatgraph-core --test serving_properties
 
 # Coalescing properties: concurrent identical steps execute exactly once,
-# results (and failures) are bit-identical to solo runs at widths 1/2/4,
+# results (and failures) are bit-identical to solo runs, cold and warm,
 # a panicking leader fails all waiters without hanging, and only the steps
 # a fault plan afflicts run unmemoized (DESIGN.md §15).
 cargo test -q --offline -p chatgraph-apis --test coalesce_properties
@@ -90,9 +93,9 @@ cargo test -q --offline -p chatgraph-apis --test coalesce_properties
 cargo bench --offline -p chatgraph-bench --bench serving
 
 # Delta-CSR differentials: patched snapshots must be bit-identical to full
-# rebuilds after random edit sequences, at every worker count and chunking
-# strategy, through `Graph::csr`, with one build shared by concurrent
-# callers and by clones (DESIGN.md §14).
+# rebuilds after random edit sequences, through `Graph::csr`, with one
+# build shared by concurrent callers and by clones; kernel outputs must not
+# depend on the chunk size (DESIGN.md §14).
 cargo test -q --offline -p chatgraph-graph --test delta_properties
 cargo test -q --offline -p chatgraph-graph --test chunking_determinism
 
@@ -109,7 +112,8 @@ cargo bench --offline -p chatgraph-bench --bench store -- --quick
 # Repository lint: no unwrap/expect/panic! in non-test library code beyond
 # the shrink-only allowlist (lint-allow.toml), no `unsafe`, hermetic
 # manifests, `catch_unwind` only at the supervisor's isolation boundary
-# (CG106), and the concurrency pass (DESIGN.md §13): lock-order cycles
+# (CG106), threads only in the serving drain pool (CG107), and the
+# concurrency pass (DESIGN.md §13): lock-order cycles
 # (CG201), guards across dispatch points (CG202), declared-order violations
 # (CG203), unsanctioned poisoned-lock recovery (CG204), and the
 # Ordering::Relaxed ratchet (CG205). The machine-readable report is kept as
