@@ -5,36 +5,26 @@ use crate::descriptor::{ApiCategory, ApiDescriptor};
 use crate::registry::ApiRegistry;
 use crate::value::{Value, ValueType};
 use chatgraph_graph::algo::kcore;
-use chatgraph_graph::generators::RELATION_SCHEMA;
 use chatgraph_graph::kernels;
 use chatgraph_graph::Graph;
 
-/// Heavy-atom element symbols recognised by the molecule classifier.
-const ELEMENT_SYMBOLS: &[&str] = &["C", "N", "O", "S", "P", "H", "F", "Cl", "Br"];
-
 /// Predicts the domain of a graph: `social`, `molecule`, `knowledge`, or
 /// `generic`. This is the router of demo scenario 1 ("ChatGraph first
-/// predicts the type of G").
+/// predicts the type of G"). Reads the version's [`Graph::label_summary`],
+/// so repeated calls on one version cost one label pass in total.
 pub fn predict_type(g: &Graph) -> &'static str {
-    let hist = g.label_histogram();
-    if hist.is_empty() {
-        return "generic";
+    let s = g.label_summary();
+    if !s.has_nodes {
+        "generic"
+    } else if s.directed_kg_edges {
+        "knowledge"
+    } else if s.all_elements {
+        "molecule"
+    } else if s.has_person {
+        "social"
+    } else {
+        "generic"
     }
-    let kg_relations: std::collections::HashSet<&str> =
-        RELATION_SCHEMA.iter().map(|r| r.0).collect();
-    let has_kg_edges = g
-        .edge_ids()
-        .any(|e| g.edge_label(e).is_ok_and(|l| kg_relations.contains(l)));
-    if g.is_directed() && has_kg_edges {
-        return "knowledge";
-    }
-    if hist.iter().all(|(l, _)| ELEMENT_SYMBOLS.contains(&l.as_str())) {
-        return "molecule";
-    }
-    if hist.iter().any(|(l, _)| l == "Person" || l == "User") {
-        return "social";
-    }
-    "generic"
 }
 
 /// Registers the structure APIs.
@@ -308,6 +298,7 @@ mod tests {
     use crate::registry;
     use chatgraph_graph::generators::{
         knowledge_graph, molecule, social_network, KgParams, MoleculeParams, SocialParams,
+        RELATION_SCHEMA,
     };
     use chatgraph_graph::GraphBuilder;
 
@@ -333,6 +324,64 @@ mod tests {
         let generic = GraphBuilder::undirected().edge("x", "y", "-").build();
         assert_eq!(predict_type(&generic), "generic");
         assert_eq!(predict_type(&Graph::undirected()), "generic");
+    }
+
+    /// The classifier over a label histogram and an edge scan, as it was
+    /// before it read the version's label summary.
+    fn reference_predict_type(g: &Graph) -> &'static str {
+        use chatgraph_graph::derived::ELEMENT_SYMBOLS;
+        let hist = g.label_histogram();
+        if hist.is_empty() {
+            return "generic";
+        }
+        let has_kg_edges = g
+            .edge_ids()
+            .any(|e| g.edge_label(e).is_ok_and(|l| RELATION_SCHEMA.iter().any(|r| r.0 == l)));
+        if g.is_directed() && has_kg_edges {
+            return "knowledge";
+        }
+        if hist.iter().all(|(l, _)| ELEMENT_SYMBOLS.contains(&l.as_str())) {
+            return "molecule";
+        }
+        if hist.iter().any(|(l, _)| l == "Person" || l == "User") {
+            return "social";
+        }
+        "generic"
+    }
+
+    #[test]
+    fn classifier_matches_the_histogram_reference_across_edits() {
+        let mut graphs = vec![
+            molecule(&MoleculeParams::default(), 2),
+            social_network(&SocialParams::default(), 2),
+            knowledge_graph(&KgParams::default(), 2),
+            GraphBuilder::directed().node("a", "Person").node("b", "City").edge("a", "b", "-").build(),
+            GraphBuilder::undirected().node("a", "C").node("b", "User").edge("a", "b", "-").build(),
+        ];
+        for g in &mut graphs {
+            let first = g.node_ids().next().unwrap();
+            for step in 0..6 {
+                assert_eq!(predict_type(g), reference_predict_type(g), "step {step}");
+                match step {
+                    0 => g.set_node_label(first, "Person").unwrap(),
+                    1 => g.set_node_label(first, "O").unwrap(),
+                    2 => {
+                        let e = g.edge_ids().next().unwrap();
+                        g.set_edge_label(e, RELATION_SCHEMA[0].0).unwrap();
+                    }
+                    3 => {
+                        for e in g.edge_ids().collect::<Vec<_>>() {
+                            g.set_edge_label(e, "-").unwrap();
+                        }
+                    }
+                    _ => {
+                        for v in g.node_ids().collect::<Vec<_>>() {
+                            g.remove_node(v).unwrap();
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A [`ChatSession`] mirrors the three panels of the demo UI:
 //!
-//! * panel ① (dialog): [`ChatSession::transcript`] accumulates turns;
+//! * panel ① (dialog): [`ChatSession::transcript`] keeps the most recent
+//!   [`TRANSCRIPT_TURNS`] turns;
 //! * panel ② (suggested questions): [`ChatSession::suggest_questions`];
 //! * panel ③ (input): [`ChatSession::send`] takes a [`Prompt`].
 //!
@@ -89,6 +90,10 @@ impl CommitSink for StoreSink {
             .map_err(|e| e.to_string())
     }
 }
+
+/// Turns [`ChatSession::transcript`] keeps: a long-lived session answers
+/// without bound, and the dialog panel shows only the latest turns.
+pub const TRANSCRIPT_TURNS: usize = 64;
 
 /// One transcript turn.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,9 +326,18 @@ impl ChatSession {
         self.core.retriever()
     }
 
-    /// The dialog transcript (panel ①).
+    /// The dialog transcript (panel ①): the most recent
+    /// [`TRANSCRIPT_TURNS`] turns, oldest first.
     pub fn transcript(&self) -> &[Turn] {
         &self.transcript
+    }
+
+    /// Appends a turn, dropping the oldest past [`TRANSCRIPT_TURNS`].
+    fn log(&mut self, turn: Turn) {
+        if self.transcript.len() == TRANSCRIPT_TURNS {
+            self.transcript.remove(0);
+        }
+        self.transcript.push(turn);
     }
 
     /// The session graph, if one was uploaded.
@@ -492,7 +506,7 @@ impl ChatSession {
     /// Handles one prompt: stores the uploaded graph, retrieves candidates,
     /// generates a chain, and proposes it for confirmation.
     pub fn send(&mut self, prompt: Prompt) -> ChatResponse {
-        self.transcript.push(Turn::User(prompt.text.clone()));
+        self.log(Turn::User(prompt.text.clone()));
         if let Some(g) = prompt.graph {
             // A new upload is a new graph version, with its own snapshot.
             self.set_graph(g);
@@ -535,7 +549,7 @@ impl ChatSession {
             message.push_str("\nAnalysis notes:\n");
             message.push_str(&diagnostics.render_text());
         }
-        self.transcript.push(Turn::System(message.clone()));
+        self.log(Turn::System(message.clone()));
         ChatResponse {
             chain,
             candidates,
@@ -581,8 +595,7 @@ impl ChatSession {
         // even when the chain failed part-way: completed edits happened.
         self.graph = Some(ctx.graph);
         if let Ok(value) = &result {
-            self.transcript
-                .push(Turn::System(format!("Executed {chain}: {}", value.summary())));
+            self.log(Turn::System(format!("Executed {chain}: {}", value.summary())));
             // Periodic WAL compaction: after a clean chain, once enough
             // commits accumulated since the last checkpoint.
             let every = self.core.config.store.checkpoint_every;
@@ -680,6 +693,27 @@ mod tests {
             assert_eq!(t.len(), before + 2);
             assert!(matches!(t[t.len() - 2], Turn::User(_)));
             assert!(matches!(t[t.len() - 1], Turn::System(_)));
+        });
+    }
+
+    #[test]
+    fn transcript_keeps_the_most_recent_turns() {
+        with_session(|s| {
+            s.set_graph(social_network(&SocialParams::default(), 3));
+            for i in 0..1000 {
+                s.send(Prompt::text(format!("how many communities are there? #{i}")));
+            }
+            let t = s.transcript();
+            assert!(t.len() <= TRANSCRIPT_TURNS, "{} turns kept", t.len());
+            for (k, pair) in t[t.len() - 4..].chunks(2).enumerate() {
+                let i = 998 + k;
+                assert!(
+                    matches!(&pair[0], Turn::User(q) if q.ends_with(&format!("#{i}"))),
+                    "{:?}",
+                    pair[0]
+                );
+                assert!(matches!(pair[1], Turn::System(_)), "{:?}", pair[1]);
+            }
         });
     }
 

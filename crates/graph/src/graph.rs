@@ -18,13 +18,17 @@
 //!   O(1) content hash) and the edit journal (which slots changed since an
 //!   ancestor) in step. Caches key on the first; delta CSR snapshots and
 //!   the durable store's WAL deltas read the second.
-//! * **Each version carries its CSR snapshot.** [`Graph::csr`] builds the
+//! * **Each version carries its derived data.** [`Graph::csr`] builds the
 //!   analysis kernels' index at most once per version and shares it with
 //!   every clone of that version; a structural edit retires it to the
-//!   delta base the next version splices from.
+//!   delta base the next version splices from. [`Graph::derived`] holds
+//!   everything else computed from a version (the chat view's sequences
+//!   and features, the label summary); any edit clears it, because a
+//!   relabel keeps the CSR but changes what those read.
 
 use crate::attr::{AttrValue, Attrs};
 use crate::csr::{CsrBuild, CsrGraph, Snapshot};
+use crate::derived::Derived;
 use chatgraph_support::hash::Fnv64;
 use std::fmt;
 use std::sync::Arc;
@@ -291,11 +295,15 @@ pub struct Graph {
     /// This version's CSR snapshot, built on first use (see
     /// [`Graph::csr`]); derived data, excluded like the journal.
     csr: Snapshot,
+    /// Everything else derived from this version (see [`Graph::derived`]);
+    /// shared by clones, excluded like the journal.
+    derived: Derived,
 }
 
 /// Equality is over graph *content*; the journal is lineage metadata and
-/// two equal graphs may well have disjoint histories. (`slot_sum` and the
-/// CSR snapshot are functions of the slots, so they need no comparison.)
+/// two equal graphs may well have disjoint histories. (`slot_sum`, the
+/// CSR snapshot and the derived slot are functions of the slots, so they
+/// need no comparison.)
 impl PartialEq for Graph {
     fn eq(&self, other: &Graph) -> bool {
         self.direction == other.direction
@@ -383,6 +391,7 @@ impl Graph {
             slot_sum: 0,
             journal: Journal::fresh(),
             csr: Snapshot::default(),
+            derived: Derived::default(),
         }
     }
 
@@ -420,14 +429,21 @@ impl Graph {
         self.csr.get(self)
     }
 
-    /// Journals one slot edit. A structural one — a slot appended or
+    /// Journals one slot edit and invalidates what it outdates: every edit
+    /// clears the derived slot, and a structural one — a slot appended or
     /// tombstoned — also retires the CSR snapshot to the delta base; label
     /// and attribute edits keep it, since the CSR holds no labels.
     fn record(&mut self, touched: Touched, structural: bool) {
         self.journal.record(touched);
+        self.derived.clear();
         if structural {
             self.csr.retire();
         }
+    }
+
+    /// The derived-data slot (see [`Graph::derived`]).
+    pub(crate) fn derived_slot(&self) -> &Derived {
+        &self.derived
     }
 
     /// The slot-edit journal (for the CSR delta-splicer and WAL deltas).
@@ -492,6 +508,7 @@ impl Graph {
             live_edges,
             journal: Journal::fresh(),
             csr: Snapshot::default(),
+            derived: Derived::default(),
         }
     }
 
@@ -525,6 +542,7 @@ impl Graph {
     /// Sets the graph's display name.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
+        self.derived.clear();
     }
 
     /// Number of live (non-removed) nodes.

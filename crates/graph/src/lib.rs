@@ -15,7 +15,8 @@
 //! * [`Graph::fingerprint`] — the graph's O(1) version identity, and an
 //!   internal edit journal from which delta CSR snapshots and WAL deltas
 //!   are derived in O(edits); [`Graph::csr`] — the version's own CSR
-//!   snapshot, built once and shared by its clones.
+//!   snapshot, built once and shared by its clones; [`Graph::derived`] —
+//!   the version's other derived data, likewise (see [`derived`]).
 //! * [`generators`] — seeded generators for the graph families the paper's
 //!   demo scenarios use: Erdős–Rényi / Barabási–Albert synthetic graphs,
 //!   planted-partition *social networks*, valence-constrained *molecules*, and
@@ -40,6 +41,7 @@ pub mod binary;
 pub mod builder;
 pub mod csr;
 pub mod delta;
+pub mod derived;
 pub mod generators;
 pub mod graph;
 pub mod io;
@@ -50,6 +52,7 @@ mod version_tests;
 pub use attr::{AttrValue, Attrs};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
+pub use derived::LabelSummary;
 pub use graph::{Direction, EdgeId, Graph, GraphError, NodeId};
 pub use kernels::KernelPolicy;
 

@@ -8,7 +8,8 @@ use chatgraph_embed::hashing::fnv1a;
 use chatgraph_embed::tokenizer;
 use chatgraph_graph::Graph;
 use chatgraph_sequencer::{sequentialize, CoverParams};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Feature-space configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,8 +69,7 @@ impl SparseFeatures {
     }
 
     fn bump(&mut self, dim: usize, namespaced: &str) {
-        let idx = (fnv1a(namespaced.as_bytes()) % dim as u64) as u32;
-        *self.0.entry(idx).or_insert(0.0) += 1.0;
+        *self.0.entry(feature_index(dim, namespaced)).or_insert(0.0) += 1.0;
     }
 
     /// L2-normalises the counts so long prompts don't drown short ones.
@@ -95,26 +95,44 @@ impl SparseFeatures {
     }
 }
 
-/// A label-histogram heuristic for the family of a graph. Cheap and local —
-/// the authoritative classifier lives in the API layer; this hint only feeds
+/// The hashed index of a namespaced feature.
+fn feature_index(dim: usize, namespaced: &str) -> u32 {
+    (fnv1a(namespaced.as_bytes()) % dim as u64) as u32
+}
+
+/// What a graph version contributes to every context about it: the
+/// L2-normalised graph group and the family-hint index.
+struct GraphView {
+    group: SparseFeatures,
+    family: u32,
+}
+
+/// The config fields [`GraphView`] depends on.
+#[derive(PartialEq)]
+struct ViewKey {
+    dim: usize,
+    cover_length: usize,
+    multi_level: bool,
+}
+
+/// A label heuristic for the family of a graph. Cheap and local — the
+/// authoritative classifier lives in the API layer; this hint only feeds
 /// one model feature that disambiguates same-wording prompts attached to
-/// different graph kinds ("write a report for G").
+/// different graph kinds ("write a report for G"). Reads the version's
+/// [`Graph::label_summary`], the same pass the API layer's classifier reads.
 pub fn family_hint(graph: &Graph) -> &'static str {
-    const ELEMENTS: &[&str] = &["C", "N", "O", "S", "P", "H", "F", "Cl", "Br"];
-    let hist = graph.label_histogram();
-    if hist.is_empty() {
-        return "empty";
+    let s = graph.label_summary();
+    if !s.has_nodes {
+        "empty"
+    } else if graph.is_directed() {
+        "directed"
+    } else if s.all_elements {
+        "molecule"
+    } else if s.has_person {
+        "social"
+    } else {
+        "generic"
     }
-    if graph.is_directed() {
-        return "directed";
-    }
-    if hist.iter().all(|(l, _)| ELEMENTS.contains(&l.as_str())) {
-        return "molecule";
-    }
-    if hist.iter().any(|(l, _)| l == "Person" || l == "User") {
-        return "social";
-    }
-    "generic"
 }
 
 /// Extracts model features from the three prompt components.
@@ -144,27 +162,67 @@ impl FeatureExtractor {
         }
     }
 
-    /// Graph features (namespaces `g:` for tokens, `g2:` for token bigrams,
-    /// `s:` for super-graph tokens).
-    fn add_graph(&self, out: &mut SparseFeatures, graph: &Graph) {
-        let params = CoverParams {
-            max_length: self.config.cover_length,
-            dedup_singletons: true,
+    /// The graph's share of a context (namespaces `g:` for tokens, `g2:`
+    /// for token bigrams, `s:` for super-graph tokens, `fam:` for the
+    /// family hint), computed once per graph version and config.
+    fn graph_view(&self, graph: &Graph) -> Arc<GraphView> {
+        let key = ViewKey {
+            dim: self.config.dim,
+            cover_length: self.config.cover_length,
+            multi_level: self.config.multi_level,
         };
-        let seqs = sequentialize(graph, &params, self.config.multi_level);
-        for seq in &seqs.base {
-            for t in &seq[1..] {
-                out.bump(self.config.dim, &format!("g:{t}"));
+        graph.derived(key, |g| {
+            let params = CoverParams {
+                max_length: self.config.cover_length,
+                dedup_singletons: true,
+            };
+            let seqs = sequentialize(g, &params, self.config.multi_level);
+            let symbols = seqs.symbols();
+            // Occurrences per symbol and per bigram; each distinct one is
+            // then hashed once. A token's bump is a `+1.0`, so the group
+            // holds per-index counts, which sum in any order.
+            let (mut tokens, mut supers) = (vec![0u64; symbols.len()], vec![0u64; symbols.len()]);
+            let mut bigrams: HashMap<(u32, u32), u64> = HashMap::new();
+            for (seq, n) in seqs.base.runs() {
+                for &t in &seq[1..] {
+                    tokens[t as usize] += n as u64;
+                }
+                for w in seq[1..].windows(2) {
+                    *bigrams.entry((w[0], w[1])).or_default() += n as u64;
+                }
             }
-            for w in seq[1..].windows(2) {
-                out.bump(self.config.dim, &format!("g2:{}_{}", w[0], w[1]));
+            for (seq, n) in seqs.multi_level.runs() {
+                for &t in &seq[1..] {
+                    supers[t as usize] += n as u64;
+                }
             }
-        }
-        for seq in &seqs.multi_level {
-            for t in &seq[1..] {
-                out.bump(self.config.dim, &format!("s:{t}"));
+            let dim = self.config.dim;
+            let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut add = |feature: String, n: u64| {
+                if n > 0 {
+                    *counts.entry(feature_index(dim, &feature)).or_default() += n;
+                }
+            };
+            for (sym, (&n, &m)) in symbols.iter().zip(tokens.iter().zip(&supers)) {
+                add(format!("g:{sym}"), n);
+                add(format!("s:{sym}"), m);
             }
-        }
+            for (&(a, b), &n) in &bigrams {
+                add(format!("g2:{}_{}", symbols[a as usize], symbols[b as usize]), n);
+            }
+            // `+1.0` steps from zero stop growing at 2^24 in `f32`.
+            let mut group = SparseFeatures(
+                counts
+                    .into_iter()
+                    .map(|(i, n)| (i, n.min(1 << 24) as f32))
+                    .collect(),
+            );
+            group.normalize();
+            GraphView {
+                group,
+                family: feature_index(dim, &format!("fam:{}", family_hint(g))),
+            }
+        })
     }
 
     /// Decoding-state features (namespaces `c1:`, `c2:`, `used:`, `pos:`).
@@ -196,6 +254,10 @@ impl FeatureExtractor {
     /// before merging: a large graph emits hundreds of path tokens, and
     /// without per-group normalisation they drown the handful of prompt and
     /// decoding-state features that actually decide the next API.
+    ///
+    /// The graph's share is computed once per graph version (see
+    /// [`Graph::derived`]), so a turn about a version already seen costs
+    /// the prompt group and one merge.
     pub fn context(&self, prompt: &str, graph: Option<&Graph>) -> SparseFeatures {
         let mut prompt_group = SparseFeatures::default();
         self.add_prompt(&mut prompt_group, prompt);
@@ -203,13 +265,9 @@ impl FeatureExtractor {
         let mut out = SparseFeatures::default();
         out.merge_scaled(&prompt_group, self.config.prompt_weight);
         if let Some(g) = graph {
-            let mut graph_group = SparseFeatures::default();
-            self.add_graph(&mut graph_group, g);
-            graph_group.normalize();
-            out.merge_scaled(&graph_group, self.config.graph_weight);
-            let mut hint = SparseFeatures::default();
-            hint.bump(self.config.dim, &format!("fam:{}", family_hint(g)));
-            out.merge_scaled(&hint, self.config.family_weight);
+            let view = self.graph_view(g);
+            out.merge_scaled(&view.group, self.config.graph_weight);
+            *out.0.entry(view.family).or_insert(0.0) += self.config.family_weight;
         }
         out
     }

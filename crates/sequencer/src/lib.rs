@@ -12,12 +12,13 @@
 //!   sequentialised too, so the LLM sees both the atom-level and the
 //!   community/motif-level structure.
 //! * [`serialize`] — turns paths into token sequences and a whole graph into
-//!   the token stream fed to the (simulated) LLM.
+//!   the token stream fed to the (simulated) LLM, once per graph version,
+//!   kept compact as ids into a per-version symbol table.
 
 pub mod path_cover;
 pub mod serialize;
 pub mod supergraph;
 
 pub use path_cover::{path_cover, CoverParams, PathCover};
-pub use serialize::{sequentialize, tokens_for_path, GraphSequences};
+pub use serialize::{sequentialize, GraphSequences, Sequences};
 pub use supergraph::{build_supergraph, SuperGraph};

@@ -93,65 +93,108 @@ impl PathCover {
     }
 }
 
-/// Computes the length-constrained path cover of `g`.
+/// Computes the length-constrained path cover of `g`: every root's paths
+/// in root order, then the kept singletons.
 pub fn path_cover(g: &Graph, params: &CoverParams) -> PathCover {
     let mut paths = Vec::new();
-    for root in g.node_ids() {
-        root_paths(g, root, params.max_length, &mut paths);
-    }
-    if params.dedup_singletons {
-        // A singleton path [v] is redundant when v already appears on some
-        // longer path.
-        let mut covered: std::collections::HashSet<NodeId> = Default::default();
-        for p in paths.iter().filter(|p| p.len() > 1) {
-            covered.extend(p.iter().copied());
-        }
-        paths.retain(|p| p.len() > 1 || !covered.contains(&p[0]));
-    }
+    for_each_path(g, params, |p| paths.push(p.to_vec()));
     PathCover {
         paths,
         max_length: params.max_length,
     }
 }
 
-/// Emits the root-to-leaf paths of the depth-≤ℓ BFS tree rooted at `root`.
-fn root_paths(g: &Graph, root: NodeId, max_len: usize, out: &mut Vec<Vec<NodeId>>) {
-    // BFS tree: parent pointers + depth.
-    let bound = g.node_bound();
-    let mut parent: Vec<Option<NodeId>> = vec![None; bound];
-    let mut depth: Vec<Option<usize>> = vec![None; bound];
-    let mut has_child = vec![false; bound];
-    let mut order = Vec::new();
-    depth[root.index()] = Some(0);
-    order.push(root);
-    let mut queue = std::collections::VecDeque::from([root]);
-    while let Some(v) = queue.pop_front() {
-        // Every queued node was assigned a depth first; skip defensively.
-        let Some(d) = depth[v.index()] else { continue };
-        if d == max_len {
-            continue;
-        }
-        for (w, _) in g.undirected_neighbors(v) {
-            if depth[w.index()].is_none() {
-                depth[w.index()] = Some(d + 1);
-                parent[w.index()] = Some(v);
-                has_child[v.index()] = true;
-                order.push(w);
-                queue.push_back(w);
+/// Visits the paths of [`path_cover`] in its order without collecting
+/// them, each passed to `emit` as a borrowed slice. With
+/// `dedup_singletons`, a singleton path `[v]` is dropped when `v` lies on
+/// a longer path, so the singletons wait until every longer path is out.
+pub(crate) fn for_each_path(g: &Graph, params: &CoverParams, mut emit: impl FnMut(&[NodeId])) {
+    let mut walker = Walker::new(g);
+    let mut covered = vec![false; g.node_bound()];
+    let mut singletons = Vec::new();
+    for root in g.node_ids() {
+        walker.root_paths(g, root, params.max_length, |p| {
+            if p.len() > 1 {
+                for v in p {
+                    covered[v.index()] = true;
+                }
+                emit(p);
+            } else {
+                singletons.push(p[0]);
             }
+        });
+    }
+    for v in singletons {
+        if !(params.dedup_singletons && covered[v.index()]) {
+            emit(&[v]);
         }
     }
-    // Leaves of the BFS tree (including the root when it is isolated).
-    for &v in &order {
-        if !has_child[v.index()] {
-            let mut path = vec![v];
-            let mut cur = v;
-            while let Some(p) = parent[cur.index()] {
-                path.push(p);
-                cur = p;
+}
+
+/// BFS scratch reused across roots: only the slots a root's BFS touched
+/// are reset before the next.
+struct Walker {
+    parent: Vec<Option<NodeId>>,
+    depth: Vec<Option<usize>>,
+    has_child: Vec<bool>,
+    order: Vec<NodeId>,
+    queue: std::collections::VecDeque<NodeId>,
+    path: Vec<NodeId>,
+}
+
+impl Walker {
+    fn new(g: &Graph) -> Walker {
+        let bound = g.node_bound();
+        Walker {
+            parent: vec![None; bound],
+            depth: vec![None; bound],
+            has_child: vec![false; bound],
+            order: Vec::new(),
+            queue: Default::default(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Emits the root-to-leaf paths of the depth-≤ℓ BFS tree rooted at
+    /// `root`.
+    fn root_paths(&mut self, g: &Graph, root: NodeId, max_len: usize, mut emit: impl FnMut(&[NodeId])) {
+        for v in self.order.drain(..) {
+            self.parent[v.index()] = None;
+            self.depth[v.index()] = None;
+            self.has_child[v.index()] = false;
+        }
+        self.depth[root.index()] = Some(0);
+        self.order.push(root);
+        self.queue.push_back(root);
+        while let Some(v) = self.queue.pop_front() {
+            // Every queued node was assigned a depth first; skip defensively.
+            let Some(d) = self.depth[v.index()] else { continue };
+            if d == max_len {
+                continue;
             }
-            path.reverse();
-            out.push(path);
+            for (w, _) in g.undirected_neighbors(v) {
+                if self.depth[w.index()].is_none() {
+                    self.depth[w.index()] = Some(d + 1);
+                    self.parent[w.index()] = Some(v);
+                    self.has_child[v.index()] = true;
+                    self.order.push(w);
+                    self.queue.push_back(w);
+                }
+            }
+        }
+        // Leaves of the BFS tree (including the root when it is isolated).
+        for &v in &self.order {
+            if !self.has_child[v.index()] {
+                self.path.clear();
+                self.path.push(v);
+                let mut cur = v;
+                while let Some(p) = self.parent[cur.index()] {
+                    self.path.push(p);
+                    cur = p;
+                }
+                self.path.reverse();
+                emit(&self.path);
+            }
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Property-based tests for the sequentialiser.
 
-use chatgraph_graph::generators::{erdos_renyi, ErParams};
-use chatgraph_graph::{Graph, GraphBuilder};
-use chatgraph_sequencer::{
-    build_supergraph, path_cover, sequentialize, tokens_for_path, CoverParams,
+use chatgraph_graph::generators::{
+    erdos_renyi, knowledge_graph, molecule, social_network, ErParams, KgParams, MoleculeParams,
+    SocialParams,
 };
+use chatgraph_graph::{Graph, GraphBuilder, NodeId};
+use chatgraph_sequencer::{build_supergraph, path_cover, sequentialize, CoverParams};
 use chatgraph_support::prop::{check, Config};
 use chatgraph_support::rng::{RngExt, StdRng};
 use chatgraph_support::{prop_assert, prop_assert_eq};
@@ -28,8 +29,105 @@ fn er_config(rng: &mut StdRng, max_n: usize, p_lo: u8, p_hi: u8) -> (usize, u8, 
     )
 }
 
+/// The string sequentializer the compact one replaced, kept as the
+/// reference its output must resolve to token for token.
+mod reference {
+    use super::*;
+    use chatgraph_sequencer::serialize::{PATH_MARKER, SUPER_MARKER};
+
+    /// A path's alternating label tokens; `None` when it is not walkable.
+    pub fn tokens_for_path(g: &Graph, path: &[NodeId]) -> Option<Vec<String>> {
+        let mut out = Vec::with_capacity(path.len() * 2);
+        for (i, &v) in path.iter().enumerate() {
+            if i > 0 {
+                let u = path[i - 1];
+                let e = g.find_edge(u, v).or_else(|| g.find_edge(v, u))?;
+                out.push(g.edge_label(e).ok()?.to_owned());
+            }
+            out.push(g.node_label(v).ok()?.to_owned());
+        }
+        Some(out)
+    }
+
+    fn level(g: &Graph, params: &CoverParams, marker: &str) -> Vec<Vec<String>> {
+        let mut seqs: Vec<Vec<String>> = path_cover(g, params)
+            .paths
+            .iter()
+            .filter_map(|p| {
+                let mut t = vec![marker.to_owned()];
+                t.extend(tokens_for_path(g, p)?);
+                Some(t)
+            })
+            .collect();
+        seqs.sort();
+        seqs
+    }
+
+    /// `(base, multi_level)` token sequences, each level sorted.
+    pub fn sequentialize(
+        g: &Graph,
+        params: &CoverParams,
+        multi_level: bool,
+    ) -> (Vec<Vec<String>>, Vec<Vec<String>>) {
+        let multi = if multi_level {
+            level(&build_supergraph(g, 3).graph, params, SUPER_MARKER)
+        } else {
+            Vec::new()
+        };
+        (level(g, params, PATH_MARKER), multi)
+    }
+}
+
+/// A random graph of one of the three chat families, `(family, size,
+/// seed)`, with `removed` nodes tombstoned.
+fn family_graph(family: u8, size: usize, seed: u64, removed: usize) -> Graph {
+    let mut g = match family {
+        0 => molecule(&MoleculeParams { atoms: size, ..Default::default() }, seed),
+        1 => social_network(&SocialParams::sized(size), seed),
+        _ => knowledge_graph(&KgParams::sized(size), seed),
+    };
+    let live: Vec<NodeId> = g.node_ids().collect();
+    for v in live.iter().step_by(7).take(removed) {
+        g.remove_node(*v).unwrap();
+    }
+    g
+}
+
+/// The compact sequentializer resolves to exactly the reference's token
+/// streams: same sequences, same tokens, same order, on both levels.
+#[test]
+fn compact_sequences_resolve_to_the_reference() {
+    check(
+        "compact_sequences_resolve_to_the_reference",
+        Config::default().with_cases(48),
+        |rng, size| {
+            (
+                rng.random_range(0u8..3),
+                rng.random_range(4..=4 + 3 * size),
+                rng.random_range(0u64..1000),
+                rng.random_range(0usize..3),
+                rng.random_range(0usize..4),
+                rng.random_bool(0.5),
+            )
+        },
+        |&(family, size, seed, removed, l, multi)| {
+            let g = family_graph(family, size, seed, removed);
+            let params = CoverParams { max_length: l, dedup_singletons: l % 2 == 0 };
+            let seqs = sequentialize(&g, &params, multi);
+            let (base, multi_level) = reference::sequentialize(&g, &params, multi);
+            prop_assert_eq!(seqs.resolve(&seqs.base), base);
+            prop_assert_eq!(seqs.resolve(&seqs.multi_level), multi_level);
+            prop_assert_eq!(
+                seqs.token_count(),
+                base.iter().chain(&multi_level).map(Vec::len).sum::<usize>()
+            );
+            Ok(())
+        },
+    );
+}
+
 /// Path tokens alternate node and edge labels: a path of k nodes yields
-/// exactly 2k − 1 tokens.
+/// exactly 2k − 1 tokens, so its sequence (marker included) has 2k.
 #[test]
 fn token_counts_match_path_lengths() {
     check(
@@ -43,18 +141,21 @@ fn token_counts_match_path_lengths() {
         },
         |&((n, p, seed), l)| {
             let g = er(n, p, seed);
-            let cover = path_cover(
-                &g,
-                &CoverParams {
-                    max_length: l,
-                    dedup_singletons: false,
-                },
-            );
+            let params = CoverParams {
+                max_length: l,
+                dedup_singletons: false,
+            };
+            let cover = path_cover(&g, &params);
             for path in &cover.paths {
-                let tokens = tokens_for_path(&g, path);
-                prop_assert!(tokens.is_some());
+                let tokens = reference::tokens_for_path(&g, path);
                 prop_assert_eq!(tokens.map(|t| t.len()), Some(2 * path.len() - 1));
             }
+            let mut expected: Vec<usize> = cover.paths.iter().map(|p| 2 * p.len()).collect();
+            let seqs = sequentialize(&g, &params, false);
+            let mut lengths: Vec<usize> = seqs.base.iter().map(<[u32]>::len).collect();
+            expected.sort_unstable();
+            lengths.sort_unstable();
+            prop_assert_eq!(lengths, expected);
             Ok(())
         },
     );
