@@ -414,11 +414,14 @@ fn plan_pass(descs: &[Option<&ApiDescriptor>], sink: &mut Diagnostics) {
 ///   *not* findings — so a findings-reading step served from the shared
 ///   memo could leak one tenant's findings-derived result to another.
 ///
+/// `segments` is `plan.segments()`, which the scheduler builds once for
+/// the audit and the run.
+///
 /// On plans from [`Plan::build`] this is always clean — the audit is the
 /// independent check that keeps it that way.
-pub fn audit_plan(plan: &Plan) -> Diagnostics {
+pub fn audit_plan(plan: &Plan, segments: &[Segment]) -> Diagnostics {
     let mut sink = Diagnostics::new();
-    for segment in plan.segments() {
+    for segment in segments {
         let Segment::Parallel(chains) = segment else {
             continue;
         };

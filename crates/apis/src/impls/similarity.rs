@@ -8,17 +8,18 @@ use super::input_graph;
 use crate::descriptor::{ApiCategory, ApiDescriptor, ParamSpec};
 use crate::registry::ApiRegistry;
 use crate::value::{Value, ValueType};
-use chatgraph_ged::{approx_ged, exact_ged_with_limit, CostModel};
+use chatgraph_ged::{approx_ged, exact_ged_with_limit, CostModel, GedProfile};
 use chatgraph_graph::algo::isomorphism::{find_embeddings, IsoOptions};
 use chatgraph_graph::{io, Graph};
 
 /// Scores the database against `query`, returning `(index, distance)`
 /// ascending. Distance is the bipartite GED upper bound normalised by the
-/// combined size, so different-sized molecules are comparable. `query_n` is
-/// the query's live node count, hoisted out of the per-candidate loop (API
-/// handlers read it from the graph version's CSR snapshot).
-pub fn rank_database(query: &Graph, query_n: usize, database: &[Graph]) -> Vec<(usize, f64)> {
+/// combined size, so different-sized molecules are comparable. Each graph's
+/// GED profile is built once per version ([`GedProfile::of`]), so a
+/// database attached to many requests profiles its graphs once.
+pub fn rank_database(query: &Graph, database: &[Graph]) -> Vec<(usize, f64)> {
     let cost = CostModel::uniform();
+    let query_n = GedProfile::of(query).len();
     let mut scored: Vec<(usize, f64)> = database
         .iter()
         .enumerate()
@@ -49,9 +50,7 @@ pub fn register(reg: &mut ApiRegistry) {
                 return Err("similarity_search requires a graph database in the context".into());
             }
             let k = call.try_param_usize("k", 2)?;
-            let csr = ctx.kernels.csr(&g);
-            let ranked =
-                ctx.kernels.time("ged_rank", || rank_database(&g, csr.n(), &ctx.database));
+            let ranked = ctx.kernels.time("ged_rank", || rank_database(&g, &ctx.database));
             let mut t = crate::value::Table::new(["rank", "graph", "nodes", "normalised GED"]);
             for (rank, (i, d)) in ranked.into_iter().take(k).enumerate() {
                 t.push_row([
@@ -76,9 +75,7 @@ pub fn register(reg: &mut ApiRegistry) {
             if ctx.database.is_empty() {
                 return Err("most_similar_graph requires a graph database in the context".into());
             }
-            let csr = ctx.kernels.csr(&g);
-            let best =
-                ctx.kernels.time("ged_rank", || rank_database(&g, csr.n(), &ctx.database))[0].0;
+            let best = ctx.kernels.time("ged_rank", || rank_database(&g, &ctx.database))[0].0;
             Ok(Value::Graph(std::sync::Arc::new(ctx.database[best].clone())))
         }),
     );
@@ -300,8 +297,7 @@ mod tests {
     fn parallel_ranking_matches_sequential_reference() {
         let db = molecule_database(23, &MoleculeParams::default(), 5);
         let q = molecule(&MoleculeParams::default(), 61);
-        // The handlers' query size comes from the CSR snapshot.
-        let ranked = rank_database(&q, q.csr().n(), &db);
+        let ranked = rank_database(&q, &db);
         // Reference computed inline, with the query size read per candidate.
         let cost = chatgraph_ged::CostModel::uniform();
         let mut reference: Vec<(usize, f64)> = db
@@ -322,7 +318,7 @@ mod tests {
         // raw GED alone; normalisation keeps scores in [0, 1]-ish range.
         let db = molecule_database(10, &MoleculeParams::default(), 3);
         let q = molecule(&MoleculeParams { atoms: 8, rings: 1, double_bond_prob: 0.1 }, 99);
-        for (_, d) in rank_database(&q, q.node_count(), &db) {
+        for (_, d) in rank_database(&q, &db) {
             // Nodes are normalised away; edges can push the ratio above 1,
             // but it stays bounded by the max edges-per-node of molecules.
             assert!((0.0..=3.0).contains(&d), "normalised distance out of range: {d}");

@@ -485,7 +485,7 @@ mod tests {
     }
 
     fn audit_codes(plan: &Plan) -> Vec<String> {
-        crate::analysis::audit_plan(plan).items.into_iter().map(|d| d.code).collect()
+        crate::analysis::audit_plan(plan, &plan.segments()).items.into_iter().map(|d| d.code).collect()
     }
 
     #[test]
@@ -505,7 +505,7 @@ mod tests {
         let mut s = step(0, "remove_edges", InputSource::SessionGraph);
         s.mutates_graph = true;
         let plan = Plan { steps: vec![s, step(1, "node_count", InputSource::SessionGraph)] };
-        let d = crate::analysis::audit_plan(&plan);
+        let d = crate::analysis::audit_plan(&plan, &plan.segments());
         assert_eq!(audit_codes(&plan), vec!["CG016"]);
         assert!(d.has_errors());
     }
@@ -515,7 +515,7 @@ mod tests {
         let mut s1 = step(1, "graph_density", InputSource::SessionGraph);
         s1.deps = vec![0];
         let plan = Plan { steps: vec![step(0, "node_count", InputSource::SessionGraph), s1] };
-        let d = crate::analysis::audit_plan(&plan);
+        let d = crate::analysis::audit_plan(&plan, &plan.segments());
         assert_eq!(audit_codes(&plan), vec!["CG016"]);
         assert!(d.items[0].message.contains("different sub-chain"));
     }
@@ -544,7 +544,7 @@ mod tests {
         s.barrier = true;
         s.reads_findings = true;
         let plan = Plan { steps: vec![s] };
-        let d = crate::analysis::audit_plan(&plan);
+        let d = crate::analysis::audit_plan(&plan, &plan.segments());
         assert_eq!(audit_codes(&plan), vec!["CG017"]);
         assert!(!d.has_errors());
     }

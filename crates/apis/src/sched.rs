@@ -498,7 +498,8 @@ impl Scheduler {
         // barrier-free segment hides a conflicting effect before running any
         // of it. Plans from `Plan::build` are clean by construction, so this
         // only fires if planning and scheduling ever drift apart.
-        gate(crate::analysis::audit_plan(plan), monitor)?;
+        let segments = plan.segments();
+        gate(crate::analysis::audit_plan(plan, &segments), monitor)?;
         monitor.on_event(&ChainEvent::ChainStarted { total: chain.len() });
         monitor.on_event(&ChainEvent::PlanBuilt {
             steps: plan.len(),
@@ -507,7 +508,7 @@ impl Scheduler {
         });
 
         let mut prev = Value::Unit;
-        for segment in plan.segments() {
+        for segment in segments {
             match segment {
                 Segment::Barrier(i) => {
                     let step = &chain.steps[i];

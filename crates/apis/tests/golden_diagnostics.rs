@@ -122,7 +122,7 @@ fn render() -> String {
         }
     }
     for (name, plan) in plan_cases() {
-        let d = analysis::audit_plan(&plan);
+        let d = analysis::audit_plan(&plan, &plan.segments());
         lines.push(format!("{{\"case\":\"{name}\",\"diagnostics\":{}}}", d.render_json()));
     }
     format!("[\n{}\n]", lines.join(",\n"))

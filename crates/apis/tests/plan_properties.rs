@@ -174,7 +174,7 @@ fn audit_never_rejects_built_plans() {
         |rng, _size| random_valid_chain(rng, 6),
         |chain| {
             let plan = Plan::build(chain, &reg).map_err(|e| e.to_string())?;
-            let d = analysis::audit_plan(&plan);
+            let d = analysis::audit_plan(&plan, &plan.segments());
             prop_assert_eq!(d.items.len(), 0, "audit findings: {}", d.render_text());
             Ok(())
         },

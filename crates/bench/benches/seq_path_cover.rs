@@ -1,13 +1,15 @@
 //! Timing benches for the graph sequentialiser (experiment E5's timing
 //! side): path cover as ℓ grows, super-graph contraction, and
 //! `sequentialize` cold (a new graph version) and warm (the same version
-//! again, served from its derived-data slot). Writes
-//! `results/BENCH_sequencer.json` with, per social-graph size, the cold and
-//! warm medians and the bytes the compact sequences keep resident.
+//! again, served from its derived-data slot), and `cover_counts` (the token
+//! and bigram counts the chat model reads, which no slot keeps, so every
+//! call is cold). Writes `results/BENCH_sequencer.json` with, per
+//! social-graph size, the cold and warm medians, the cold cover-count
+//! median and the bytes the compact sequences keep resident.
 
 use chatgraph_bench::{env_json, quick_mode, record_stats as record};
 use chatgraph_graph::generators::{barabasi_albert, social_network, BaParams, SocialParams};
-use chatgraph_sequencer::{build_supergraph, path_cover, sequentialize, CoverParams};
+use chatgraph_sequencer::{build_supergraph, cover_counts, path_cover, sequentialize, CoverParams};
 use chatgraph_support::bench::Bench;
 use chatgraph_support::json::Json;
 use std::hint::black_box;
@@ -47,6 +49,9 @@ fn main() {
         let cold = group.bench(&format!("cold/{n}"), || {
             black_box(sequentialize(&fresh(), &params, true).base.len());
         });
+        let counts = group.bench(&format!("cover_counts/{n}"), || {
+            black_box(cover_counts(black_box(&g), &params, true).bigrams.len());
+        });
         let seqs = sequentialize(&g, &params, true);
         let warm = group.bench(&format!("warm/{n}"), || {
             black_box(sequentialize(black_box(&g), &params, true).base.len());
@@ -54,6 +59,7 @@ fn main() {
         record(&mut results, "clone", clone);
         record(&mut results, "cold", cold);
         record(&mut results, "warm", warm);
+        record(&mut results, "cover_counts", counts);
         let ms = |d: std::time::Duration| Json::Float(d.as_secs_f64() * 1e3);
         tiers.push(Json::Object(vec![
             ("nodes".to_owned(), Json::UInt(g.node_count() as u64)),
@@ -67,6 +73,7 @@ fn main() {
             ("resident_bytes".to_owned(), Json::UInt(seqs.resident_bytes() as u64)),
             ("cold_ms".to_owned(), ms(cold.median.saturating_sub(clone.median))),
             ("warm_ms".to_owned(), ms(warm.median)),
+            ("cover_counts_ms".to_owned(), ms(counts.median)),
             ("results".to_owned(), Json::Object(results)),
         ]));
     }

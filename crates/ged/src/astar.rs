@@ -260,7 +260,7 @@ pub fn exact_ged(g1: &Graph, g2: &Graph, cost: &CostModel) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bipartite::approx_ged;
+    use crate::bipartite::{approx_ged, lower_bound};
     use chatgraph_graph::GraphBuilder;
 
     fn path(labels: &[&str]) -> Graph {
@@ -344,10 +344,11 @@ mod tests {
             let g2 = molecule(&p, seed + 50);
             let exact = exact_ged(&g1, &g2, &cost).expect("small graphs solve");
             let approx = approx_ged(&g1, &g2, &cost);
+            let lb = lower_bound(&g1, &g2, &cost);
             assert!(
-                approx.lower_bound <= exact + 1e-9,
+                lb <= exact + 1e-9,
                 "seed {seed}: lb {} > exact {exact}",
-                approx.lower_bound
+                lb
             );
             assert!(
                 exact <= approx.upper_bound + 1e-9,

@@ -5,9 +5,15 @@
 //! the Hungarian algorithm, and then *executes* the resulting node mapping to
 //! obtain the exact cost of the induced edit path, which is a true upper
 //! bound on GED. A cheap label-multiset lower bound is also provided.
+//!
+//! What a cell reads of a node — its label, its incident-edge label
+//! multiset and its degree — comes from the graph version's
+//! [`GedProfile`], built once per version, so a cell is one label compare
+//! and one merge of two sorted multisets.
 
 use crate::cost::CostModel;
 use crate::hungarian::hungarian;
+use crate::profile::GedProfile;
 use chatgraph_graph::{Graph, NodeId};
 use std::collections::BTreeMap;
 
@@ -20,35 +26,9 @@ pub struct GedApproximation {
     /// Exact cost of the edit path induced by the assignment — an upper
     /// bound on the true GED.
     pub upper_bound: f64,
-    /// Label-multiset lower bound on the true GED.
-    pub lower_bound: f64,
     /// For each live node of `g1` (in `node_ids` order), its image in `g2`
     /// (`None` = deleted).
     pub mapping: Vec<(NodeId, Option<NodeId>)>,
-}
-
-fn incident_labels(g: &Graph, v: NodeId) -> BTreeMap<String, usize> {
-    let mut out = BTreeMap::new();
-    if g.is_directed() {
-        // Direction matters: an edge-label multiset that conflates in- and
-        // out-edges would rate a reversed chain identical to the original.
-        for (_, e) in g.neighbors(v) {
-            // Edges yielded by a live neighbor walk always resolve; "" keeps
-            // the multiset total even if that invariant ever slips.
-            *out.entry(format!("out:{}", g.edge_label(e).unwrap_or("")))
-                .or_default() += 1;
-        }
-        for (_, e) in g.in_neighbors(v) {
-            *out.entry(format!("in:{}", g.edge_label(e).unwrap_or("")))
-                .or_default() += 1;
-        }
-    } else {
-        for (_, e) in g.undirected_neighbors(v) {
-            *out.entry(g.edge_label(e).unwrap_or("").to_owned())
-                .or_default() += 1;
-        }
-    }
-    out
 }
 
 /// Edge from `a` to `b`, honouring direction for directed graphs.
@@ -66,14 +46,10 @@ fn multiset_common(a: &BTreeMap<String, usize>, b: &BTreeMap<String, usize>) -> 
         .sum()
 }
 
-/// Estimated cost of aligning the incident-edge environments of two nodes.
-/// Halved because every edge is shared by two endpoints.
-fn edge_env_cost(g1: &Graph, u: NodeId, g2: &Graph, v: NodeId, cost: &CostModel) -> f64 {
-    let a = incident_labels(g1, u);
-    let b = incident_labels(g2, v);
-    let common = multiset_common(&a, &b);
-    let da: usize = a.values().sum();
-    let db: usize = b.values().sum();
+/// Estimated cost of aligning two nodes' incident-edge environments, given
+/// their sizes and how many labels they share. Halved because every edge
+/// is shared by two endpoints.
+fn edge_env_cost(da: usize, db: usize, common: usize, cost: &CostModel) -> f64 {
     let unmatched_a = da - common;
     let unmatched_b = db - common;
     let subs = unmatched_a.min(unmatched_b);
@@ -141,7 +117,12 @@ pub fn induced_cost(
     cost: &CostModel,
 ) -> f64 {
     let mut total = 0.0;
-    let mut image: BTreeMap<NodeId, NodeId> = BTreeMap::new(); // g1 -> g2
+    // g1 slot -> g2 image; a later pair for the same node overrides.
+    let bound = mapping
+        .iter()
+        .map(|(u, _)| u.index() + 1)
+        .fold(g1.node_bound(), usize::max);
+    let mut image: Vec<Option<NodeId>> = vec![None; bound];
     for &(u, img) in mapping {
         match img {
             Some(v) => {
@@ -149,15 +130,22 @@ pub fn induced_cost(
                     g1.node_label(u).unwrap_or(""),
                     g2.node_label(v).unwrap_or(""),
                 );
-                image.insert(u, v);
+                image[u.index()] = Some(v);
             }
             None => total += cost.node_del,
         }
     }
-    let used: std::collections::BTreeSet<NodeId> = image.values().copied().collect();
+    // g2 slot -> the lowest g1 node imaged on it. Only slots of `g2` are
+    // ever looked up, so images outside it are left out.
+    let mut preimage: Vec<Option<NodeId>> = vec![None; g2.node_bound()];
+    for (u, img) in image.iter().enumerate() {
+        if let Some(slot) = img.and_then(|v| preimage.get_mut(v.index())) {
+            slot.get_or_insert(NodeId(u as u32));
+        }
+    }
     // Inserted nodes.
     for v in g2.node_ids() {
-        if !used.contains(&v) {
+        if preimage[v.index()].is_none() {
             total += cost.node_ins;
         }
     }
@@ -166,35 +154,25 @@ pub fn induced_cost(
     for e in g1.edge_ids() {
         // edge_ids only yields live edges; skip rather than panic if not.
         let Ok((a, b)) = g1.edge_endpoints(e) else { continue };
-        match (image.get(&a), image.get(&b)) {
-            (Some(&ia), Some(&ib)) => {
-                let img_edge = edge_between(g2, ia, ib);
-                match img_edge {
-                    Some(e2) => {
-                        total += cost.edge_relabel(
-                            g1.edge_label(e).unwrap_or(""),
-                            g2.edge_label(e2).unwrap_or(""),
-                        )
-                    }
-                    None => total += cost.edge_del,
+        match (image[a.index()], image[b.index()]) {
+            (Some(ia), Some(ib)) => match edge_between(g2, ia, ib) {
+                Some(e2) => {
+                    total += cost.edge_relabel(
+                        g1.edge_label(e).unwrap_or(""),
+                        g2.edge_label(e2).unwrap_or(""),
+                    )
                 }
-            }
+                None => total += cost.edge_del,
+            },
             _ => total += cost.edge_del,
         }
     }
     // Edges of g2 not covered by any g1 edge image are insertions.
     for e2 in g2.edge_ids() {
         let Ok((a2, b2)) = g2.edge_endpoints(e2) else { continue };
-        let covered = if used.contains(&a2) && used.contains(&b2) {
-            // find preimages
-            let pa = image.iter().find(|(_, &v)| v == a2).map(|(&u, _)| u);
-            let pb = image.iter().find(|(_, &v)| v == b2).map(|(&u, _)| u);
-            match (pa, pb) {
-                (Some(pa), Some(pb)) => edge_between(g1, pa, pb).is_some(),
-                _ => false,
-            }
-        } else {
-            false
+        let covered = match (preimage[a2.index()], preimage[b2.index()]) {
+            (Some(pa), Some(pb)) => edge_between(g1, pa, pb).is_some(),
+            _ => false,
         };
         if !covered {
             total += cost.edge_ins;
@@ -203,59 +181,83 @@ pub fn induced_cost(
     total
 }
 
-/// Approximates GED between two graphs via bipartite assignment.
-pub fn approx_ged(g1: &Graph, g2: &Graph, cost: &CostModel) -> GedApproximation {
-    let n1_nodes: Vec<NodeId> = g1.node_ids().collect();
-    let n2_nodes: Vec<NodeId> = g2.node_ids().collect();
-    let (n1, n2) = (n1_nodes.len(), n2_nodes.len());
+/// The Riesen–Bunke cost matrix of two profiles, flat and row-major:
+/// `n1` substitution/deletion rows, then `n2` insertion rows, each
+/// `n1 + n2` wide.
+fn cost_matrix(p1: &GedProfile, p2: &GedProfile, cost: &CostModel) -> Vec<f64> {
+    let (n1, n2) = (p1.len(), p2.len());
     let dim = n1 + n2;
     // A large-but-finite stand-in for infinity keeps the Hungarian potentials
     // finite while never being chosen when a feasible cell exists.
     let big = 1e9;
-    let mut m = vec![vec![0.0f64; dim]; dim];
-    for i in 0..n1 {
-        for j in 0..n2 {
-            m[i][j] = cost.node_relabel(
-                g1.node_label(n1_nodes[i]).unwrap_or(""),
-                g2.node_label(n2_nodes[j]).unwrap_or(""),
-            ) + edge_env_cost(g1, n1_nodes[i], g2, n2_nodes[j], cost);
+    let mut m = vec![0.0f64; dim * dim];
+    if dim == 0 {
+        return m;
+    }
+    let q2 = p2.in_terms_of(p1);
+    for (i, row) in m.chunks_exact_mut(dim).take(n1).enumerate() {
+        let (label, env) = (p1.keys.label(i), p1.keys.env(i));
+        let da = p1.env_sizes[i];
+        for (j, cell) in row[..n2].iter_mut().enumerate() {
+            let relabel = if label == q2.label(j) { 0.0 } else { cost.node_sub };
+            let common = common_count(env, q2.env(j));
+            *cell = relabel + edge_env_cost(da, p2.env_sizes[j], common, cost);
         }
-        for k in 0..n1 {
-            m[i][n2 + k] = if i == k {
-                cost.node_del
-                    + 0.5 * g1.total_degree(n1_nodes[i]) as f64 * cost.edge_del
+        for (k, cell) in row[n2..].iter_mut().enumerate() {
+            *cell = if i == k {
+                cost.node_del + 0.5 * p1.degrees[i] as f64 * cost.edge_del
             } else {
                 big
             };
         }
     }
-    for k in 0..n2 {
-        for j in 0..n2 {
-            m[n1 + k][j] = if j == k {
-                cost.node_ins
-                    + 0.5 * g2.total_degree(n2_nodes[j]) as f64 * cost.edge_ins
+    for (k, row) in m.chunks_exact_mut(dim).skip(n1).enumerate() {
+        for (j, cell) in row[..n2].iter_mut().enumerate() {
+            *cell = if j == k {
+                cost.node_ins + 0.5 * p2.degrees[j] as f64 * cost.edge_ins
             } else {
                 big
             };
         }
         // lower-right block stays 0
     }
-    let (assignment, assignment_cost) = hungarian(&m);
-    let mapping: Vec<(NodeId, Option<NodeId>)> = (0..n1)
-        .map(|i| {
-            let j = assignment[i];
-            if j < n2 {
-                (n1_nodes[i], Some(n2_nodes[j]))
-            } else {
-                (n1_nodes[i], None)
+    m
+}
+
+/// Size of the intersection of two multisets given as `(key, count)`
+/// runs sorted by key.
+fn common_count(a: &[(u32, u32)], b: &[(u32, u32)]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += a[i].1.min(b[j].1) as usize;
+                i += 1;
+                j += 1;
             }
-        })
+        }
+    }
+    common
+}
+
+/// Approximates GED between two graphs via bipartite assignment.
+pub fn approx_ged(g1: &Graph, g2: &Graph, cost: &CostModel) -> GedApproximation {
+    let (p1, p2) = (GedProfile::of(g1), GedProfile::of(g2));
+    let n2 = p2.len();
+    let m = cost_matrix(&p1, &p2, cost);
+    let (assignment, assignment_cost) = hungarian(&m, p1.len() + n2);
+    let mapping: Vec<(NodeId, Option<NodeId>)> = p1
+        .nodes()
+        .iter()
+        .zip(&assignment)
+        .map(|(&u, &j)| (u, (j < n2).then(|| p2.nodes()[j])))
         .collect();
     let upper_bound = induced_cost(g1, g2, &mapping, cost);
     GedApproximation {
         assignment_cost,
         upper_bound,
-        lower_bound: lower_bound(g1, g2, cost),
         mapping,
     }
 }
@@ -281,7 +283,7 @@ mod tests {
         let g = tri(["C", "N", "O"]);
         let approx = approx_ged(&g, &g, &CostModel::uniform());
         assert_eq!(approx.upper_bound, 0.0);
-        assert_eq!(approx.lower_bound, 0.0);
+        assert_eq!(lower_bound(&g, &g, &CostModel::uniform()), 0.0);
         for (u, v) in &approx.mapping {
             assert_eq!(Some(*u), *v);
         }
@@ -293,7 +295,7 @@ mod tests {
         let g2 = tri(["C", "N", "S"]);
         let approx = approx_ged(&g1, &g2, &CostModel::uniform());
         assert_eq!(approx.upper_bound, 1.0);
-        assert_eq!(approx.lower_bound, 1.0);
+        assert_eq!(lower_bound(&g1, &g2, &CostModel::uniform()), 1.0);
     }
 
     #[test]
@@ -307,8 +309,9 @@ mod tests {
         let approx = approx_ged(&g1, &g2, &CostModel::uniform());
         // Delete one node and its two incident edges: GED = 3.
         assert_eq!(approx.upper_bound, 3.0);
-        assert!(approx.lower_bound <= approx.upper_bound);
-        assert!(approx.lower_bound >= 2.0); // ≥ 1 node + ≥ 1 edge
+        let lb = lower_bound(&g1, &g2, &CostModel::uniform());
+        assert!(lb <= approx.upper_bound);
+        assert!(lb >= 2.0); // ≥ 1 node + ≥ 1 edge
     }
 
     #[test]
@@ -318,10 +321,11 @@ mod tests {
             let g1 = molecule(&MoleculeParams { atoms: 10, rings: 1, double_bond_prob: 0.2 }, seed);
             let g2 = molecule(&MoleculeParams { atoms: 12, rings: 2, double_bond_prob: 0.2 }, seed + 100);
             let approx = approx_ged(&g1, &g2, &CostModel::uniform());
+            let lb = lower_bound(&g1, &g2, &CostModel::uniform());
             assert!(
-                approx.lower_bound <= approx.upper_bound + 1e-9,
+                lb <= approx.upper_bound + 1e-9,
                 "seed {seed}: lb {} > ub {}",
-                approx.lower_bound,
+                lb,
                 approx.upper_bound
             );
         }
@@ -337,7 +341,8 @@ mod tests {
             .build();
         let a12 = approx_ged(&g1, &g2, &CostModel::uniform());
         let a21 = approx_ged(&g2, &g1, &CostModel::uniform());
-        assert_eq!(a12.lower_bound, a21.lower_bound);
+        let cost = CostModel::uniform();
+        assert_eq!(lower_bound(&g1, &g2, &cost), lower_bound(&g2, &g1, &cost));
         assert_eq!(a12.upper_bound, a21.upper_bound);
     }
 

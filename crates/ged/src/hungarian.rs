@@ -1,27 +1,33 @@
 //! Minimum-cost assignment (Hungarian / Kuhn–Munkres algorithm).
 //!
-//! The potentials-based O(n³) formulation. Costs are `f64`; the matrix may be
-//! rectangular with `rows ≤ cols` (every row is assigned a distinct column).
+//! The potentials-based O(n³) formulation. Costs are `f64` in one flat
+//! row-major slice; the matrix may be rectangular with `rows ≤ cols`
+//! (every row is assigned a distinct column).
 
 /// Solves the minimum-cost assignment problem.
 ///
-/// `cost[r][c]` is the cost of assigning row `r` to column `c`. Requires
-/// `rows ≤ cols` and a rectangular matrix. Returns `(assignment, total)`
-/// where `assignment[r]` is the column chosen for row `r`.
+/// `cost[r * cols + c]` is the cost of assigning row `r` to column `c`.
+/// Requires `cost.len()` to be a multiple of `cols` and `rows ≤ cols`.
+/// Returns `(assignment, total)` where `assignment[r]` is the column chosen
+/// for row `r`.
+///
+/// Each augmentation scans only the columns not yet in its tree, kept in an
+/// ascending list, in the order a scan over all columns skipping the used
+/// ones would visit them, so every comparison and tie-break is that scan's.
 ///
 /// # Panics
 ///
-/// Panics if the matrix is ragged or has more rows than columns.
-pub fn hungarian(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
-    let n = cost.len();
-    if n == 0 {
+/// Panics if the slice is not a whole number of rows or has more rows
+/// than columns.
+pub fn hungarian(cost: &[f64], cols: usize) -> (Vec<usize>, f64) {
+    if cost.is_empty() {
         return (Vec::new(), 0.0);
     }
-    let m = cost[0].len();
     assert!(
-        cost.iter().all(|row| row.len() == m),
+        cols > 0 && cost.len().is_multiple_of(cols),
         "cost matrix must be rectangular"
     );
+    let (n, m) = (cost.len() / cols, cols);
     assert!(n <= m, "need rows <= cols (got {n} x {m})");
 
     const INF: f64 = f64::INFINITY;
@@ -31,22 +37,26 @@ pub fn hungarian(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
     let mut v = vec![0.0f64; m + 1];
     let mut p = vec![0usize; m + 1];
     let mut way = vec![0usize; m + 1];
+    let mut minv = vec![INF; m + 1];
+    // Columns in the current tree (`used`) and the rest, ascending (`free`).
+    let mut used: Vec<usize> = Vec::with_capacity(m + 1);
+    let mut free: Vec<usize> = Vec::with_capacity(m);
 
     for i in 1..=n {
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![INF; m + 1];
-        let mut used = vec![false; m + 1];
+        minv.fill(INF);
+        used.clear();
+        free.clear();
+        free.extend(1..=m);
         loop {
-            used[j0] = true;
+            used.push(j0);
             let i0 = p[j0];
+            let row = &cost[(i0 - 1) * m..i0 * m];
             let mut delta = INF;
-            let mut j1 = 0usize;
-            for j in 1..=m {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
+            let (mut j1, mut at) = (0usize, None);
+            for (k, &j) in free.iter().enumerate() {
+                let cur = row[j - 1] - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
@@ -54,17 +64,22 @@ pub fn hungarian(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
                 if minv[j] < delta {
                     delta = minv[j];
                     j1 = j;
+                    at = Some(k);
                 }
             }
-            for j in 0..=m {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
+            // Each used column holds a distinct row, so these updates
+            // touch distinct entries and their order does not matter.
+            for &j in &used {
+                u[p[j]] += delta;
+                v[j] -= delta;
+            }
+            for &j in &free {
+                minv[j] -= delta;
             }
             j0 = j1;
+            if let Some(k) = at {
+                free.remove(k);
+            }
             if p[j0] == 0 {
                 break;
             }
@@ -89,7 +104,7 @@ pub fn hungarian(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
     let total = assignment
         .iter()
         .enumerate()
-        .map(|(r, &c)| cost[r][c])
+        .map(|(r, &c)| cost[r * m + c])
         .sum();
     (assignment, total)
 }
@@ -97,6 +112,11 @@ pub fn hungarian(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Solves a matrix given as rows.
+    fn solve(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
+        hungarian(&cost.concat(), cost.first().map_or(0, Vec::len))
+    }
 
     fn brute_force(cost: &[Vec<f64>]) -> f64 {
         // Try all permutations of column subsets (rows <= 6 in tests).
@@ -120,7 +140,7 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let (a, t) = hungarian(&[]);
+        let (a, t) = hungarian(&[], 0);
         assert!(a.is_empty());
         assert_eq!(t, 0.0);
     }
@@ -132,7 +152,7 @@ mod tests {
             vec![5.0, 0.0, 5.0],
             vec![5.0, 5.0, 0.0],
         ];
-        let (a, t) = hungarian(&cost);
+        let (a, t) = solve(&cost);
         assert_eq!(a, vec![0, 1, 2]);
         assert_eq!(t, 0.0);
     }
@@ -145,7 +165,7 @@ mod tests {
             vec![2.0, 0.0, 5.0],
             vec![3.0, 2.0, 2.0],
         ];
-        let (_, t) = hungarian(&cost);
+        let (_, t) = solve(&cost);
         assert_eq!(t, 5.0); // 1 + 2 + 2
         assert_eq!(t, brute_force(&cost));
     }
@@ -153,7 +173,7 @@ mod tests {
     #[test]
     fn rectangular_matrix_assigns_all_rows() {
         let cost = vec![vec![10.0, 1.0, 7.0, 8.0], vec![1.0, 10.0, 7.0, 8.0]];
-        let (a, t) = hungarian(&cost);
+        let (a, t) = solve(&cost);
         assert_eq!(a, vec![1, 0]);
         assert_eq!(t, 2.0);
     }
@@ -168,7 +188,7 @@ mod tests {
             let cost: Vec<Vec<f64>> = (0..n)
                 .map(|_| (0..m).map(|_| (rng.random_range(0..100u32)) as f64 / 10.0).collect())
                 .collect();
-            let (a, t) = hungarian(&cost);
+            let (a, t) = solve(&cost);
             // assignment is a valid injection
             let mut seen = std::collections::HashSet::new();
             for &c in &a {
@@ -183,12 +203,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "rows <= cols")]
     fn too_many_rows_panics() {
-        hungarian(&[vec![1.0], vec![2.0]]);
+        solve(&[vec![1.0], vec![2.0]]);
     }
 
     #[test]
     #[should_panic(expected = "rectangular")]
     fn ragged_matrix_panics() {
-        hungarian(&[vec![1.0, 2.0], vec![2.0]]);
+        solve(&[vec![1.0, 2.0], vec![2.0]]);
     }
 }

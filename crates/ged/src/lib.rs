@@ -16,6 +16,8 @@
 //!
 //! * [`mod@hungarian`] — the O(n³) Hungarian algorithm for minimum-cost
 //!   assignment, the workhorse of bipartite GED approximation.
+//! * [`profile`] — what the cost matrix reads of a graph (labels,
+//!   incident-edge label multisets, degrees), once per graph version.
 //! * [`cost`] — pluggable edit-cost models (uniform by default).
 //! * [`bipartite`] — the Riesen–Bunke assignment-based GED approximation,
 //!   yielding a lower bound and, from the induced edit path, an upper bound.
@@ -29,9 +31,11 @@ pub mod bipartite;
 pub mod cost;
 pub mod hungarian;
 pub mod matching_loss;
+pub mod profile;
 
 pub use astar::{exact_ged, exact_ged_with_limit};
 pub use bipartite::{approx_ged, GedApproximation};
 pub use cost::CostModel;
 pub use hungarian::hungarian;
 pub use matching_loss::{matching_loss, min_matching_loss, MatchingLoss};
+pub use profile::GedProfile;

@@ -1,8 +1,9 @@
 //! Per-version derived data.
 //!
 //! Besides its CSR snapshot, each [`Graph`] version carries one slot of
-//! values computed from it: the sequentializer's token sequences, the
-//! chat model's graph features, a label summary. [`Graph::derived`]
+//! values computed from it: the chat model's graph features, the GED
+//! profile, a label summary, the sequentializer's token sequences.
+//! [`Graph::derived`]
 //! computes a value on the first call for a key and hands every later
 //! call for that key the same `Arc`.
 //!
@@ -16,7 +17,7 @@
 //!   empty while its twin keeps what was computed.
 //! * **No lock is held while computing.** A value may be derived from
 //!   another derived value of the same version (the chat features read
-//!   the sequences), so `make` runs unlocked. Two first callers racing
+//!   the label summary), so `make` runs unlocked. Two first callers racing
 //!   on one key may both compute; the first to publish wins and both get
 //!   its value.
 

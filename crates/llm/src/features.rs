@@ -7,8 +7,8 @@
 use chatgraph_embed::hashing::fnv1a;
 use chatgraph_embed::tokenizer;
 use chatgraph_graph::Graph;
-use chatgraph_sequencer::{sequentialize, CoverParams};
-use std::collections::{BTreeMap, HashMap};
+use chatgraph_sequencer::{cover_counts, CoverParams};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Feature-space configuration.
@@ -176,26 +176,13 @@ impl FeatureExtractor {
                 max_length: self.config.cover_length,
                 dedup_singletons: true,
             };
-            let seqs = sequentialize(g, &params, self.config.multi_level);
-            let symbols = seqs.symbols();
-            // Occurrences per symbol and per bigram; each distinct one is
-            // then hashed once. A token's bump is a `+1.0`, so the group
-            // holds per-index counts, which sum in any order.
-            let (mut tokens, mut supers) = (vec![0u64; symbols.len()], vec![0u64; symbols.len()]);
-            let mut bigrams: HashMap<(u32, u32), u64> = HashMap::new();
-            for (seq, n) in seqs.base.runs() {
-                for &t in &seq[1..] {
-                    tokens[t as usize] += n as u64;
-                }
-                for w in seq[1..].windows(2) {
-                    *bigrams.entry((w[0], w[1])).or_default() += n as u64;
-                }
-            }
-            for (seq, n) in seqs.multi_level.runs() {
-                for &t in &seq[1..] {
-                    supers[t as usize] += n as u64;
-                }
-            }
+            // Only per-symbol and per-bigram counts enter the group, so
+            // they are counted straight off the cover's BFS trees; each
+            // distinct feature is then hashed once. A token's bump is a
+            // `+1.0`, so the group holds per-index counts, which sum in
+            // any order.
+            let cover = cover_counts(g, &params, self.config.multi_level);
+            let symbols = &cover.symbols;
             let dim = self.config.dim;
             let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
             let mut add = |feature: String, n: u64| {
@@ -203,11 +190,11 @@ impl FeatureExtractor {
                     *counts.entry(feature_index(dim, &feature)).or_default() += n;
                 }
             };
-            for (sym, (&n, &m)) in symbols.iter().zip(tokens.iter().zip(&supers)) {
+            for (sym, (&n, &m)) in symbols.iter().zip(cover.tokens.iter().zip(&cover.supers)) {
                 add(format!("g:{sym}"), n);
                 add(format!("s:{sym}"), m);
             }
-            for (&(a, b), &n) in &bigrams {
+            for &((a, b), n) in &cover.bigrams {
                 add(format!("g2:{}_{}", symbols[a as usize], symbols[b as usize]), n);
             }
             // `+1.0` steps from zero stop growing at 2^24 in `f32`.
@@ -246,7 +233,7 @@ impl FeatureExtractor {
     }
 
     /// Precomputes the (expensive) prompt + graph features once per question.
-    /// Sequentialising the graph dominates extraction cost, and rollout-based
+    /// Counting the graph's cover dominates extraction cost, and rollout-based
     /// prediction evaluates hundreds of steps per question, so this cache is
     /// what makes finetuning fast.
     ///

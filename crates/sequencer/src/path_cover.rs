@@ -131,14 +131,58 @@ pub(crate) fn for_each_path(g: &Graph, params: &CoverParams, mut emit: impl FnMu
     }
 }
 
+/// Visits the node-level counts of [`for_each_path`]'s paths without
+/// building them: `visit(v, parent, k)` for every tree node `v` that lies on
+/// `k` emitted paths, `parent` being its BFS parent on those paths (`None`
+/// for the root). A root's depth-≤ℓ BFS tree is walked once: a node lies on
+/// as many root-to-leaf paths as it has leaves below it. Singletons are
+/// kept or dropped exactly as [`for_each_path`] keeps or drops them.
+pub(crate) fn for_each_tree_count(
+    g: &Graph,
+    params: &CoverParams,
+    mut visit: impl FnMut(NodeId, Option<NodeId>, u64),
+) {
+    let mut walker = Walker::new(g);
+    let mut covered = vec![false; g.node_bound()];
+    let mut leaves = vec![0u64; g.node_bound()];
+    let mut singletons = Vec::new();
+    for root in g.node_ids() {
+        walker.grow(g, root, params.max_length);
+        if !walker.has_child[root.index()] {
+            singletons.push(root);
+            continue;
+        }
+        // Children follow their parents in BFS order, so in a reverse pass
+        // each node's leaf count is complete when it is reached.
+        for &v in walker.order.iter().rev() {
+            let k = if walker.has_child[v.index()] {
+                std::mem::take(&mut leaves[v.index()])
+            } else {
+                1
+            };
+            let parent = walker.parent[v.index()];
+            if let Some(p) = parent {
+                leaves[p.index()] += k;
+            }
+            covered[v.index()] = true;
+            visit(v, parent, k);
+        }
+    }
+    for v in singletons {
+        if !(params.dedup_singletons && covered[v.index()]) {
+            visit(v, None, 1);
+        }
+    }
+}
+
 /// BFS scratch reused across roots: only the slots a root's BFS touched
 /// are reset before the next.
 struct Walker {
     parent: Vec<Option<NodeId>>,
-    depth: Vec<Option<usize>>,
+    seen: Vec<bool>,
     has_child: Vec<bool>,
+    /// The current tree's nodes in BFS order; it is also the BFS queue.
     order: Vec<NodeId>,
-    queue: std::collections::VecDeque<NodeId>,
     path: Vec<NodeId>,
 }
 
@@ -147,41 +191,50 @@ impl Walker {
         let bound = g.node_bound();
         Walker {
             parent: vec![None; bound],
-            depth: vec![None; bound],
+            seen: vec![false; bound],
             has_child: vec![false; bound],
             order: Vec::new(),
-            queue: Default::default(),
             path: Vec::new(),
+        }
+    }
+
+    /// Grows the depth-≤ℓ BFS tree rooted at `root`: its nodes in BFS
+    /// order in `order`, with their `parent` and `has_child` entries.
+    fn grow(&mut self, g: &Graph, root: NodeId, max_len: usize) {
+        for v in self.order.drain(..) {
+            self.parent[v.index()] = None;
+            self.seen[v.index()] = false;
+            self.has_child[v.index()] = false;
+        }
+        self.seen[root.index()] = true;
+        self.order.push(root);
+        // One level per round: `order[start..end]` is the frontier at the
+        // current depth, and nodes at depth ℓ are not expanded.
+        let mut start = 0;
+        for _ in 0..max_len {
+            let end = self.order.len();
+            if start == end {
+                break;
+            }
+            for i in start..end {
+                let v = self.order[i];
+                for (w, _) in g.undirected_neighbors(v) {
+                    if !self.seen[w.index()] {
+                        self.seen[w.index()] = true;
+                        self.parent[w.index()] = Some(v);
+                        self.has_child[v.index()] = true;
+                        self.order.push(w);
+                    }
+                }
+            }
+            start = end;
         }
     }
 
     /// Emits the root-to-leaf paths of the depth-≤ℓ BFS tree rooted at
     /// `root`.
     fn root_paths(&mut self, g: &Graph, root: NodeId, max_len: usize, mut emit: impl FnMut(&[NodeId])) {
-        for v in self.order.drain(..) {
-            self.parent[v.index()] = None;
-            self.depth[v.index()] = None;
-            self.has_child[v.index()] = false;
-        }
-        self.depth[root.index()] = Some(0);
-        self.order.push(root);
-        self.queue.push_back(root);
-        while let Some(v) = self.queue.pop_front() {
-            // Every queued node was assigned a depth first; skip defensively.
-            let Some(d) = self.depth[v.index()] else { continue };
-            if d == max_len {
-                continue;
-            }
-            for (w, _) in g.undirected_neighbors(v) {
-                if self.depth[w.index()].is_none() {
-                    self.depth[w.index()] = Some(d + 1);
-                    self.parent[w.index()] = Some(v);
-                    self.has_child[v.index()] = true;
-                    self.order.push(w);
-                    self.queue.push_back(w);
-                }
-            }
-        }
+        self.grow(g, root, max_len);
         // Leaves of the BFS tree (including the root when it is isolated).
         for &v in &self.order {
             if !self.has_child[v.index()] {

@@ -9,6 +9,7 @@ use chatgraph_sequencer::{build_supergraph, path_cover, sequentialize, CoverPara
 use chatgraph_support::prop::{check, Config};
 use chatgraph_support::rng::{RngExt, StdRng};
 use chatgraph_support::{prop_assert, prop_assert_eq};
+use std::collections::BTreeMap;
 
 fn er(n: usize, p_percent: u8, seed: u64) -> Graph {
     erdos_renyi(
@@ -245,4 +246,95 @@ fn multi_level_only_adds_tokens() {
     assert_eq!(base.base, multi.base);
     assert!(multi.token_count() >= base.token_count());
     assert!(!multi.multi_level.is_empty(), "triangle motif must contract");
+}
+
+/// A random directed graph where some node pairs carry an edge each way,
+/// with different labels, and a few nodes and edges are tombstoned.
+fn directed_antiparallel(n: usize, seed: u64) -> Graph {
+    use chatgraph_support::rng::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = Graph::directed();
+    let labels = ["A", "B", "C"];
+    let ids: Vec<NodeId> = (0..n)
+        .map(|_| g.add_node(labels[rng.random_range(0..labels.len())]))
+        .collect();
+    for _ in 0..2 * n {
+        let (a, b) = (ids[rng.random_range(0..n)], ids[rng.random_range(0..n)]);
+        if a != b && g.add_edge(a, b, "fwd").is_ok() && rng.random_bool(0.5) {
+            let _ = g.add_edge(b, a, "back");
+        }
+    }
+    let doomed = g.edge_ids().nth(rng.random_range(0..3));
+    if let Some(e) = doomed {
+        g.remove_edge(e).unwrap();
+    }
+    g.remove_node(ids[rng.random_range(0..n)]).unwrap();
+    g
+}
+
+/// The cover counts are the token, bigram and super-token counts summed
+/// over `sequentialize`'s sequences (markers excluded), on all three
+/// families, tombstones, ℓ 0–3, both singleton modes, and directed graphs
+/// with edges both ways between a pair.
+#[test]
+fn cover_counts_sum_the_sequences() {
+    check(
+        "cover_counts_sum_the_sequences",
+        Config::default().with_cases(64),
+        |rng, size| {
+            (
+                rng.random_range(0u8..4),
+                rng.random_range(4..=4 + 3 * size),
+                rng.random_range(0u64..1000),
+                rng.random_range(0usize..3),
+                rng.random_range(0usize..4),
+                rng.random_bool(0.5),
+                rng.random_bool(0.5),
+            )
+        },
+        |&(family, size, seed, removed, l, dedup, multi)| {
+            let g = match family {
+                3 => directed_antiparallel(size, seed),
+                f => family_graph(f, size, seed, removed),
+            };
+            let params = CoverParams { max_length: l, dedup_singletons: dedup };
+            let counts = chatgraph_sequencer::cover_counts(&g, &params, multi);
+            let seqs = sequentialize(&g, &params, multi);
+            let mut tokens: BTreeMap<String, u64> = BTreeMap::new();
+            let mut supers: BTreeMap<String, u64> = BTreeMap::new();
+            let mut bigrams: BTreeMap<(String, String), u64> = BTreeMap::new();
+            for seq in seqs.resolve(&seqs.base) {
+                for t in &seq[1..] {
+                    *tokens.entry(t.to_string()).or_default() += 1;
+                }
+                for w in seq[1..].windows(2) {
+                    *bigrams.entry((w[0].to_owned(), w[1].to_owned())).or_default() += 1;
+                }
+            }
+            for seq in seqs.resolve(&seqs.multi_level) {
+                for t in &seq[1..] {
+                    *supers.entry(t.to_string()).or_default() += 1;
+                }
+            }
+            let nonzero = |per: &[u64]| -> BTreeMap<String, u64> {
+                counts
+                    .symbols
+                    .iter()
+                    .zip(per)
+                    .filter(|(_, &n)| n > 0)
+                    .map(|(s, &n)| (s.clone(), n))
+                    .collect()
+            };
+            prop_assert_eq!(nonzero(&counts.tokens), tokens);
+            prop_assert_eq!(nonzero(&counts.supers), supers);
+            let sym = |i: u32| counts.symbols[i as usize].clone();
+            let got: BTreeMap<(String, String), u64> = counts
+                .bigrams
+                .iter()
+                .map(|&((a, b), n)| ((sym(a), sym(b)), n))
+                .collect();
+            prop_assert_eq!(got, bigrams);
+            Ok(())
+        },
+    );
 }

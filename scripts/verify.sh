@@ -37,6 +37,17 @@ if [[ "${1:-}" == "--quick-serve" ]]; then
     exit 0
 fi
 
+# --quick-ged: the GED differential suite (profile-based approx_ged, the
+# slot-indexed induced cost and the flat Hungarian solver against the
+# implementations they replaced, bit for bit) plus the small GED bench
+# tiers, validating that the committed results/BENCH_ged.json still parses
+# with its schema (see benches/ged.rs and EXPERIMENTS.md E16).
+if [[ "${1:-}" == "--quick-ged" ]]; then
+    cargo test -q --offline -p chatgraph-ged --test ged_differential
+    cargo bench --offline -p chatgraph-bench --bench ged -- --quick
+    exit 0
+fi
+
 cargo build --release && cargo test -q
 
 # Everything else must also compile offline: benches, examples, all targets.
@@ -98,6 +109,13 @@ cargo bench --offline -p chatgraph-bench --bench serving
 # depend on the chunk size (DESIGN.md §14).
 cargo test -q --offline -p chatgraph-graph --test delta_properties
 cargo test -q --offline -p chatgraph-graph --test chunking_determinism
+
+# Cold-path differentials: the GED cost matrix, induced cost and flat
+# Hungarian solver equal their oracles bit for bit, and the context's cover
+# counts equal the counts summed over `sequentialize`'s sequences
+# (DESIGN.md §17).
+cargo test -q --offline -p chatgraph-ged --test ged_differential
+cargo test -q --offline -p chatgraph-sequencer --test cover_properties
 
 # Scale sweep smoke: 10^3/10^4 tiers plus validation of the committed
 # full-sweep artifact (results/BENCH_scale.json, EXPERIMENTS.md E12).
