@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex};
 /// value, so long chains don't pin every intermediate result in memory.
 pub const MAX_FULL_FINDINGS: usize = 32;
 
-/// Shared CSR-kernel state threaded through a chain execution: the chunking
-/// policy, and logs of kernel timings and of the snapshot builds this
+/// Shared CSR-kernel state threaded through a chain execution: the
+/// cancellation policy, and logs of kernel timings and of the snapshot builds this
 /// context caused.
 ///
 /// Snapshots themselves live on the graph versions they describe
@@ -33,7 +33,7 @@ pub const MAX_FULL_FINDINGS: usize = 32;
 /// [`ChainEvent::KernelTimed`] events after each segment.
 #[derive(Debug, Clone, Default)]
 pub struct KernelState {
-    /// Chunk and cancellation policy handed to every kernel invocation.
+    /// Cancellation policy handed to every kernel invocation.
     pub policy: KernelPolicy,
     timings: Arc<Mutex<Vec<(String, u64)>>>,
     /// Build records for snapshots *this context* caused, even when the

@@ -17,7 +17,7 @@
 //!
 //! Every step, barrier or pure, goes through one supervised attempt and
 //! one commit. The attempt (`Scheduler::attempt`) installs the cancel
-//! token and chunk delay into a context's kernel policy and calls the
+//! token and poll delay into a context's kernel policy and calls the
 //! handler: a barrier runs against the real context, after its
 //! `StepStarted` and any confirmation prompt; a pure step runs against the
 //! snapshot-local context, unless the memo serves it. The commit
@@ -571,8 +571,8 @@ impl Scheduler {
     }
 
     /// The one supervised attempt of step `j` (module docs, "Step
-    /// lifecycle"). CSR kernels observe each attempt's deadline at chunk
-    /// boundaries.
+    /// lifecycle"). CSR kernels observe each attempt's deadline at their
+    /// cancellation polls.
     fn attempt(
         &self,
         registry: &ApiRegistry,
@@ -589,14 +589,14 @@ impl Scheduler {
             ctx.seed,
             j,
             retryable,
-            |token, chunk_delay| {
+            |token, poll_delay| {
                 ctx.kernels.policy.cancel = token.clone();
-                ctx.kernels.policy.chunk_delay = chunk_delay;
+                ctx.kernels.policy.poll_delay = poll_delay;
                 registry.call(&call.api, ctx, input.clone(), call)
             },
         );
         ctx.kernels.policy.cancel = CancelToken::new();
-        ctx.kernels.policy.chunk_delay = Duration::ZERO;
+        ctx.kernels.policy.poll_delay = Duration::ZERO;
         attempted
     }
 

@@ -16,7 +16,7 @@
 //!
 //! * **Deadlines** — each attempt gets a fresh [`CancelToken`] armed with
 //!   `step_deadline_ms`. The token is threaded into the kernel policy, so
-//!   CSR kernels observe it at chunk boundaries; whatever a late attempt
+//!   CSR kernels observe it at their cancellation polls; whatever a late attempt
 //!   returns after the token fires is discarded and the attempt is
 //!   classified [`StepFailure::TimedOut`].
 //! * **Panic isolation** — `catch_unwind` at the attempt boundary (the only
@@ -300,9 +300,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one step under supervision. `attempt_fn` performs a single attempt
-/// against the token and kernel chunk-delay it is handed (the scheduler
+/// against the token and kernel poll delay it is handed (the scheduler
 /// threads both into the kernel policy, so delay faults stall CSR kernels
-/// *at chunk boundaries*, where cancellation is observable); it is invoked
+/// *at their cancellation polls*, where a deadline is observed); it is invoked
 /// once per attempt. `retryable` comes from the API descriptor's
 /// `transient_retryable` flag.
 pub fn run_step<F>(
@@ -345,8 +345,8 @@ where
                 }
                 if delay > 0 {
                     // Stall once at the step site, and hand the delay to the
-                    // attempt as a kernel chunk-delay so long kernels stall
-                    // at every chunk boundary too.
+                    // attempt as a kernel poll delay so long kernels stall
+                    // at every cancellation poll too.
                     std::thread::sleep(Duration::from_millis(delay));
                 }
                 attempt_fn(&token, Duration::from_millis(delay))

@@ -4,7 +4,7 @@
 //! error faults injected and retried. Writes
 //! `results/BENCH_fault_exec.json` including the armed-vs-passive overhead,
 //! which must stay small: arming a deadline adds one `CancelToken` clone
-//! per step plus an atomic poll per kernel chunk.
+//! per step plus an atomic poll per kernel cancellation stride.
 //!
 //! The overhead is timed over interleaved passive/armed pairs (alternating
 //! which runs first), so machine drift hits both sides of a pair alike. The

@@ -7,7 +7,8 @@
 use chatgraph_bench::{env_json, record_stats as record};
 use chatgraph_graph::csr::CsrGraph;
 use chatgraph_graph::generators::{social_network, SocialParams};
-use chatgraph_graph::kernels::{self, reference, KernelPolicy};
+use chatgraph_graph::algo::{centrality, components, paths, stats, triangles};
+use chatgraph_graph::kernels::{self, KernelPolicy};
 use chatgraph_support::bench::Bench;
 use chatgraph_support::json::Json;
 use std::hint::black_box;
@@ -52,28 +53,28 @@ fn main() {
 
     kernel!(
         "pagerank",
-        |g: &chatgraph_graph::Graph| reference::pagerank_reference(g, 0.85, 50),
+        |g: &chatgraph_graph::Graph| centrality::pagerank(g, 0.85, 50),
         |csr: &CsrGraph, p: &KernelPolicy| kernels::pagerank(csr, 0.85, 50, p)
     );
     kernel!(
         "components",
-        |g: &chatgraph_graph::Graph| reference::connected_components_reference(g).count,
+        |g: &chatgraph_graph::Graph| components::connected_components(g).count,
         |csr: &CsrGraph, p: &KernelPolicy| kernels::connected_components(csr, p).count
     );
     kernel!(
         "triangles",
-        reference::triangle_count_reference,
+        triangles::triangle_count,
         kernels::triangle_count
     );
     kernel!(
         "closeness",
-        reference::closeness_reference,
+        centrality::closeness,
         kernels::closeness
     );
-    kernel!("diameter", reference::diameter_reference, kernels::diameter);
+    kernel!("diameter", paths::diameter, kernels::diameter);
     kernel!(
         "graph_stats",
-        reference::graph_stats_reference,
+        stats::graph_stats,
         |csr: &CsrGraph, p: &KernelPolicy| kernels::graph_stats(&graph, csr, p)
     );
 

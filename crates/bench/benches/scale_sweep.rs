@@ -2,8 +2,8 @@
 //!
 //! For every tier this records, in `results/BENCH_scale.json`:
 //!
-//! * the median of an iterated CSR kernel (pagerank, default chunking) on
-//!   the caller's thread — kernels spawn no threads;
+//! * the median of an iterated CSR kernel (pagerank) on the caller's
+//!   thread — kernels spawn no threads;
 //! * the **delta-CSR vs rebuild ratio** for a single-edit mutation epoch —
 //!   the row-splice patch must beat the from-scratch rebuild by an order
 //!   of magnitude from the 10^5 tier up.

@@ -105,8 +105,8 @@ pub struct ExecConfig {
     /// Capacity of the bounded pure-step memo cache (0 disables caching).
     pub memo_capacity: usize,
     /// Per-step deadline in milliseconds (DESIGN.md §11); 0 disables
-    /// deadlines. Kernels observe the deadline cooperatively at chunk
-    /// boundaries.
+    /// deadlines. Kernels observe the deadline cooperatively at their
+    /// cancellation polls.
     pub step_deadline_ms: u64,
     /// Supervisor retries for transient failures of retryable steps.
     pub max_retries: usize,

@@ -7,6 +7,7 @@
 //! structural descriptors the molecule APIs compute (ring count, branching,
 //! heteroatom fraction) carry real signal.
 
+use crate::attr::{attrs, AttrValue};
 use crate::graph::{Graph, NodeId};
 use chatgraph_support::rng::RngExt;
 
@@ -69,9 +70,7 @@ pub fn molecule(params: &MoleculeParams, seed: u64) -> Graph {
     let mut free: Vec<u32> = Vec::with_capacity(n); // remaining valence
     for _ in 0..n {
         let (sym, val) = sample_element(&mut rng);
-        let id = g.add_node(sym);
-        g.set_node_attr(id, "valence", val as i64).expect("node exists");
-        ids.push(id);
+        ids.push(g.add_node_with_attrs(sym, attrs([("valence", AttrValue::Int(val as i64))])));
         free.push(val);
     }
 
@@ -89,7 +88,8 @@ pub fn molecule(params: &MoleculeParams, seed: u64) -> Graph {
         };
         let double = free[i] >= 2 && free[j] >= 2 && rng.random_bool(params.double_bond_prob);
         let (label, units) = if double { ("double", 2) } else { ("single", 1) };
-        g.add_edge(ids[i], ids[j], label).expect("tree edges unique");
+        // Atom `i` has no bonds yet, so the edge is new and always added.
+        let Ok(_) = g.add_edge(ids[i], ids[j], label) else { continue };
         free[i] = free[i].saturating_sub(units);
         free[j] = free[j].saturating_sub(units);
     }
@@ -102,10 +102,11 @@ pub fn molecule(params: &MoleculeParams, seed: u64) -> Graph {
         attempts += 1;
         let i = rng.random_range(0..n);
         let j = rng.random_range(0..n);
-        if i == j || free[i] == 0 || free[j] == 0 || g.has_edge(ids[i], ids[j]) {
+        if i == j || free[i] == 0 || free[j] == 0 {
             continue;
         }
-        g.add_edge(ids[i], ids[j], "single").expect("checked");
+        // An existing bond is refused as a duplicate edge.
+        let Ok(_) = g.add_edge(ids[i], ids[j], "single") else { continue };
         free[i] -= 1;
         free[j] -= 1;
         closures += 1;

@@ -74,7 +74,7 @@ fn mutate_epoch(g: &mut Graph, rng: &mut StdRng, epoch: usize, node_removal_peri
 /// Asserts that the kernels see no difference between `patched` and a
 /// rebuilt snapshot, bit-for-bit.
 fn assert_kernels_agree(patched: &CsrGraph, rebuilt: &CsrGraph, seed_node: NodeId) {
-    let policy = KernelPolicy::new(64);
+    let policy = KernelPolicy::default();
     let pr_a = kernels::pagerank(patched, 0.85, 12, &policy);
     let pr_b = kernels::pagerank(rebuilt, 0.85, 12, &policy);
     assert_eq!(pr_a, pr_b, "pagerank differs");

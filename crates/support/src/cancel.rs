@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a cheap, cloneable handle shared between a
 //! supervisor and the work it supervises. The supervisor arms it with a
 //! deadline (or trips it explicitly); the work polls [`CancelToken::is_cancelled`]
-//! at natural yield points — chunk boundaries, loop iterations — and bails
+//! at natural yield points — every few loop iterations — and bails
 //! out early when it fires. Cancellation is **latching**: once observed,
 //! every later poll also reports cancelled, even if the clock were to drift.
 //!
@@ -21,7 +21,7 @@ struct Inner {
     /// Wall-clock instant after which polls latch the token, if armed.
     deadline: Option<Instant>,
     /// Number of `is_cancelled` polls, for tests that assert the work
-    /// actually cooperates (e.g. kernels polling at chunk boundaries).
+    /// actually cooperates (e.g. kernels polling once per stride).
     polls: AtomicU64,
 }
 

@@ -63,8 +63,8 @@ cargo test -q --offline -p chatgraph-apis --test plan_properties
 cargo bench --offline -p chatgraph-bench --bench chain_plan_exec
 
 # CSR kernel differential properties: every kernel must equal its
-# adjacency-walking reference oracle, at a tiny and the default chunk size
-# (DESIGN.md §10).
+# adjacency-walking `algo::` oracle bit for bit, on random graphs and on
+# fixed graphs spanning several cancellation strides (DESIGN.md §10).
 cargo test -q --offline -p chatgraph-graph --test kernel_properties
 
 # CSR kernel baseline: per-kernel reference vs CSR medians (and the CSR
@@ -105,10 +105,9 @@ cargo bench --offline -p chatgraph-bench --bench serving
 
 # Delta-CSR differentials: patched snapshots must be bit-identical to full
 # rebuilds after random edit sequences, through `Graph::csr`, with one
-# build shared by concurrent callers and by clones; kernel outputs must not
-# depend on the chunk size (DESIGN.md §14).
+# build shared by concurrent callers and by clones (DESIGN.md §14). The
+# kernels' fixed multi-stride cases run with kernel_properties above.
 cargo test -q --offline -p chatgraph-graph --test delta_properties
-cargo test -q --offline -p chatgraph-graph --test chunking_determinism
 
 # Cold-path differentials: the GED cost matrix, induced cost and flat
 # Hungarian solver equal their oracles bit for bit, and the context's cover
