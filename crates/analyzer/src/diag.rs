@@ -225,8 +225,6 @@ pub const CODES: &[CodeInfo] = &[
     CodeInfo { code: "CG013", severity: Severity::Info, title: "needless mid-chain barrier" },
     CodeInfo { code: "CG014", severity: Severity::Warning, title: "required parameter missing" },
     CodeInfo { code: "CG015", severity: Severity::Info, title: "interleaved edits thrash the CSR snapshot cache" },
-    CodeInfo { code: "CG016", severity: Severity::Error, title: "conflicting effects inside a barrier-free plan segment" },
-    CodeInfo { code: "CG017", severity: Severity::Warning, title: "memoizable step reads findings (memo pollution hazard)" },
     CodeInfo { code: "CG101", severity: Severity::Error, title: "panic site in library code over allowlist" },
     CodeInfo { code: "CG102", severity: Severity::Error, title: "stale allowlist entry (ratchet must shrink)" },
     CodeInfo { code: "CG103", severity: Severity::Error, title: "unsafe code in workspace" },

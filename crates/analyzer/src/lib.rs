@@ -4,11 +4,11 @@
 //! workspace:
 //!
 //! - [`diag`]: severities, spans, the multi-diagnostic sink and the
-//!   [`CODES`] table. The API-chain passes (CG001–CG015) and the plan
-//!   interference audit (CG016/CG017) report through it from
-//!   `chatgraph_apis::analysis`, where they run directly on the chain,
-//!   descriptor and plan types; this crate sits below `chatgraph-apis` and
-//!   depends only on `chatgraph-support`.
+//!   [`CODES`] table. The API-chain passes (CG001–CG015) report through
+//!   it from `chatgraph_apis::analysis`, where they run directly on the
+//!   chain and descriptor types; this crate sits below `chatgraph-apis`
+//!   and depends only on `chatgraph-support`. Codes 16 and 17 (a plan
+//!   audit that re-derived the scheduler's barrier rule) are retired.
 //! - [`repolint`]: workspace invariants (panic-site ratchet, no `unsafe`,
 //!   manifest hermeticity) on top of a hand-rolled Rust [`lexer`], exposed
 //!   as the `repolint` binary run by `scripts/verify.sh`.

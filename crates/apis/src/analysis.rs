@@ -1,5 +1,5 @@
-//! Static analysis of API chains and execution plans, run directly on
-//! [`ApiChain`], the [`ApiRegistry`]'s descriptors and [`Plan`].
+//! Static analysis of API chains, run directly on [`ApiChain`] and the
+//! [`ApiRegistry`]'s descriptors.
 //!
 //! [`analyze`] runs every chain pass and collects *every* finding instead
 //! of stopping at the first (codes in `chatgraph_analyzer::diag::CODES`):
@@ -17,19 +17,18 @@
 //! 4. **Chain hygiene** — CG008 discarded output (no consumer and no later
 //!    report sink), CG009 redundant repeated step, CG010 step requires
 //!    user confirmation (surfaced by the confirm-and-edit flow).
-//! 5. **Plan dataflow** — lints over the dependency structure
-//!    [`Plan::build`] derives from [`ApiDescriptor::mutates_graph`]: CG011
+//! 5. **Plan dataflow** — lints over the step structure
+//!    [`crate::Plan::build`] derives from [`ApiDescriptor::mutates_graph`]: CG011
 //!    dead step (removable without changing the result), CG012 edit/read
 //!    ordering hazard (a pre-edit graph read reported post-edit), CG013
 //!    needless mid-chain barrier (a report sink before the end of the
 //!    chain), CG015 interleaved edits thrashing the per-version CSR
 //!    snapshot.
 //!
-//! [`audit_plan`] is the CG016/CG017 interference audit over a built
-//! [`Plan`] and its [`Plan::segments`]. Consumers:
+//! Consumers:
 //!
 //! * [`crate::execute_chain`] / [`crate::Scheduler::execute`] — refuse
-//!   Error-level findings of either analysis and emit the rest through
+//!   Error-level findings and emit the rest through
 //!   [`crate::ChainEvent::Diagnostics`];
 //! * the search-based decoder in `chatgraph-core` — [`can_extend`] prunes
 //!   candidate chain extensions that would introduce a type error;
@@ -38,11 +37,9 @@
 
 use crate::chain::{ApiCall, ApiChain};
 use crate::descriptor::{ApiDescriptor, ParamKind};
-use crate::plan::{Plan, Segment};
 use crate::registry::ApiRegistry;
 use crate::value::ValueType;
 use chatgraph_analyzer::diag::{Diagnostic, Diagnostics, Span};
-use std::collections::BTreeMap;
 
 /// Levenshtein edit distance (iterative two-row DP).
 pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
@@ -264,7 +261,7 @@ fn hygiene_pass(chain: &ApiChain, descs: &[Option<&ApiDescriptor>], sink: &mut D
 }
 
 /// Pass 5: plan-level dataflow lints. These reason about the same
-/// dependency structure [`Plan::build`] derives — prev-output consumption,
+/// step structure [`crate::Plan::build`] derives — prev-output consumption,
 /// report sinks as findings barriers, and graph mutation.
 fn plan_pass(descs: &[Option<&ApiDescriptor>], sink: &mut Diagnostics) {
     let last = descs.len() - 1;
@@ -395,106 +392,6 @@ fn plan_pass(descs: &[Option<&ApiDescriptor>], sink: &mut Diagnostics) {
             );
         }
     }
-}
-
-/// Re-proves the scheduler's barrier classification on a built plan before
-/// anything executes. Every step of a `Parallel` (barrier-free) segment is
-/// a pure step: it runs against a snapshot-local context — the segment's
-/// graph version, with *empty* findings — and through the shared
-/// cross-tenant memo, which is only sound if the classification is right:
-///
-/// - **CG016** (Error, refuses execution): a step inside a `Parallel`
-///   segment mutates the session graph (the edit would land on the
-///   snapshot-local copy and be lost), or a dependency edge crosses
-///   sub-chains of the same segment or points at a step its own sub-chain
-///   schedules later (the step would read a value the plan never routes
-///   to it).
-/// - **CG017** (Warning): a memoizable step reads findings. Memo keys
-///   fingerprint the API, params, seed, graph, input, and database — but
-///   *not* findings — so a findings-reading step served from the shared
-///   memo could leak one tenant's findings-derived result to another.
-///
-/// `segments` is `plan.segments()`, which the scheduler builds once for
-/// the audit and the run.
-///
-/// On plans from [`Plan::build`] this is always clean — the audit is the
-/// independent check that keeps it that way.
-pub fn audit_plan(plan: &Plan, segments: &[Segment]) -> Diagnostics {
-    let mut sink = Diagnostics::new();
-    for segment in segments {
-        let Segment::Parallel(chains) = segment else {
-            continue;
-        };
-        // Which sub-chain each co-scheduled step belongs to.
-        let mut chain_of = BTreeMap::new();
-        for (ci, chain) in chains.iter().enumerate() {
-            for &s in chain {
-                chain_of.insert(s, ci);
-            }
-        }
-        for (ci, chain) in chains.iter().enumerate() {
-            for (pos, &s) in chain.iter().enumerate() {
-                let step = &plan.steps[s];
-                let span = Span::Step { step: s, param: None };
-                if step.mutates_graph {
-                    sink.push(Diagnostic::new(
-                        "CG016",
-                        span.clone(),
-                        format!(
-                            "`{}` mutates the session graph but is co-scheduled in a \
-                             parallel segment",
-                            step.api
-                        ),
-                    ));
-                }
-                for &d in &step.deps {
-                    match chain_of.get(&d) {
-                        Some(&dc) if dc != ci => sink.push(Diagnostic::new(
-                            "CG016",
-                            span.clone(),
-                            format!(
-                                "`{}` (step {s}) depends on co-scheduled step {d} in a \
-                                 different sub-chain of the same segment",
-                                step.api
-                            ),
-                        )),
-                        Some(_) if chain[..pos].iter().all(|&p| p != d) => {
-                            sink.push(Diagnostic::new(
-                                "CG016",
-                                span.clone(),
-                                format!(
-                                    "`{}` (step {s}) depends on step {d}, which its \
-                                     sub-chain schedules after it",
-                                    step.api
-                                ),
-                            ))
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-    // CG017 is positional, not segment-scoped: any memoizable step that
-    // reads findings can be served from the shared cross-tenant memo with
-    // findings the key never fingerprinted.
-    for step in &plan.steps {
-        if step.memoizable && step.reads_findings {
-            sink.push(
-                Diagnostic::new(
-                    "CG017",
-                    Span::Step { step: step.index, param: None },
-                    format!(
-                        "`{}` reads findings but is memo-eligible; memo keys do not \
-                         fingerprint findings, so a shared-memo hit could cross tenants",
-                        step.api
-                    ),
-                )
-                .with_suggestion("classify findings-reading steps as barriers (not memoizable)"),
-            );
-        }
-    }
-    sink
 }
 
 /// Whether appending `candidate` to a chain whose last API is `prev_api`

@@ -123,10 +123,10 @@ pub enum ChainError {
     /// The chain is empty.
     Empty,
     /// Static analysis found Error-level diagnostics; execution refused.
-    /// The chain-level Error codes (CG001–CG004) are exactly
-    /// [`ApiChain::validate`]'s errors, which execution reports first as
-    /// their typed variants, so in practice only the CG016 plan
-    /// interference audit raises this.
+    /// Raised by the `analyze` gate in [`crate::Scheduler::execute`]. Its
+    /// Error codes (CG001–CG004) are exactly [`ApiChain::validate`]'s
+    /// errors, which execution reports first as their typed variants, so
+    /// this only fires if the analyzer and the validator ever disagree.
     AnalysisRejected(String),
     /// The user rejected a confirmation prompt; execution stopped.
     Rejected(usize, String),

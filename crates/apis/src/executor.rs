@@ -27,10 +27,9 @@ pub const MAX_FULL_FINDINGS: usize = 32;
 ///
 /// Snapshots themselves live on the graph versions they describe
 /// ([`Graph::csr`]), so every step and tenant reading one version shares
-/// one snapshot. The logs are behind [`Arc`], so the snapshot-local copy of
-/// the context a pure step runs against shares them with the chain's real
-/// context; the scheduler drains them into [`ChainEvent::CsrBuilt`] /
-/// [`ChainEvent::KernelTimed`] events after each segment.
+/// one snapshot. The scheduler drains the logs into
+/// [`crate::ChainEvent::CsrBuilt`] / [`crate::ChainEvent::KernelTimed`]
+/// events after each step.
 #[derive(Debug, Clone, Default)]
 pub struct KernelState {
     /// Cancellation policy handed to every kernel invocation.
@@ -131,9 +130,9 @@ impl ExecContext {
     }
 
     /// Mutable access to the session graph. Copies-on-write: if the graph
-    /// is currently shared (a step input, a memo entry, a segment snapshot),
-    /// the clone happens here — exactly once per mutation barrier — instead
-    /// of once per read as before the plan refactor.
+    /// is currently shared (a step input, a memo entry, the session's or
+    /// another tenant's copy), the clone happens here, at most once per
+    /// mutation barrier.
     pub fn graph_mut(&mut self) -> &mut Graph {
         Arc::make_mut(&mut self.graph)
     }

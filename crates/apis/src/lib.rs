@@ -23,18 +23,15 @@
 //!   events, progress, and user-confirmation hooks used by the cleaning
 //!   scenario.
 //! * [`impls`] — the concrete API implementations.
-//! * [`analysis`] — static analysis run directly on chains, descriptors
-//!   and plans: multi-pass chain diagnostics ([`analyze`]), the plan
-//!   interference audit ([`analysis::audit_plan`]) and the decoder's
-//!   type-flow pruning predicate ([`can_extend`]), reporting through
-//!   `chatgraph-analyzer`'s diagnostics vocabulary.
-//! * [`plan`] — the execution-plan IR: a validated chain lowered to a DAG
-//!   of [`PlanStep`]s whose edges are real data dependencies (prev-output,
-//!   session graph, barriers).
-//! * [`sched`] — the plan [`Scheduler`]: runs a plan's steps in index order
-//!   on the caller's thread, pure steps against `Arc` graph snapshots
-//!   through a bounded step-memo cache, deterministic w.r.t. the sequential
-//!   executor.
+//! * [`analysis`] — static analysis run directly on chains and
+//!   descriptors: multi-pass chain diagnostics ([`analyze`]) and the
+//!   decoder's type-flow pruning predicate ([`can_extend`]), reporting
+//!   through `chatgraph-analyzer`'s diagnostics vocabulary.
+//! * [`plan`] — the execution-plan IR: a validated chain lowered to one
+//!   [`PlanStep`] per call (its input source, and whether it is a barrier).
+//! * [`sched`] — the plan [`Scheduler`]: one loop that runs a plan's steps
+//!   in index order on the caller's thread, pure steps through a bounded
+//!   step-memo cache, deterministic w.r.t. the sequential executor.
 //! * [`supervisor`] — fault-tolerant step execution: per-step deadlines via
 //!   cooperative cancellation, bounded deterministic retries, panic
 //!   isolation, and a seeded fault-injection harness ([`FaultPlan`]).
@@ -56,7 +53,7 @@ pub use chain::{ApiCall, ApiChain, ChainError};
 pub use descriptor::{ApiCategory, ApiDescriptor, ParamKind, ParamSpec};
 pub use executor::{execute_chain, ExecContext};
 pub use monitor::{ChainEvent, CollectingMonitor, Monitor, SilentMonitor};
-pub use plan::{InputSource, Plan, PlanStep, Segment};
+pub use plan::{InputSource, Plan, PlanStep};
 pub use executor::KernelState;
 pub use registry::ApiRegistry;
 pub use sched::{CommitAck, CommitSink, ExecProfile, MemoStats, Scheduler, StepMemo};

@@ -64,8 +64,6 @@ pub enum ChainEvent {
     PlanBuilt {
         /// Number of plan steps.
         steps: usize,
-        /// Total dependency edges in the DAG.
-        deps: usize,
         /// Number of barrier steps.
         barriers: usize,
     },
@@ -228,7 +226,7 @@ chatgraph_support::impl_json_enum!(ChainEvent {
     StepFailed { step, api, error },
     ConfirmationRequested { step, api },
     ChainFinished,
-    PlanBuilt { steps, deps, barriers },
+    PlanBuilt { steps, barriers },
     StepTimed { step, api, micros, cached },
     MemoLookup { step, api, hit },
     StepCoalesced { step, api },
@@ -364,7 +362,7 @@ mod tests {
     #[test]
     fn plan_events_json_roundtrip_and_are_non_core() {
         let events = [
-            ChainEvent::PlanBuilt { steps: 4, deps: 3, barriers: 1 },
+            ChainEvent::PlanBuilt { steps: 4, barriers: 1 },
             ChainEvent::StepTimed { step: 2, api: "node_count".into(), micros: 17, cached: true },
             ChainEvent::MemoLookup { step: 2, api: "node_count".into(), hit: false },
             ChainEvent::StepCoalesced { step: 2, api: "triangle_count".into() },

@@ -1,13 +1,16 @@
 //! Descriptor-honesty contract: `mutates_graph` is load-bearing metadata —
-//! the planner turns it into barriers (DESIGN.md §9) and the CG016 audit
-//! re-proves segment safety from it — so every handler must live up to its
-//! flag. For each API in the standard registry this test synthesizes an
-//! input that exercises the handler and checks that the session graph's
-//! fingerprint changed if and only if the descriptor says it mutates.
+//! the planner turns it into barriers (DESIGN.md §9), and the scheduler
+//! memo-keys every other step by the graph version it reads — so every
+//! handler must live up to its flag. This test is the sole guard on it:
+//! nothing at run time checks a descriptor against its handler. For each
+//! API in the standard registry it synthesizes an input that exercises the
+//! handler and checks that the session graph's fingerprint changed if and
+//! only if the descriptor says it mutates.
 //!
 //! Non-mutating APIs get the stronger form of the claim: the fingerprint
 //! must be unchanged even when the handler returns an error (a handler that
-//! mutates and then fails would still poison parallel segments).
+//! mutates and then fails would still change the graph later steps read,
+//! with no barrier, no durable commit and a stale memo key).
 
 use chatgraph_apis::sched::graph_fingerprint;
 use chatgraph_apis::{registry, ApiCall, ExecContext, Value, ValueType};

@@ -6,9 +6,9 @@
 //! `StepPanicked`, `DegradedResult` and the timing events around the step
 //! lifecycle, for pure steps and barriers alike. Wall-clock fields
 //! (`micros`) are zeroed, and each run of consecutive `KernelTimed` events
-//! is sorted: a segment's kernel timings are drained together after it, so
-//! the file pins which kernels each segment ran, not the order handlers
-//! happen to call them in. `CHATGRAPH_UPDATE_GOLDEN=1` rewrites
+//! is sorted: kernel events are drained per step, right after the step's
+//! commit, so the file pins which kernels each step ran, not the order its
+//! handler happens to call them in. `CHATGRAPH_UPDATE_GOLDEN=1` rewrites
 //! `tests/golden_events.json`.
 
 use chatgraph_apis::supervisor::{FailurePolicy, FaultPlan, SupervisorConfig};

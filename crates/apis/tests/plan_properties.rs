@@ -1,14 +1,15 @@
 //! Differential properties for the plan scheduler (see DESIGN.md §9): for
 //! every valid chain, executing the lowered plan, cold or from a warm memo,
 //! is observably identical to the seed sequential executor — same result, same
-//! findings, same final graph, same core event sequence. Plus a golden test
-//! pinning the Plan JSON encoding.
+//! findings, same final graph, same core event sequence — and the memo
+//! sees exactly the pure steps. Plus the barrier rule over the whole
+//! registry and a golden test pinning the Plan JSON encoding.
 
 mod support;
 
 use chatgraph_apis::{
-    analysis, registry, ApiChain, ChainError, ChainEvent, CollectingMonitor, ExecContext, Plan,
-    Scheduler, Value,
+    analysis, registry, ApiCategory, ApiChain, ChainError, ChainEvent, CollectingMonitor,
+    ExecContext, Plan, Scheduler, Value, ValueType,
 };
 use chatgraph_graph::generators::{knowledge_graph, molecule_database, KgParams, MoleculeParams};
 use chatgraph_graph::Graph;
@@ -43,6 +44,10 @@ struct Observed {
     result: Result<Value, ChainError>,
     findings: Vec<(String, Value)>,
     core_events: Vec<ChainEvent>,
+    /// Steps that emitted `StepStarted` (every step that ran or was served).
+    started: Vec<usize>,
+    /// The step of each `MemoLookup`, in emission order.
+    memo_lookups: Vec<usize>,
     graph: Graph,
 }
 
@@ -74,18 +79,32 @@ fn observe(
     let mut mon = CollectingMonitor::new();
     let result = run(&mut ctx, &mut mon);
     let findings = std::mem::take(&mut ctx.findings);
+    let steps_of = |pick: fn(&ChainEvent) -> Option<usize>| mon.events.iter().filter_map(pick).collect();
+    let started = steps_of(|e| match e {
+        ChainEvent::StepStarted { step, .. } => Some(*step),
+        _ => None,
+    });
+    let memo_lookups = steps_of(|e| match e {
+        ChainEvent::MemoLookup { step, .. } => Some(*step),
+        _ => None,
+    });
     Observed {
         result,
         findings,
         core_events: mon.events.into_iter().filter(ChainEvent::is_core).collect(),
+        started,
+        memo_lookups,
         graph: ctx.into_graph(),
     }
 }
 
 /// The shared differential check: reference executor vs the scheduler,
-/// cold and then on a warm memo.
+/// cold and then on a warm memo. Every pure step that starts is looked up
+/// in the memo exactly once, and no barrier is: a barrier's effects are
+/// invisible to the memo key.
 fn check_plan_matches_reference(chain: &ApiChain) -> Result<(), String> {
     let reg = registry::standard();
+    let plan = Plan::build(chain, &reg).map_err(|e| e.to_string())?;
     let reference = observe(|ctx, mon| execute_chain_reference(&reg, chain, ctx, mon));
     let sched = Scheduler::new();
     let runs = [
@@ -101,6 +120,13 @@ fn check_plan_matches_reference(chain: &ApiChain) -> Result<(), String> {
             "core events differ ({label})"
         );
         prop_assert_eq!(&got.graph, &reference.graph, "final graph differs ({label})");
+        for &j in &got.started {
+            let lookups = got.memo_lookups.iter().filter(|&&s| s == j).count();
+            let want = usize::from(!plan.steps[j].barrier);
+            prop_assert_eq!(lookups, want, "step {j} memo lookups ({label})");
+        }
+        let unstarted = got.memo_lookups.iter().find(|s| !got.started.contains(s));
+        prop_assert_eq!(unstarted, None, "memo lookup for a step that never started ({label})");
     }
     Ok(())
 }
@@ -131,8 +157,8 @@ fn cleaning_pipeline_matches_reference() {
     check_plan_matches_reference(&chain).unwrap();
 }
 
-/// A wide read-only chain — one barrier-free segment of independent
-/// sub-chains, then a report.
+/// A wide read-only chain — independent reads of the session graph, then
+/// a report.
 #[test]
 fn parallel_reads_match_reference() {
     let chain = ApiChain::from_names([
@@ -160,25 +186,39 @@ fn branchy_chain_matches_reference() {
     check_plan_matches_reference(&chain).unwrap();
 }
 
-/// Soundness of the interference audit: plans produced by `Plan::build`
-/// never trip CG016 — the scheduler's barrier classification already
-/// serializes every conflicting effect, and the audit independently
-/// re-proves that on each plan. CG017 likewise stays silent because
-/// findings-readers are classified as barriers (hence not memoizable).
+/// The rule the scheduler's memo relies on: every API whose step can
+/// observe or change state outside its input and graph version — a
+/// mutation, a confirmation, or a read of the findings — is a barrier, so
+/// it always runs and is never served from a memo keyed without that state.
 #[test]
-fn audit_never_rejects_built_plans() {
+fn barriers_are_exactly_mutations_confirmations_and_findings_readers() {
     let reg = registry::standard();
-    check(
-        "audit_never_rejects_built_plans",
-        Config::default().with_cases(48),
-        |rng, _size| random_valid_chain(rng, 6),
-        |chain| {
-            let plan = Plan::build(chain, &reg).map_err(|e| e.to_string())?;
-            let d = analysis::audit_plan(&plan, &plan.segments());
-            prop_assert_eq!(d.items.len(), 0, "audit findings: {}", d.render_text());
-            Ok(())
-        },
-    );
+    for name in reg.names() {
+        let desc = reg.descriptor(name).expect("registered");
+        // The API alone when it can start a chain, else behind the first
+        // API that can start one and feeds it.
+        let first = |api: &str| analysis::can_extend(&reg, None, api, true);
+        let chain = if first(name) {
+            ApiChain::from_names([name])
+        } else {
+            let feeder = reg
+                .names()
+                .into_iter()
+                .find(|&p| first(p) && analysis::can_extend(&reg, Some(p), name, true))
+                .unwrap_or_else(|| panic!("no API feeds `{name}`"));
+            ApiChain::from_names([feeder, name])
+        };
+        let plan = Plan::build(&chain, &reg).unwrap_or_else(|e| panic!("`{name}`: {e}"));
+        let step = plan.steps.last().expect("one step per call");
+        let reads_findings = desc.category == ApiCategory::Report || desc.input == ValueType::Any;
+        assert_eq!(step.reads_findings, reads_findings, "`{name}` reads_findings");
+        assert_eq!(step.mutates_graph, desc.mutates_graph, "`{name}` mutates_graph");
+        assert_eq!(
+            step.barrier,
+            desc.mutates_graph || desc.requires_confirmation || reads_findings,
+            "`{name}` barrier"
+        );
+    }
 }
 
 /// Golden test: the Plan JSON encoding for the cleaning chain is pinned, so

@@ -2,9 +2,8 @@
 //! warm memo. Writes `results/BENCH_plan_exec.json` including the measured
 //! memo speedup.
 //!
-//! The chain is eleven independent whole-graph analyses — after plan
-//! lowering they form one barrier-free segment of singleton sub-chains,
-//! every step of it memoizable.
+//! The chain is eleven independent whole-graph analyses, all pure steps,
+//! so a warm memo serves every one of them.
 
 use chatgraph_apis::{registry, ApiCall, ApiChain, ExecContext, Scheduler, SilentMonitor};
 use chatgraph_bench::{env_json, record_stats as record};

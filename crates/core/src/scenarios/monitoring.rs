@@ -55,9 +55,9 @@ pub fn run(session: &mut ChatSession, graph: Graph) -> (ScenarioOutput, Vec<Chai
             ChainEvent::ConfirmationRequested { step, api } => {
                 format!("Monitor: step {} '{api}' awaits confirmation", step + 1)
             }
-            ChainEvent::PlanBuilt { steps, deps, barriers } => format!(
-                "Monitor: plan built ({steps} steps, {deps} dependencies, {barriers} barriers)"
-            ),
+            ChainEvent::PlanBuilt { steps, barriers } => {
+                format!("Monitor: plan built ({steps} steps, {barriers} barriers)")
+            }
             ChainEvent::StepTimed { step, api, micros, cached } => format!(
                 "Monitor: step {} '{api}' took {micros}us{}",
                 step + 1,

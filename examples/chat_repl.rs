@@ -15,8 +15,8 @@
 //!
 //! Commands: `:social` / `:molecule` / `:kg` generate and upload a graph,
 //! `:upload <path>` reads an edge-list file, `:suggest` prints suggested
-//! questions, `:plan` shows the execution plan (DAG of dependencies and
-//! barriers) of the last proposed chain — during execution, CSR kernel
+//! questions, `:plan` shows the execution plan (each step's input and
+//! whether it is a barrier) of the last proposed chain — during execution, CSR kernel
 //! timings stream alongside it as `KernelTimed` events — `:faults
 //! [seed [error [panic [delay]]]]` arms deterministic fault injection on
 //! the chain supervisor (`:faults off` disarms it; retries, timeouts,
@@ -159,12 +159,7 @@ fn main() {
                 None => println!("no chain proposed yet — ask a question first."),
                 Some(chain) => match Plan::build(chain, session.registry()) {
                     Ok(plan) => {
-                        println!(
-                            "plan: {} steps, {} dependencies, {} barrier(s)",
-                            plan.len(),
-                            plan.dep_count(),
-                            plan.barrier_count()
-                        );
+                        println!("plan: {} steps, {} barrier(s)", plan.len(), plan.barrier_count());
                         print!("{}", plan.render_text());
                         println!(
                             "(per-kernel CSR timings are emitted as KernelTimed events while the plan runs)"
