@@ -15,14 +15,14 @@ use crate::value::Value;
 use chatgraph_graph::csr::{CsrBuild, CsrGraph};
 use chatgraph_graph::kernels::KernelPolicy;
 use chatgraph_graph::Graph;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Findings beyond this count store a one-line summary instead of the full
 /// value, so long chains don't pin every intermediate result in memory.
 pub const MAX_FULL_FINDINGS: usize = 32;
 
-/// Shared CSR-kernel state threaded through a chain execution: the
-/// cancellation policy, and logs of kernel timings and of the snapshot builds this
+/// CSR-kernel state threaded through a chain execution: the cancellation
+/// policy, and logs of kernel timings and of the snapshot builds this
 /// context caused.
 ///
 /// Snapshots themselves live on the graph versions they describe
@@ -34,53 +34,41 @@ pub const MAX_FULL_FINDINGS: usize = 32;
 pub struct KernelState {
     /// Cancellation policy handed to every kernel invocation.
     pub policy: KernelPolicy,
-    timings: Arc<Mutex<Vec<(String, u64)>>>,
+    timings: Vec<(String, u64)>,
     /// Build records for snapshots *this context* caused, even when the
     /// graph is shared across sessions — monitoring events must not leak
     /// between tenants.
-    builds: Arc<Mutex<Vec<CsrBuild>>>,
+    builds: Vec<CsrBuild>,
 }
 
 impl KernelState {
     /// The CSR snapshot of `g`, built at most once per graph version (see
     /// [`Graph::csr`]); a build this call caused is logged here.
-    pub fn csr(&self, g: &Graph) -> Arc<CsrGraph> {
+    pub fn csr(&mut self, g: &Graph) -> Arc<CsrGraph> {
         let (csr, built) = g.csr_tracked();
-        if let Some(b) = built {
-            // lockdoc: recover(build log is append-only plain records; a panicked push cannot tear it)
-            self.builds
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(b);
-        }
+        self.builds.extend(built);
         csr
     }
 
     /// Runs `f`, recording its wall time under `kernel` for the next
     /// [`KernelState::drain_timings`].
-    pub fn time<T>(&self, kernel: &str, f: impl FnOnce() -> T) -> T {
+    pub fn time<T>(&mut self, kernel: &str, f: impl FnOnce() -> T) -> T {
         let started = std::time::Instant::now();
         let out = f();
         let micros = started.elapsed().as_micros() as u64;
-        // lockdoc: recover(timing log is append-only plain records; a panicked push cannot tear it)
-        self.timings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((kernel.to_owned(), micros));
+        self.timings.push((kernel.to_owned(), micros));
         out
     }
 
     /// Drains `(kernel, micros)` records accumulated since the last drain.
-    pub fn drain_timings(&self) -> Vec<(String, u64)> {
-        // lockdoc: recover(draining a possibly-short log after a panic loses only metrics, not results)
-        std::mem::take(&mut *self.timings.lock().unwrap_or_else(|e| e.into_inner()))
+    pub fn drain_timings(&mut self) -> Vec<(String, u64)> {
+        std::mem::take(&mut self.timings)
     }
 
     /// Drains CSR build records this context accumulated since the last
     /// drain (never another tenant's, even on a shared graph).
-    pub fn drain_builds(&self) -> Vec<CsrBuild> {
-        // lockdoc: recover(draining a possibly-short log after a panic loses only metrics, not results)
-        std::mem::take(&mut *self.builds.lock().unwrap_or_else(|e| e.into_inner()))
+    pub fn drain_builds(&mut self) -> Vec<CsrBuild> {
+        std::mem::take(&mut self.builds)
     }
 }
 

@@ -106,8 +106,8 @@ pub enum ChainEvent {
         edges: usize,
         /// Wall-clock build time in microseconds.
         micros: u64,
-        /// Whether the snapshot was patched incrementally from the previous
-        /// epoch (delta-CSR) instead of rebuilt from scratch.
+        /// Always `false`: every snapshot is a full build. Kept because
+        /// chatbench's trace tally matches on it.
         delta: bool,
     },
     /// Wall time of one CSR kernel invocation inside a step. Non-core.

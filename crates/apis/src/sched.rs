@@ -724,14 +724,14 @@ fn gate(diagnostics: Diagnostics, monitor: &mut dyn Monitor) -> Result<(), Chain
 }
 
 /// Flushes CSR build and kernel timing records accumulated in the context's
-/// shared kernel state out to the monitor as plan events.
-fn drain_kernel_events(ctx: &ExecContext, monitor: &mut dyn Monitor) {
+/// kernel state out to the monitor as plan events.
+fn drain_kernel_events(ctx: &mut ExecContext, monitor: &mut dyn Monitor) {
     for b in ctx.kernels.drain_builds() {
         monitor.on_event(&ChainEvent::CsrBuilt {
             nodes: b.nodes,
             edges: b.edges,
             micros: b.micros,
-            delta: b.delta,
+            delta: false,
         });
     }
     for (kernel, micros) in ctx.kernels.drain_timings() {

@@ -4,9 +4,8 @@
 //!
 //! * the median of an iterated CSR kernel (pagerank) on the caller's
 //!   thread — kernels spawn no threads;
-//! * the **delta-CSR vs rebuild ratio** for a single-edit mutation epoch —
-//!   the row-splice patch must beat the from-scratch rebuild by an order
-//!   of magnitude from the 10^5 tier up.
+//! * the median of a full CSR build, which is what the first kernel read
+//!   of a new or structurally edited graph version costs.
 //!
 //! `--quick` runs only the 10^3/10^4 tiers and, instead of overwriting the
 //! committed full artifact, validates that `results/BENCH_scale.json`
@@ -17,7 +16,6 @@ use chatgraph_bench::{env_json, print_table, quick_mode};
 use chatgraph_graph::csr::CsrGraph;
 use chatgraph_graph::generators::{social_network, SocialParams};
 use chatgraph_graph::kernels::{self, KernelPolicy};
-use chatgraph_graph::NodeId;
 use chatgraph_support::bench::{format_duration, Bench, Stats};
 use chatgraph_support::json::Json;
 use std::hint::black_box;
@@ -57,23 +55,9 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
         black_box(kernels::pagerank(&csr, 0.85, PAGERANK_ITERS, &policy));
     });
 
-    // Delta-CSR vs rebuild: one added edge, then patch vs from-scratch.
-    let mut edited = graph.clone();
-    let nodes: Vec<NodeId> = edited.node_ids().take(2).collect();
-    edited.add_edge(nodes[0], nodes[1], "patched").ok();
     let rebuild_stats = group.bench("csr_rebuild", || {
-        black_box(CsrGraph::build(&edited).m());
+        black_box(CsrGraph::build(&graph).m());
     });
-    let delta_stats = group.bench("csr_delta_patch", || {
-        black_box(
-            CsrGraph::build_delta(&csr, &edited)
-                .expect("a single added edge always patches")
-                .m(),
-        );
-    });
-    let delta_ratio =
-        median_ns(&rebuild_stats) as f64 / median_ns(&delta_stats).max(1) as f64;
-    println!("{label}: delta patch is {delta_ratio:.1}x cheaper than rebuild");
 
     let tier = Json::Object(vec![
         ("nodes".to_owned(), Json::UInt(graph.node_count() as u64)),
@@ -81,9 +65,6 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
         ("gen_micros".to_owned(), Json::UInt(gen_elapsed.as_micros() as u64)),
         ("pagerank_median_ns".to_owned(), Json::UInt(median_ns(&pagerank_stats))),
         ("csr_rebuild_median_ns".to_owned(), Json::UInt(median_ns(&rebuild_stats))),
-        ("csr_delta_median_ns".to_owned(), Json::UInt(median_ns(&delta_stats))),
-        ("delta_vs_rebuild_ratio".to_owned(), Json::Float(delta_ratio)),
-        ("delta_10x_cheaper".to_owned(), Json::Bool(delta_ratio >= 10.0)),
     ]);
     let row = vec![
         label.to_owned(),
@@ -91,8 +72,6 @@ fn run_tier(n: usize, label: &str, iters: u32) -> (Json, Vec<String>) {
         graph.edge_count().to_string(),
         format_duration(pagerank_stats.median),
         format_duration(rebuild_stats.median),
-        format_duration(delta_stats.median),
-        format!("{delta_ratio:.1}x"),
     ];
     (tier, row)
 }
@@ -114,13 +93,7 @@ fn validate_committed_artifact(path: &std::path::Path) {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v)
             .unwrap_or_else(|| panic!("committed artifact is missing tier {name}"));
-        for field in [
-            "nodes",
-            "pagerank_median_ns",
-            "csr_rebuild_median_ns",
-            "csr_delta_median_ns",
-            "delta_vs_rebuild_ratio",
-        ] {
+        for field in ["nodes", "pagerank_median_ns", "csr_rebuild_median_ns"] {
             assert!(tier.get(field).is_some(), "tier {name} is missing `{field}`");
         }
     }
@@ -148,8 +121,8 @@ fn main() {
     }
 
     print_table(
-        "scale sweep (pagerank median; delta vs rebuild)",
-        &["tier", "nodes", "edges", "pagerank", "rebuild", "delta", "ratio"],
+        "scale sweep (pagerank and CSR build medians)",
+        &["tier", "nodes", "edges", "pagerank", "rebuild"],
         &rows,
     );
 

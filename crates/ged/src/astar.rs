@@ -66,8 +66,25 @@ pub fn exact_ged_with_limit(
     if n2 > 64 || n1 > 64 {
         return None;
     }
-    let labels1: Vec<&str> = nodes1.iter().map(|&v| g1.node_label(v).expect("live")).collect();
-    let labels2: Vec<&str> = nodes2.iter().map(|&v| g2.node_label(v).expect("live")).collect();
+    let labels1: Vec<&str> = nodes1
+        .iter()
+        .map(|&v| g1.node_label(v).ok())
+        .collect::<Option<_>>()?;
+    let labels2: Vec<&str> = nodes2
+        .iter()
+        .map(|&v| g2.node_label(v).ok())
+        .collect::<Option<_>>()?;
+    let edge_labels1 = edge_labels(g1)?;
+    let edge_labels2 = edge_labels(g2)?;
+    // Each g2 edge as a pair of indices into `nodes2` (ascending, so a
+    // binary search finds them).
+    let ends2: Vec<(usize, usize)> = g2
+        .edge_ids()
+        .map(|e| {
+            let (a, b) = g2.edge_endpoints(e).ok()?;
+            Some((nodes2.binary_search(&a).ok()?, nodes2.binary_search(&b).ok()?))
+        })
+        .collect::<Option<_>>()?;
 
     // Process high-degree g1 nodes first: their edge constraints prune most.
     let mut order: Vec<usize> = (0..n1).collect();
@@ -153,8 +170,8 @@ pub fn exact_ged_with_limit(
                         match (e1, e2) {
                             (Some(e1), Some(e2)) => {
                                 c += cost.edge_relabel(
-                                    g1.edge_label(e1).expect("live"),
-                                    g2.edge_label(e2).expect("live"),
+                                    edge_labels1[e1.index()],
+                                    edge_labels2[e2.index()],
                                 )
                             }
                             (Some(_), None) => c += cost.edge_del,
@@ -177,10 +194,7 @@ pub fn exact_ged_with_limit(
                 c += cost.node_ins;
             }
         }
-        for e in g2.edge_ids() {
-            let (a, b) = g2.edge_endpoints(e).expect("live");
-            let ja = nodes2.iter().position(|&v| v == a).expect("present");
-            let jb = nodes2.iter().position(|&v| v == b).expect("present");
+        for &(ja, jb) in &ends2 {
             if used & (1 << ja) == 0 || used & (1 << jb) == 0 {
                 c += cost.edge_ins;
             }
@@ -250,6 +264,16 @@ pub fn exact_ged_with_limit(
     }
     // n1 == 0: pure insertion of g2.
     Some(completion(0))
+}
+
+/// Every live edge's label, indexed by edge slot (`""` for tombstones);
+/// `None` if a live edge has no label.
+fn edge_labels(g: &Graph) -> Option<Vec<&str>> {
+    let mut labels = vec![""; g.edge_bound()];
+    for e in g.edge_ids() {
+        labels[e.index()] = g.edge_label(e).ok()?;
+    }
+    Some(labels)
 }
 
 /// Exact GED with a generous default expansion budget (2 million states).

@@ -16,22 +16,23 @@
 //! * **One version identity, one change log.** Every change to a slot goes
 //!   through the mutation methods, which keep [`Graph::fingerprint`] (an
 //!   O(1) content hash) and the edit journal (which slots changed since an
-//!   ancestor) in step. Caches key on the first; delta CSR snapshots and
-//!   the durable store's WAL deltas read the second.
+//!   ancestor) in step. Caches key on the first; the durable store's WAL
+//!   deltas read the second.
 //! * **Each version carries its derived data.** [`Graph::csr`] builds the
 //!   analysis kernels' index at most once per version and shares it with
-//!   every clone of that version; a structural edit retires it to the
-//!   delta base the next version splices from. [`Graph::derived`] holds
+//!   every clone of that version; a structural edit drops it, so the next
+//!   version builds its own. [`Graph::derived`] holds
 //!   everything else computed from a version (the chat view's sequences
 //!   and features, the label summary); any edit clears it, because a
 //!   relabel keeps the CSR but changes what those read.
 
 use crate::attr::{AttrValue, Attrs};
-use crate::csr::{CsrBuild, CsrGraph, Snapshot};
+use crate::csr::{CsrBuild, CsrGraph};
 use crate::derived::Derived;
 use chatgraph_support::hash::Fnv64;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Index of a node in a [`Graph`]. Stable across removals of other elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -105,9 +106,10 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// Capacity of the edit journal. Past this many retained edits the oldest
-/// are dropped; consumers asking for the edits since an ancestor older than
-/// the window get `None` and fall back to a full rebuild or snapshot, which
-/// is the right call anyway — that many edits touch too many slots to splice.
+/// are dropped; the store, asking for the edits since an ancestor older
+/// than the window, gets `None` and writes a full graph snapshot instead of
+/// a WAL delta. The journal has no other reader: the CSR snapshot is
+/// always rebuilt from the slots.
 pub(crate) const JOURNAL_CAP: usize = 4096;
 
 /// Process-global stamp source for journal entries. Stamps only need to be
@@ -135,8 +137,8 @@ pub(crate) enum Touched {
 /// ids. Cloning a graph clones its journal, so a derived graph's journal
 /// contains its ancestor's tip stamp — finding that stamp proves ancestry
 /// (stamps are never reissued) and the entries after it are exactly the
-/// slots separating the two graphs. The CSR delta-splicer and the store's
-/// WAL deltas both read it, in O(edits) instead of O(slots).
+/// slots separating the two graphs. The store's WAL deltas read it
+/// ([`crate::delta::GraphDelta::since`]), in O(edits) instead of O(slots).
 #[derive(Debug, Clone)]
 pub(crate) struct Journal {
     /// Stamp of the last mutation (or of creation / deserialisation — fresh
@@ -293,8 +295,9 @@ pub struct Graph {
     /// lineage metadata, not graph content).
     journal: Journal,
     /// This version's CSR snapshot, built on first use (see
-    /// [`Graph::csr`]); derived data, excluded like the journal.
-    csr: Snapshot,
+    /// [`Graph::csr`]); derived data, excluded like the journal. Cloning
+    /// a graph clones the slot, so an unedited clone shares the snapshot.
+    csr: OnceLock<Arc<CsrGraph>>,
     /// Everything else derived from this version (see [`Graph::derived`]);
     /// shared by clones, excluded like the journal.
     derived: Derived,
@@ -390,7 +393,7 @@ impl Graph {
             live_edges: 0,
             slot_sum: 0,
             journal: Journal::fresh(),
-            csr: Snapshot::default(),
+            csr: OnceLock::new(),
             derived: Derived::default(),
         }
     }
@@ -415,29 +418,39 @@ impl Graph {
         fmix64(h.finish())
     }
 
-    /// The CSR snapshot of this version: built on the first call (spliced
-    /// from the previous version's snapshot when the edit allows it) and
+    /// The CSR snapshot of this version: built on the first call and
     /// shared by every later call and every clone of this version.
     /// Concurrent first callers wait for one build.
     pub fn csr(&self) -> Arc<CsrGraph> {
-        self.csr.get(self).0
+        self.csr_tracked().0
     }
 
     /// Like [`Graph::csr`], plus the build record when this call did the
     /// build (`None` when the snapshot already existed).
     pub fn csr_tracked(&self) -> (Arc<CsrGraph>, Option<CsrBuild>) {
-        self.csr.get(self)
+        let mut build = None;
+        let csr = self.csr.get_or_init(|| {
+            let started = Instant::now();
+            let csr = CsrGraph::build(self);
+            build = Some(CsrBuild {
+                nodes: csr.n(),
+                edges: csr.m(),
+                micros: started.elapsed().as_micros() as u64,
+            });
+            Arc::new(csr)
+        });
+        (Arc::clone(csr), build)
     }
 
     /// Journals one slot edit and invalidates what it outdates: every edit
     /// clears the derived slot, and a structural one — a slot appended or
-    /// tombstoned — also retires the CSR snapshot to the delta base; label
-    /// and attribute edits keep it, since the CSR holds no labels.
+    /// tombstoned — also drops the CSR snapshot; label and attribute edits
+    /// keep it, since the CSR holds no labels.
     fn record(&mut self, touched: Touched, structural: bool) {
         self.journal.record(touched);
         self.derived.clear();
         if structural {
-            self.csr.retire();
+            self.csr.take();
         }
     }
 
@@ -446,7 +459,7 @@ impl Graph {
         &self.derived
     }
 
-    /// The slot-edit journal (for the CSR delta-splicer and WAL deltas).
+    /// The slot-edit journal (for WAL deltas).
     pub(crate) fn journal(&self) -> &Journal {
         &self.journal
     }
@@ -507,7 +520,7 @@ impl Graph {
             live_nodes,
             live_edges,
             journal: Journal::fresh(),
-            csr: Snapshot::default(),
+            csr: OnceLock::new(),
             derived: Derived::default(),
         }
     }

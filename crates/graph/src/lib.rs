@@ -13,8 +13,8 @@
 //! * [`io`] — plain-text edge-list and JSON (de)serialisation; [`delta`] —
 //!   the slot-exact image and delta codec of the durable store.
 //! * [`Graph::fingerprint`] — the graph's O(1) version identity, and an
-//!   internal edit journal from which delta CSR snapshots and WAL deltas
-//!   are derived in O(edits); [`Graph::csr`] — the version's own CSR
+//!   internal edit journal from which the store's WAL deltas are derived
+//!   in O(edits); [`Graph::csr`] — the version's own CSR
 //!   snapshot, built once and shared by its clones; [`Graph::derived`] —
 //!   the version's other derived data, likewise (see [`derived`]).
 //! * [`generators`] — seeded generators for the graph families the paper's

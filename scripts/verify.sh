@@ -103,10 +103,11 @@ cargo test -q --offline -p chatgraph-apis --test coalesce_properties
 # to results/BENCH_serving.json. The cross-session hit count must be > 0.
 cargo bench --offline -p chatgraph-bench --bench serving
 
-# Delta-CSR differentials: patched snapshots must be bit-identical to full
-# rebuilds after random edit sequences, through `Graph::csr`, with one
-# build shared by concurrent callers and by clones (DESIGN.md §14). The
-# kernels' fixed multi-stride cases run with kernel_properties above.
+# Snapshot-staleness differential: after every random edit epoch a
+# version's `Graph::csr` must equal a fresh `CsrGraph::build`, and the
+# kernels must agree on both bit for bit, with one build shared by
+# concurrent callers and by clones (DESIGN.md §14). The kernels' fixed
+# multi-stride cases run with kernel_properties above.
 cargo test -q --offline -p chatgraph-graph --test delta_properties
 
 # Cold-path differentials: the GED cost matrix, induced cost and flat
